@@ -14,7 +14,9 @@
 // fallback when the source is dead or the target's model guard refuses.
 //
 // The router serves the exact same HTTP surface as a single replica (JSON
-// v1 and binary v2), so players point at it unchanged:
+// v1 and binary v2), so players point at it unchanged; whichever encoding a
+// player speaks, the router→replica hop carries per-chunk ops as binary
+// /v2/batch frames:
 //
 //	cs2p-router -replicas http://10.0.0.1:8642,http://10.0.0.2:8642,http://10.0.0.3:8642 -addr :8640
 package main
@@ -41,7 +43,7 @@ func main() {
 		replicas      = flag.String("replicas", "", "comma-separated cs2p-server base URLs (required)")
 		addr          = flag.String("addr", ":8640", "listen address")
 		vnodes        = flag.Int("vnodes", router.DefaultVNodes, "virtual nodes per replica on the hash ring")
-		replayWindow  = flag.Int("replay-window", router.DefaultReplayWindow, "observations kept per session for failover replay")
+		replayWindow  = flag.Int("replay-window", router.DefaultReplayWindow, "observations kept per session for failover replay (replayed as one batch: keep it within the replicas' -max-batch-ops)")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "health probe cadence")
 		probeTimeout  = flag.Duration("probe-timeout", time.Second, "per-probe deadline")
 		suspectAfter  = flag.Int("suspect-after", 0, "consecutive failures before a replica stops getting new sessions (0 = default)")

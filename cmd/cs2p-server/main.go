@@ -6,7 +6,7 @@
 //     the box, and watch the registry for new versions — each candidate must
 //     pass the promotion gate before the atomic swap.
 //   - trace mode (-trace): train in-process at startup (the original
-//     single-binary deployment), optionally hot-retraining on a cadence.
+//     single-binary deployment).
 //
 // SIGINT/SIGTERM trigger a graceful shutdown that drains in-flight calls.
 //
@@ -19,8 +19,8 @@
 // GET /v1/model, GET /v1/admin/models, POST /v1/admin/rollback,
 // POST /v1/admin/drain, GET/PUT/DELETE /v1/session/{id}/state (warm
 // session handoff, DESIGN.md §16), GET /v1/healthz; with -ingest also
-// POST /v1/ingest (DESIGN.md §15); with -wire (the default) also the
-// binary protocol at POST /v2/observe, /v2/predict, /v2/batch
+// POST /v1/ingest (DESIGN.md §15). The per-chunk op is also served over
+// the binary protocol at POST /v2/observe, /v2/predict, /v2/batch
 // (DESIGN.md §12).
 package main
 
@@ -47,31 +47,29 @@ import (
 
 func main() {
 	var (
-		tracePath    = flag.String("trace", "", "training trace (CSV); trains in-process at startup")
-		modelDir     = flag.String("model-dir", "", "boot from the latest artifact in this registry directory and watch it for new versions")
-		modelPoll    = flag.Duration("model-poll", 10*time.Second, "registry poll interval in artifact mode")
-		tolerance    = flag.Float64("promote-tolerance", 0.1, "promotion gate: reject a candidate whose holdout median APE exceeds the incumbent's by more than this fraction")
-		addr         = flag.String("addr", ":8642", "listen address")
-		states       = flag.Int("states", 6, "HMM state count")
-		minGroup     = flag.Int("min-group", 30, "minimum sessions per aggregation")
-		gcEvery      = flag.Duration("session-gc", 10*time.Minute, "drop sessions idle longer than this")
-		par          = flag.Int("parallelism", 0, "training workers (0 = one per CPU, 1 = sequential)")
-		grace        = flag.Duration("shutdown-grace", 10*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
-		retrainEvery = flag.Duration("retrain-every", 0, "hot-retrain cadence in trace mode (0 disables; the paper retrains daily)")
-		reqTimeout   = flag.Duration("request-timeout", 15*time.Second, "per-request handling timeout")
-		maxBody      = flag.Int64("max-body", 1<<20, "request body size cap in bytes")
-		maxLogs      = flag.Int("max-logs", engine.DefaultMaxLogs, "session QoE logs retained (ring buffer)")
-		shards       = flag.Int("shards", 0, "session-store shards, rounded up to a power of two (0 = scale with GOMAXPROCS)")
-		debugAddr    = flag.String("debug-addr", "", "serve /debug/pprof, /metrics and /healthz on this private address (empty disables)")
-		traceReqs    = flag.Bool("trace-requests", false, "log a per-request stage-timing line with the request id")
-		wireOn       = flag.Bool("wire", true, "serve the binary /v2 wire protocol (observe/predict/batch) alongside JSON v1")
-		maxBatch     = flag.Int("max-batch-ops", 1024, "maximum ops accepted in one /v2/batch frame")
-		ingest       = flag.Bool("ingest", false, "enable the online-learning plane: POST /v1/ingest trace intake and drift detection (DESIGN.md §15)")
-		intakeCap    = flag.Int("intake-capacity", 4096, "trace-intake ring capacity in sessions (with -ingest)")
-		driftBand    = flag.Float64("drift-band", 0.5, "relative midstream-APE regression that counts as drift (with -ingest; 0.5 = +50%)")
-		minRetrain   = flag.Int("min-retrain-sessions", 50, "buffered sessions an online retrain needs before it trains a candidate (with -ingest)")
-		onlineEvery  = flag.Duration("online-retrain", 0, "drift-check cadence of the background online-retrain controller (0 disables; requires -ingest)")
-		drainWindow  = flag.Duration("drain-on-shutdown", 0, "on the first SIGINT/SIGTERM, report draining on /v1/healthz for up to this long (letting a router hand sessions off warm) before shutting down; 0 shuts down immediately")
+		tracePath   = flag.String("trace", "", "training trace (CSV); trains in-process at startup")
+		modelDir    = flag.String("model-dir", "", "boot from the latest artifact in this registry directory and watch it for new versions")
+		modelPoll   = flag.Duration("model-poll", 10*time.Second, "registry poll interval in artifact mode")
+		tolerance   = flag.Float64("promote-tolerance", 0.1, "promotion gate: reject a candidate whose holdout median APE exceeds the incumbent's by more than this fraction")
+		addr        = flag.String("addr", ":8642", "listen address")
+		states      = flag.Int("states", 6, "HMM state count")
+		minGroup    = flag.Int("min-group", 30, "minimum sessions per aggregation")
+		gcEvery     = flag.Duration("session-gc", 10*time.Minute, "drop sessions idle longer than this")
+		par         = flag.Int("parallelism", 0, "training workers (0 = one per CPU, 1 = sequential)")
+		grace       = flag.Duration("shutdown-grace", 10*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
+		reqTimeout  = flag.Duration("request-timeout", 15*time.Second, "per-request handling timeout")
+		maxBody     = flag.Int64("max-body", 1<<20, "request body size cap in bytes")
+		maxLogs     = flag.Int("max-logs", engine.DefaultMaxLogs, "session QoE logs retained (ring buffer)")
+		shards      = flag.Int("shards", 0, "session-store shards, rounded up to a power of two (0 = scale with GOMAXPROCS)")
+		debugAddr   = flag.String("debug-addr", "", "serve /debug/pprof, /metrics and /healthz on this private address (empty disables)")
+		traceReqs   = flag.Bool("trace-requests", false, "log a per-request stage-timing line with the request id")
+		maxBatch    = flag.Int("max-batch-ops", 1024, "maximum ops accepted in one /v2/batch frame")
+		ingest      = flag.Bool("ingest", false, "enable the online-learning plane: POST /v1/ingest trace intake and drift detection (DESIGN.md §15)")
+		intakeCap   = flag.Int("intake-capacity", 4096, "trace-intake ring capacity in sessions (with -ingest)")
+		driftBand   = flag.Float64("drift-band", 0.5, "relative midstream-APE regression that counts as drift (with -ingest; 0.5 = +50%)")
+		minRetrain  = flag.Int("min-retrain-sessions", 50, "buffered sessions an online retrain needs before it trains a candidate (with -ingest)")
+		onlineEvery = flag.Duration("online-retrain", 0, "drift-check cadence of the background online-retrain controller (0 disables; requires -ingest)")
+		drainWindow = flag.Duration("drain-on-shutdown", 0, "on the first SIGINT/SIGTERM, report draining on /v1/healthz for up to this long (letting a router hand sessions off warm) before shutting down; 0 shuts down immediately")
 	)
 	flag.Parse()
 	if *tracePath == "" && *modelDir == "" {
@@ -264,27 +262,6 @@ func main() {
 		go svc.RunOnlineLoop(ctx)
 	}
 
-	// Trace mode hot retrain: swaps the engine atomically after the same
-	// promotion gate; the /v1/model export cache invalidates via the
-	// service's model generation. Production would load fresh traces here;
-	// the startup dataset stands in.
-	if d != nil && *retrainEvery > 0 {
-		go func() {
-			t := time.NewTicker(*retrainEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					if err := svc.Retrain(d); err != nil {
-						logf("retrain failed (serving previous models): %v", err)
-					}
-				}
-			}
-		}()
-	}
-
 	// The exporter receives the engine of the snapshot being served, so a
 	// model swap can never pair a stale export with a new generation. In
 	// artifact mode there is no dataset: Export(nil) replays the artifact's
@@ -293,7 +270,6 @@ func main() {
 	srv.SetLogf(logf)
 	srv.SetMetrics(reg)
 	srv.SetTraceRequests(*traceReqs)
-	srv.SetWireEnabled(*wireOn)
 	if modelReg != nil {
 		srv.SetAdmin(&engine.RegistryAdmin{Svc: svc, Reg: modelReg})
 	}

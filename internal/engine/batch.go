@@ -17,6 +17,10 @@ const (
 	// BatchInvalid: the op carried an unusable value (non-finite or
 	// negative observation) and was not applied.
 	BatchInvalid uint8 = 2
+	// BatchUnavailable: the backend knows the session but could not reach
+	// anything to serve it (a routing tier with every replica out). The
+	// engine itself never returns it; the router does.
+	BatchUnavailable uint8 = 3
 )
 
 // BatchOp is one observe/predict operation inside a batch — the CDN-edge
@@ -29,6 +33,14 @@ type BatchOp struct {
 	ObservedMbps float64
 	Horizon      int
 	HasObserve   bool
+}
+
+// Malformed reports whether the op carries an observation no filter may
+// absorb (non-finite or negative). Every BatchService answers BatchInvalid
+// for such an op without touching session state — the contract the HTTP
+// layer's in-place rejection of out-of-range ops relies on.
+func (op *BatchOp) Malformed() bool {
+	return op.HasObserve && (math.IsNaN(op.ObservedMbps) || math.IsInf(op.ObservedMbps, 0) || op.ObservedMbps < 0)
 }
 
 // BatchResult is one op's outcome, index-aligned with the request ops.
@@ -56,7 +68,7 @@ func (s *Service) ServeBatch(ops []BatchOp, res []BatchResult) uint64 {
 	now := time.Now()
 	for i := range ops {
 		op := &ops[i]
-		if op.HasObserve && (math.IsNaN(op.ObservedMbps) || math.IsInf(op.ObservedMbps, 0) || op.ObservedMbps < 0) {
+		if op.Malformed() {
 			res[i] = BatchResult{Code: BatchInvalid}
 			continue
 		}

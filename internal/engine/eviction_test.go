@@ -40,6 +40,18 @@ func freshService(t testing.TB, shards int) (*Service, *trace.Dataset) {
 	return svc, d
 }
 
+// hotRetrain trains a fresh engine on data with the service's own config and
+// installs it as the next generation — a hot model swap the way a producer
+// does it: train off to the side, then one atomic install.
+func hotRetrain(svc *Service, data *trace.Dataset) error {
+	e, err := core.Train(data, svc.cfg)
+	if err != nil {
+		return err
+	}
+	svc.InstallEngine(e)
+	return nil
+}
+
 // TestLogRingEvictionOrderAndCounter pins the ring's contract: once full it
 // evicts strictly oldest-first, and every eviction is counted on
 // cs2p_engine_log_evictions_total. Shards is pinned to 1 so the global
@@ -75,7 +87,7 @@ func TestLogRingEvictionOrderAndCounter(t *testing.T) {
 }
 
 // TestConcurrentEvictionRace hammers the session table and log rings from
-// many goroutines while GC sweeps and hot Retrain swaps model snapshots
+// many goroutines while GC sweeps and a hot retrain swaps model snapshots
 // concurrently (run with -race). At the end, every session is accounted
 // for: started = ended + gc-evicted + still active, and the log eviction
 // counter matches exactly what the rings dropped (whose retained entries
@@ -123,7 +135,7 @@ func TestConcurrentEvictionRace(t *testing.T) {
 			// A hot retrain races the whole sweep: model snapshots must swap
 			// without blocking or corrupting a single request.
 			retrained := make(chan error, 1)
-			go func() { retrained <- svc.Retrain(data) }()
+			go func() { retrained <- hotRetrain(svc, data) }()
 			wg.Wait()
 			if err := <-retrained; err != nil {
 				t.Fatal(err)

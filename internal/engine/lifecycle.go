@@ -73,36 +73,63 @@ func (s *Service) gateLocked(cand *ModelSnapshot) error {
 	return nil
 }
 
-// InstallArtifact builds a serving snapshot from a verified registry
-// artifact, passes it through the promotion gate, and atomically installs it
-// as the next generation. The rejected candidate stays on disk in the
-// registry (nothing is deleted) and the rejection is counted. Returns the
-// new generation on success.
-func (s *Service) InstallArtifact(a *core.Artifact) (uint64, error) {
+// promote is the one door into the serving model: under retrainMu it runs
+// the promotion gate (when gated), installs cand as the next generation,
+// and counts and logs the outcome. Everything that changes the serving
+// model is a producer that builds a candidate and calls it — the registry
+// watch and the online retrainer's registry path (InstallArtifact), the
+// registry-less online path, the admin Rollback, and InstallEngine. A
+// rejected candidate leaves the incumbent serving untouched.
+func (s *Service) promote(cand *ModelSnapshot, gated bool) (uint64, error) {
+	s.retrainMu.Lock()
+	defer s.retrainMu.Unlock()
+	return s.promoteLocked(cand, gated)
+}
+
+// promoteLocked is promote for a producer that already holds retrainMu
+// (Rollback reads its candidate, prev, under the same lock).
+func (s *Service) promoteLocked(cand *ModelSnapshot, gated bool) (uint64, error) {
+	if gated {
+		if err := s.gateLocked(cand); err != nil {
+			s.logfSafe("engine: candidate (version %d) not promoted: %v", cand.version, err)
+			return 0, err
+		}
+		s.m.promotionsAccepted.Inc()
+	}
+	gen := s.installLocked(cand)
+	s.logfSafe("engine: serving model version %d as generation %d", cand.version, gen)
+	return gen, nil
+}
+
+// artifactSnapshot builds the serving snapshot of a verified registry
+// artifact, carrying its version, training time, and holdout metrics.
+func artifactSnapshot(a *core.Artifact) (*ModelSnapshot, error) {
 	if a == nil || a.Store == nil {
-		return 0, fmt.Errorf("engine: nil artifact")
+		return nil, fmt.Errorf("engine: nil artifact")
 	}
 	e, err := core.NewEngineFromStore(a.Store)
 	if err != nil {
-		return 0, fmt.Errorf("engine: building engine from artifact v%d: %w", a.Manifest.Version, err)
+		return nil, fmt.Errorf("engine: building engine from artifact v%d: %w", a.Manifest.Version, err)
 	}
-	cand := &ModelSnapshot{
+	return &ModelSnapshot{
 		engine:        e,
 		version:       a.Manifest.Version,
 		trainedAtUnix: a.Manifest.TrainedAtUnix,
 		holdout:       a.Manifest.Holdout,
 		hasHoldout:    a.Manifest.Holdout.Valid(),
-	}
-	s.retrainMu.Lock()
-	defer s.retrainMu.Unlock()
-	if err := s.gateLocked(cand); err != nil {
-		s.logfSafe("engine: artifact v%d not promoted: %v", a.Manifest.Version, err)
+	}, nil
+}
+
+// InstallArtifact passes a verified registry artifact through the promotion
+// gate and atomically installs it as the next generation. The rejected
+// candidate stays on disk in the registry (nothing is deleted) and the
+// rejection is counted. Returns the new generation on success.
+func (s *Service) InstallArtifact(a *core.Artifact) (uint64, error) {
+	cand, err := artifactSnapshot(a)
+	if err != nil {
 		return 0, err
 	}
-	gen := s.installLocked(cand)
-	s.m.promotionsAccepted.Inc()
-	s.logfSafe("engine: installed artifact v%d (generation %d)", a.Manifest.Version, gen)
-	return gen, nil
+	return s.promote(cand, true)
 }
 
 // Rollback re-installs the snapshot displaced by the last install, as a new
@@ -115,18 +142,9 @@ func (s *Service) Rollback() (uint64, error) {
 	if s.prev == nil {
 		return 0, ErrNoPreviousModel
 	}
-	prev := s.prev
-	restored := &ModelSnapshot{
-		engine:        prev.engine,
-		version:       prev.version,
-		trainedAtUnix: prev.trainedAtUnix,
-		holdout:       prev.holdout,
-		hasHoldout:    prev.hasHoldout,
-	}
-	gen := s.installLocked(restored)
+	restored := *s.prev
 	s.m.rollbacks.Inc()
-	s.logfSafe("engine: rolled back to version %d (generation %d)", restored.version, gen)
-	return gen, nil
+	return s.promoteLocked(&restored, false)
 }
 
 // NewServiceFromArtifact boots a service directly from a verified registry
@@ -135,20 +153,11 @@ func (s *Service) Rollback() (uint64, error) {
 // version, training time, and holdout metrics, so the promotion gate and the
 // admin surface work from the first request.
 func NewServiceFromArtifact(a *core.Artifact, cfg core.Config, spec video.Spec, opts ServiceOptions) (*Service, error) {
-	if a == nil || a.Store == nil {
-		return nil, fmt.Errorf("engine: nil artifact")
-	}
-	e, err := core.NewEngineFromStore(a.Store)
+	snap, err := artifactSnapshot(a)
 	if err != nil {
-		return nil, fmt.Errorf("engine: building engine from artifact v%d: %w", a.Manifest.Version, err)
+		return nil, err
 	}
-	s := NewServiceWithOptions(e, cfg, spec, opts)
-	s.snap.Store(&ModelSnapshot{
-		engine:        e,
-		version:       a.Manifest.Version,
-		trainedAtUnix: a.Manifest.TrainedAtUnix,
-		holdout:       a.Manifest.Holdout,
-		hasHoldout:    a.Manifest.Holdout.Valid(),
-	})
+	s := NewServiceWithOptions(snap.engine, cfg, spec, opts)
+	s.snap.Store(snap)
 	return s, nil
 }

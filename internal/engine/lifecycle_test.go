@@ -222,46 +222,6 @@ func TestPromotionGateLiveMode(t *testing.T) {
 	}
 }
 
-// TestRetrainPoisonedKeepsServing: a retrain on a poisoned (empty) dataset
-// fails, increments the failure counter, and leaves the serving snapshot —
-// and therefore every prediction — bit-identical.
-func TestRetrainPoisonedKeepsServing(t *testing.T) {
-	svc, test := service(t)
-	reg := obs.NewRegistry()
-	svc.SetMetrics(reg)
-	before := svc.Snapshot()
-	s := test.Sessions[0]
-	preds := make([]float64, 0, 8)
-	record := func() []float64 {
-		e := svc.Engine()
-		out := []float64{e.PredictInitial(s)}
-		p := e.NewSessionPredictor(s)
-		for _, w := range s.Throughput[:min(6, len(s.Throughput))] {
-			out = append(out, p.Predict())
-			p.Observe(w)
-		}
-		return out
-	}
-	preds = record()
-
-	failures := svc.m.retrainFailures.Value()
-	if err := svc.Retrain(trace.NewDataset()); err == nil {
-		t.Fatal("retrain on an empty dataset must fail")
-	}
-	if got := svc.m.retrainFailures.Value(); got != failures+1 {
-		t.Errorf("cs2p_engine_retrain_failures_total = %d, want %d", got, failures+1)
-	}
-	if svc.Snapshot() != before {
-		t.Fatal("failed retrain must not swap the snapshot")
-	}
-	after := record()
-	for i := range preds {
-		if preds[i] != after[i] {
-			t.Fatalf("prediction %d changed across failed retrain: %v -> %v", i, preds[i], after[i])
-		}
-	}
-}
-
 // TestArtifactReloadUnderLoad is the PR's concurrency contract: while
 // installs and rollbacks fire, every concurrent request that pins a snapshot
 // observes a coherent (version, model) pair — the one-state models here

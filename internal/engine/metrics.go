@@ -24,9 +24,6 @@ type serviceMetrics struct {
 	shardSessions []*obs.Gauge
 	shardSkew     *obs.Gauge
 
-	retrains        *obs.Counter
-	retrainFailures *obs.Counter
-	retrainSeconds  *obs.Histogram
 	modelGeneration *obs.Gauge
 
 	// Model-lifecycle plane: artifact version being served, gate outcomes,
@@ -93,14 +90,8 @@ func newServiceMetrics(reg *obs.Registry, shards int) serviceMetrics {
 		logEvictions: reg.Counter("cs2p_engine_log_evictions_total",
 			"QoE log entries evicted from the bounded session-log ring.", nil),
 
-		retrains: reg.Counter("cs2p_engine_retrains_total",
-			"Completed hot retrains (the paper's daily training cadence).", nil),
-		retrainFailures: reg.Counter("cs2p_engine_retrain_failures_total",
-			"Retrains that failed; the previous model generation kept serving.", nil),
-		retrainSeconds: reg.Histogram("cs2p_engine_retrain_seconds",
-			"Wall time of each hot retrain.", obs.LatencyBuckets, nil),
 		modelGeneration: reg.Gauge("cs2p_engine_model_generation",
-			"Current model generation (bumped per completed retrain).", nil),
+			"Current model generation (bumped per snapshot install).", nil),
 
 		modelVersion: reg.Gauge("cs2p_model_version",
 			"Registry artifact version being served (0 = trained in-process).", nil),

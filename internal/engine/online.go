@@ -264,6 +264,7 @@ func (s *Service) OnlineRetrain() error {
 	s.setPromotionHoldout(holdout)
 
 	trainedAt := time.Now().Unix()
+	var perr error
 	if reg := o.opts.Registry; reg != nil {
 		epochs := 0
 		for _, sess := range trainDS.Sessions {
@@ -286,23 +287,17 @@ func (s *Service) OnlineRetrain() error {
 			s.m.onlineRetrainFailed.Inc()
 			return fmt.Errorf("engine: reloading online candidate v%d: %w", man.Version, err)
 		}
-		if _, err := s.InstallArtifact(art); err != nil {
-			if errors.Is(err, ErrPromotionRejected) {
-				s.m.onlineRetrainRejected.Inc()
-			} else {
-				s.m.onlineRetrainFailed.Inc()
-			}
-			return fmt.Errorf("engine: online retrain: %w", err)
-		}
+		_, perr = s.InstallArtifact(art)
 	} else {
-		if _, err := s.promoteEngine(cand, trainedAt); err != nil {
-			if errors.Is(err, ErrPromotionRejected) {
-				s.m.onlineRetrainRejected.Inc()
-			} else {
-				s.m.onlineRetrainFailed.Inc()
-			}
-			return fmt.Errorf("engine: online retrain: %w", err)
+		_, perr = s.promote(&ModelSnapshot{engine: cand, trainedAtUnix: trainedAt}, true)
+	}
+	if perr != nil {
+		if errors.Is(perr, ErrPromotionRejected) {
+			s.m.onlineRetrainRejected.Inc()
+		} else {
+			s.m.onlineRetrainFailed.Inc()
 		}
+		return fmt.Errorf("engine: online retrain: %w", perr)
 	}
 	s.m.onlineRetrainAccepted.Inc()
 	o.learnerGen = s.Snapshot().Generation()
@@ -322,21 +317,6 @@ func (s *Service) setPromotionHoldout(holdout *trace.Dataset) {
 		s.policy = &PromotionPolicy{Tolerance: 0.1}
 	}
 	s.policy.Holdout = holdout
-}
-
-// promoteEngine submits an in-process candidate engine to the promotion gate
-// and installs it on acceptance (the registry-less online path).
-func (s *Service) promoteEngine(e *core.Engine, trainedAtUnix int64) (uint64, error) {
-	cand := &ModelSnapshot{engine: e, trainedAtUnix: trainedAtUnix}
-	s.retrainMu.Lock()
-	defer s.retrainMu.Unlock()
-	if err := s.gateLocked(cand); err != nil {
-		s.logfSafe("engine: online candidate not promoted: %v", err)
-		return 0, err
-	}
-	gen := s.installLocked(cand)
-	s.m.promotionsAccepted.Inc()
-	return gen, nil
 }
 
 // RunOnlineLoop periodically checks for drift and retrains when it fires —

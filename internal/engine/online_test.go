@@ -311,7 +311,7 @@ func TestOnlineDriftRetrainPromoteRecover(t *testing.T) {
 	}
 	rejBefore := svc.m.promotionsRejected.Value()
 	genBefore = svc.ModelGeneration()
-	if _, err := svc.promoteEngine(bad, 0); !errors.Is(err, ErrPromotionRejected) {
+	if _, err := svc.promote(&ModelSnapshot{engine: bad}, true); !errors.Is(err, ErrPromotionRejected) {
 		t.Fatalf("sabotaged candidate not rejected: %v", err)
 	}
 	if svc.m.promotionsRejected.Value() != rejBefore+1 {

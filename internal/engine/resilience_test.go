@@ -74,7 +74,7 @@ func TestLogRingBounded(t *testing.T) {
 func TestModelGenerationAdvances(t *testing.T) {
 	svc, test := service(t)
 	g0 := svc.ModelGeneration()
-	if err := svc.Retrain(test); err != nil {
+	if err := hotRetrain(svc, test); err != nil {
 		t.Fatal(err)
 	}
 	if svc.ModelGeneration() != g0+1 {

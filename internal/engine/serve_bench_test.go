@@ -55,7 +55,7 @@ func BenchmarkServiceConcurrent(b *testing.B) {
 // TestRetrainDuringLoad pins the lock-free model plane (run under -race):
 // hot retrains land while 8 writers stream sessions through the service,
 // and not one request may fail or observe a torn model. Readers must make
-// progress while training is in flight — if Retrain still blocked the
+// progress while training is in flight — if a model swap still blocked the
 // serving path the way the old write-locked swap did, the mid-training
 // request count would be zero.
 func TestRetrainDuringLoad(t *testing.T) {
@@ -100,7 +100,7 @@ func TestRetrainDuringLoad(t *testing.T) {
 	const retrains = 3
 	for i := 0; i < retrains; i++ {
 		training.Store(true)
-		if err := svc.Retrain(data); err != nil {
+		if err := hotRetrain(svc, data); err != nil {
 			t.Fatal(err)
 		}
 		training.Store(false)

@@ -6,7 +6,7 @@
 // completed-session QoE logs.
 //
 // Concurrency model: the model plane is lock-free for readers — every
-// request pins the ModelSnapshot it starts with, and Retrain installs a new
+// request pins the ModelSnapshot it starts with, and promote installs a new
 // snapshot without ever blocking an in-flight prediction. The session plane
 // is sharded (sessionstore.Sharded): requests for different sessions contend
 // only when they hash to the same shard, and GC sweeps one shard at a time.
@@ -94,7 +94,7 @@ type ServiceOptions struct {
 
 // Service is the concurrent-safe Prediction Engine front end.
 type Service struct {
-	// snap is the model plane: readers Load it (no lock), Retrain swaps it.
+	// snap is the model plane: readers Load it (no lock), promote swaps it.
 	snap atomic.Pointer[ModelSnapshot]
 	// retrainMu serializes snapshot installs (generation arithmetic) and
 	// guards prev and policy; request paths never take it.
@@ -102,7 +102,7 @@ type Service struct {
 	// prev is the snapshot displaced by the last install — what Rollback
 	// restores. One level deep: rolling back twice alternates.
 	prev *ModelSnapshot
-	// policy, when non-nil, gates every Retrain/InstallArtifact promotion.
+	// policy, when non-nil, gates every gated promotion (see promote).
 	policy *PromotionPolicy
 	cfg    core.Config
 	spec   video.Spec
@@ -270,45 +270,12 @@ func (s *Service) SetMaxLogs(n int) {
 	s.m.logEvictions.Add(s.store.SetMaxLogs(n))
 }
 
-// Retrain replaces the model set with one trained on fresh data — the
-// paper's per-day training cadence. Training runs without any service lock;
-// the install is an atomic pointer swap, so in-flight requests are never
-// blocked: sessions keep the snapshot they pinned (their filters reference
-// the prior engine's HMMs, which stay valid forever), new sessions and the
-// /v1/model exporter see the new snapshot, and the generation advances so
-// derived caches invalidate.
-// A failed training run or a gate rejection leaves the pinned snapshot
-// serving untouched.
-func (s *Service) Retrain(train *trace.Dataset) error {
-	start := time.Now()
-	e, err := core.Train(train, s.cfg)
-	if err != nil {
-		s.m.retrainFailures.Inc()
-		return fmt.Errorf("engine: retraining: %w", err)
-	}
-	cand := &ModelSnapshot{engine: e, trainedAtUnix: time.Now().Unix()}
-	s.retrainMu.Lock()
-	if err := s.gateLocked(cand); err != nil {
-		s.retrainMu.Unlock()
-		s.logfSafe("engine: retrain candidate not promoted: %v", err)
-		return fmt.Errorf("engine: retraining: %w", err)
-	}
-	gen := s.installLocked(cand)
-	s.retrainMu.Unlock()
-	s.m.retrains.Inc()
-	s.m.promotionsAccepted.Inc()
-	s.m.retrainSeconds.Observe(time.Since(start).Seconds())
-	s.logfSafe("engine: retrained on %d sessions (%d clusters, generation %d)", train.Len(), e.Clusters(), gen)
-	return nil
-}
-
 // InstallEngine atomically publishes a new trained engine as the next model
 // generation, bypassing the promotion gate (tests and callers that already
 // vetted the engine), and returns that generation.
 func (s *Service) InstallEngine(e *core.Engine) uint64 {
-	s.retrainMu.Lock()
-	defer s.retrainMu.Unlock()
-	return s.installLocked(&ModelSnapshot{engine: e})
+	gen, _ := s.promote(&ModelSnapshot{engine: e}, false) // ungated promotion cannot fail
+	return gen
 }
 
 // installLocked publishes cand as the next generation and remembers the

@@ -139,11 +139,11 @@ func TestGC(t *testing.T) {
 func TestRetrainSwapsEngine(t *testing.T) {
 	svc, test := service(t)
 	old := svc.Engine()
-	if err := svc.Retrain(test); err != nil {
+	if err := hotRetrain(svc, test); err != nil {
 		t.Fatal(err)
 	}
 	if svc.Engine() == old {
-		t.Error("Retrain should install a new engine")
+		t.Error("a hot retrain should install a new engine")
 	}
 	// Restore (other tests share the service).
 	_ = old

@@ -39,7 +39,7 @@ func (m *Model) Validate() error {
 	if n == 0 {
 		return fmt.Errorf("hmm: model has no states")
 	}
-	if m.Trans == nil || m.Trans.Rows != n || m.Trans.Cols != n {
+	if m.Trans == nil || m.Trans.Rows != n || m.Trans.Cols != n || len(m.Trans.Data) != n*n {
 		return fmt.Errorf("hmm: transition matrix shape mismatch")
 	}
 	if len(m.Emit) != n {

@@ -137,51 +137,15 @@ func (c *Client) SetTransport(rt http.RoundTripper) {
 	c.hc.Transport = rt
 }
 
+// post is the player-side JSON call: a POST with no deadline beyond the
+// http.Client's own timeout.
 func (c *Client) post(path string, req, resp any) error {
-	return c.observed(path, func() error { return c.postOnce(path, req, resp) })
+	return c.doJSON(context.Background(), http.MethodPost, path, req, resp)
 }
 
-func (c *Client) postOnce(path string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("httpapi client: encoding request: %w", err)
-	}
-	hreq, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("httpapi client: building request: %w", err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	// Mint a request id so server-side traces and logs can be joined to
-	// this client call; the server echoes it back (and mints one itself for
-	// clients that don't send it).
-	hreq.Header.Set(obs.RequestIDHeader, obs.NewRequestID())
-	r, err := c.hc.Do(hreq)
-	if err != nil {
-		return fmt.Errorf("httpapi client: POST %s: %w", path, err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode == http.StatusNoContent {
-		return nil
-	}
-	if r.StatusCode/100 != 2 {
-		var eb errorBody
-		_ = json.NewDecoder(r.Body).Decode(&eb)
-		return &StatusError{Status: r.StatusCode, Path: "POST " + path, Msg: eb.Error}
-	}
-	if resp == nil {
-		return nil
-	}
-	if err := json.NewDecoder(r.Body).Decode(resp); err != nil {
-		return fmt.Errorf("httpapi client: decoding response: %w", err)
-	}
-	return nil
-}
-
-// doJSON runs one context-bound JSON round trip with an arbitrary method —
-// the session-state transfer and drain paths use it. Mirrors postOnce's
-// error taxonomy (204 → nil, non-2xx → *StatusError) but takes a ctx because
-// these calls happen inside a bounded drain window, not a player's chunk
-// loop.
+// doJSON runs one JSON round trip: 204 → nil, non-2xx → *StatusError. It
+// takes a ctx because the session-state transfer and drain calls happen
+// inside a bounded drain window.
 func (c *Client) doJSON(ctx context.Context, method, path string, req, resp any) error {
 	return c.observed(path, func() error {
 		var body io.Reader
@@ -199,6 +163,9 @@ func (c *Client) doJSON(ctx context.Context, method, path string, req, resp any)
 		if req != nil {
 			hreq.Header.Set("Content-Type", "application/json")
 		}
+		// Mint a request id so server-side traces and logs can be joined to
+		// this client call; the server echoes it back (and mints one itself
+		// for clients that don't send it).
 		hreq.Header.Set(obs.RequestIDHeader, obs.NewRequestID())
 		r, err := c.hc.Do(hreq)
 		if err != nil {
@@ -209,7 +176,7 @@ func (c *Client) doJSON(ctx context.Context, method, path string, req, resp any)
 			return nil
 		}
 		if r.StatusCode/100 != 2 {
-			var eb errorBody
+			var eb ErrorBody
 			_ = json.NewDecoder(r.Body).Decode(&eb)
 			return &StatusError{Status: r.StatusCode, Path: method + " " + path, Msg: eb.Error}
 		}

@@ -62,7 +62,7 @@ func (c *Client) FetchLocalPredictor(f trace.Features) (*LocalPredictor, error) 
 		return localPredictorFrom(cached.resp), nil
 	}
 	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
+		var eb ErrorBody
 		_ = json.NewDecoder(resp.Body).Decode(&eb)
 		return nil, fmt.Errorf("httpapi client: fetching model: status %d: %s", resp.StatusCode, eb.Error)
 	}

@@ -22,7 +22,7 @@ func (s *Server) recoverMiddleware(next http.Handler) http.Handler {
 				s.logf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
 				// Best effort: if the handler already wrote a header this
 				// is a no-op on the status line.
-				writeJSON(w, http.StatusInternalServerError, errorBody{Error: "internal server error"})
+				WriteJSON(w, http.StatusInternalServerError, ErrorBody{Error: "internal server error"})
 			}
 		}()
 		next.ServeHTTP(w, r)

@@ -61,8 +61,9 @@ type PredictResponse struct {
 	PredictionMbps float64 `json:"prediction_mbps"`
 }
 
-// errorBody is the JSON error envelope.
-type errorBody struct {
+// ErrorBody is the JSON error envelope of every v1 route (the router's admin
+// routes reuse it).
+type ErrorBody struct {
 	Error string `json:"error"`
 }
 
@@ -172,8 +173,12 @@ func DefaultServerConfig() ServerConfig {
 // session lifecycle plus the per-chunk prediction round trip. The concrete
 // *engine.Service implements it; the handlers deliberately program against
 // this interface so an alternate backend (a remote shard router, a
-// replaying fake) drops in without touching the transport.
+// replaying fake) drops in without touching the transport. Every per-chunk
+// route — JSON and binary alike — is served through the embedded
+// BatchService; ObserveAndPredict and Predict are the same op in one-call
+// form for callers that hold a backend directly.
 type SessionService interface {
+	BatchService
 	StartSession(id string, f trace.Features, startUnix int64) engine.StartResponse
 	ObserveAndPredict(id string, observedMbps float64, horizon int) (float64, error)
 	Predict(id string, horizon int) (float64, error)
@@ -260,11 +265,6 @@ type Server struct {
 	metrics       *obs.Registry
 	sm            *serverMetrics
 	traceRequests bool
-	// wireEnabled serves the binary /v2 routes (on by default); batch is the
-	// backend's batch entrypoint when it has one (type-asserted in NewServer,
-	// per-op fallback otherwise).
-	wireEnabled bool
-	batch       BatchService
 	// health feeds the readiness endpoint (nil = liveness only); start
 	// anchors the uptime it reports.
 	health HealthReporter
@@ -295,12 +295,9 @@ type Server struct {
 // does), it feeds those snapshots; otherwise install one with
 // SetModelProvider or the export endpoint stays disabled.
 func NewServer(svc SessionService, exporter func(*core.Engine) *core.ModelStore) *Server {
-	s := &Server{svc: svc, cfg: DefaultServerConfig(), exporter: exporter, logf: log.Printf, sm: newServerMetrics(nil), wireEnabled: true, start: time.Now()}
+	s := &Server{svc: svc, cfg: DefaultServerConfig(), exporter: exporter, logf: log.Printf, sm: newServerMetrics(nil), start: time.Now()}
 	if mp, ok := svc.(ModelProvider); ok {
 		s.models = mp
-	}
-	if bs, ok := svc.(BatchService); ok {
-		s.batch = bs
 	}
 	if hr, ok := svc.(HealthReporter); ok {
 		s.health = hr
@@ -335,11 +332,6 @@ func (s *Server) Handle(pattern string, h http.Handler) {
 // Handler). The router uses this to proxy model exports to a live replica
 // instead of serving a local engine's.
 func (s *Server) SetModelHandler(h http.Handler) { s.modelHandler = h }
-
-// SetWireEnabled toggles the binary /v2 routes (call before Handler). They
-// are on by default; disabling them turns the server into a pure JSON v1
-// endpoint (v2 requests 404 through the JSON stack).
-func (s *Server) SetWireEnabled(on bool) { s.wireEnabled = on }
 
 // SetModelProvider overrides the model-plane source for GET /v1/model (call
 // before Handler). Backends whose SessionService does not itself expose
@@ -434,22 +426,20 @@ func (s *Server) Handler() http.Handler {
 	if s.cfg.RequestTimeout > 0 {
 		h = http.TimeoutHandler(h, s.cfg.RequestTimeout, `{"error":"request timed out"}`)
 	}
-	if s.wireEnabled {
-		// The /v2 binary routes dispatch ahead of TimeoutHandler and the
-		// body-limit wrapper: the frame header's declared length is a
-		// tighter body bound than MaxBytesReader, and TimeoutHandler's
-		// per-request goroutine plus buffered response writer are most of
-		// the JSON path's per-request allocation bill. Recovery and the
-		// metrics middleware still wrap both stacks.
-		jsonStack := h
-		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasPrefix(r.URL.Path, "/v2/") {
-				s.handleWire(w, r)
-				return
-			}
-			jsonStack.ServeHTTP(w, r)
-		})
-	}
+	// The /v2 binary routes dispatch ahead of TimeoutHandler and the
+	// body-limit wrapper: the frame header's declared length is a tighter
+	// body bound than MaxBytesReader, and TimeoutHandler's per-request
+	// goroutine plus buffered response writer are most of the JSON path's
+	// per-request allocation bill. Recovery and the metrics middleware still
+	// wrap both stacks.
+	jsonStack := h
+	h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v2/") {
+			s.handleWire(w, r)
+			return
+		}
+		jsonStack.ServeHTTP(w, r)
+	})
 	return s.observeMiddleware(s.recoverMiddleware(h))
 }
 
@@ -466,10 +456,10 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: "request body too large"})
+			WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorBody{Error: "request body too large"})
 			return false
 		}
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed JSON: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "malformed JSON: " + err.Error()})
 		return false
 	}
 	return true
@@ -478,11 +468,11 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 // validSessionID rejects empty or absurdly long session identifiers.
 func (s *Server) validSessionID(w http.ResponseWriter, id string) bool {
 	if id == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "session_id required"})
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "session_id required"})
 		return false
 	}
 	if len(id) > s.cfg.MaxSessionIDLen {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("session_id exceeds %d bytes", s.cfg.MaxSessionIDLen)})
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("session_id exceeds %d bytes", s.cfg.MaxSessionIDLen)})
 		return false
 	}
 	return true
@@ -493,7 +483,7 @@ func (s *Server) validSessionID(w http.ResponseWriter, id string) bool {
 func (s *Server) validFeatures(w http.ResponseWriter, f trace.Features) bool {
 	for _, v := range []string{f.ClientIP, f.ISP, f.AS, f.Province, f.City, f.Server} {
 		if len(v) > s.cfg.MaxFeatureLen {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("feature value exceeds %d bytes", s.cfg.MaxFeatureLen)})
+			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("feature value exceeds %d bytes", s.cfg.MaxFeatureLen)})
 			return false
 		}
 	}
@@ -519,14 +509,14 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 		var err error
 		resp, err = s.starter.Start(req.SessionID, req.Features, req.StartUnix)
 		if err != nil {
-			writeJSON(w, backendStatus(err, http.StatusBadGateway), errorBody{Error: err.Error()})
+			WriteJSON(w, backendStatus(err, http.StatusBadGateway), ErrorBody{Error: err.Error()})
 			return
 		}
 	} else {
 		resp = s.svc.StartSession(req.SessionID, req.Features, req.StartUnix)
 	}
 	tr.Mark("start")
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // backendStatus maps a backend error onto an HTTP status: lost sessions are
@@ -546,6 +536,9 @@ func backendStatus(err error, fallback int) int {
 	return fallback
 }
 
+// handlePredict is the JSON codec of the per-chunk op pipeline (ops.go): it
+// decodes one op, and everything after — range checks, backend call, status
+// mapping — is the code the binary routes run.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	tr := obs.TraceFrom(r.Context())
 	var req PredictRequest
@@ -556,38 +549,20 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !s.validSessionID(w, req.SessionID) {
 		return
 	}
-	// Validate before touching session state: a NaN/Inf/negative
-	// observation would permanently corrupt the session's HMM posterior,
-	// and a huge horizon burns CPU in the k-step transition loop.
+	sc := opScratchPool.Get().(*opScratch)
+	defer opScratchPool.Put(sc)
+	sc.body = append(sc.body[:0], req.SessionID...)
+	op := engine.BatchOp{SessionID: sc.body, Horizon: req.Horizon}
 	if req.ObservedMbps != nil {
-		o := *req.ObservedMbps
-		if math.IsNaN(o) || math.IsInf(o, 0) || o < 0 || o > s.cfg.MaxObservedMbps {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("observed_mbps must be finite and in [0, %g]", s.cfg.MaxObservedMbps)})
-			return
-		}
+		op.ObservedMbps, op.HasObserve = *req.ObservedMbps, true
 	}
-	if req.Horizon < 0 || req.Horizon > s.cfg.MaxHorizon {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("horizon must be in [0, %d]", s.cfg.MaxHorizon)})
-		return
-	}
-	tr.Mark("validate")
-	h := req.Horizon
-	if h <= 0 {
-		h = 1
-	}
-	var pred float64
-	var err error
-	if req.ObservedMbps != nil {
-		pred, err = s.svc.ObserveAndPredict(req.SessionID, *req.ObservedMbps, h)
-	} else {
-		pred, err = s.svc.Predict(req.SessionID, h)
-	}
+	pred, status, msg := s.serveOne(sc, op)
 	tr.Mark("predict")
-	if err != nil {
-		writeJSON(w, backendStatus(err, http.StatusInternalServerError), errorBody{Error: err.Error()})
+	if status != http.StatusOK {
+		WriteJSON(w, status, ErrorBody{Error: msg})
 		return
 	}
-	writeJSON(w, http.StatusOK, PredictResponse{PredictionMbps: pred})
+	WriteJSON(w, http.StatusOK, PredictResponse{PredictionMbps: pred})
 }
 
 // handleIngest accepts a batch of externally collected completed sessions
@@ -599,7 +574,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // it, and the shipper should back off, not enlarge the request.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.ingest == nil {
-		writeJSON(w, http.StatusNotImplemented, errorBody{Error: "trace intake not enabled"})
+		WriteJSON(w, http.StatusNotImplemented, ErrorBody{Error: "trace intake not enabled"})
 		return
 	}
 	var req IngestRequest
@@ -607,11 +582,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Sessions) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "sessions required"})
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "sessions required"})
 		return
 	}
 	if len(req.Sessions) > s.cfg.MaxIngestSessions {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("at most %d sessions per request", s.cfg.MaxIngestSessions)})
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("at most %d sessions per request", s.cfg.MaxIngestSessions)})
 		return
 	}
 	batch := make([]*trace.Session, 0, len(req.Sessions))
@@ -620,16 +595,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if len(in.ThroughputMbps) == 0 {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("session %d: throughput_mbps required", i)})
+			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("session %d: throughput_mbps required", i)})
 			return
 		}
 		if len(in.ThroughputMbps) > s.cfg.MaxIngestEpochs {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("session %d: throughput_mbps exceeds %d epochs", i, s.cfg.MaxIngestEpochs)})
+			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("session %d: throughput_mbps exceeds %d epochs", i, s.cfg.MaxIngestEpochs)})
 			return
 		}
 		for _, v := range in.ThroughputMbps {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > s.cfg.MaxObservedMbps {
-				writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("session %d: throughput values must be finite and in [0, %g]", i, s.cfg.MaxObservedMbps)})
+				WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("session %d: throughput values must be finite and in [0, %g]", i, s.cfg.MaxObservedMbps)})
 				return
 			}
 		}
@@ -644,15 +619,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, engine.ErrOnlineDisabled):
-			writeJSON(w, http.StatusNotImplemented, errorBody{Error: err.Error()})
+			WriteJSON(w, http.StatusNotImplemented, ErrorBody{Error: err.Error()})
 		case errors.Is(err, engine.ErrIngestBackpressure):
-			writeJSON(w, http.StatusTooManyRequests, IngestResponse{IngestResult: res, Error: err.Error()})
+			WriteJSON(w, http.StatusTooManyRequests, IngestResponse{IngestResult: res, Error: err.Error()})
 		default:
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+			WriteJSON(w, http.StatusInternalServerError, ErrorBody{Error: err.Error()})
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, IngestResponse{IngestResult: res})
+	WriteJSON(w, http.StatusOK, IngestResponse{IngestResult: res})
 }
 
 // handleHealthz serves the readiness probe. Liveness (the process answers)
@@ -670,7 +645,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		resp.TrainedAtUnix = h.TrainedAtUnix
 		if !h.Ready {
 			resp.Status = HealthzNoModel
-			writeJSON(w, http.StatusServiceUnavailable, resp)
+			WriteJSON(w, http.StatusServiceUnavailable, resp)
 			return
 		}
 		if h.Draining {
@@ -679,7 +654,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			resp.Status = HealthzDraining
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
@@ -741,7 +716,7 @@ func etagMatches(header, etag string) bool {
 // publishes costs a header exchange.
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if s.exporter == nil || s.models == nil {
-		writeJSON(w, http.StatusNotImplemented, errorBody{Error: "model export not enabled"})
+		WriteJSON(w, http.StatusNotImplemented, ErrorBody{Error: "model export not enabled"})
 		return
 	}
 	snap := s.models.Snapshot()
@@ -762,7 +737,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		Server:   q.Get("server"),
 	}
 	sm, id := store.Lookup(f)
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"cluster_id":     id,
 		"model":          sm.Model,
 		"initial_median": sm.InitialMedian,
@@ -773,18 +748,18 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 // one marked — the operator's first stop when prediction quality shifts.
 func (s *Server) handleAdminModels(w http.ResponseWriter, _ *http.Request) {
 	if s.admin == nil {
-		writeJSON(w, http.StatusNotImplemented, errorBody{Error: "model admin not enabled"})
+		WriteJSON(w, http.StatusNotImplemented, ErrorBody{Error: "model admin not enabled"})
 		return
 	}
 	versions, err := s.admin.ListModelVersions()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorBody{Error: err.Error()})
 		return
 	}
 	if versions == nil {
 		versions = []engine.ModelVersionInfo{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"active_version": s.admin.ActiveVersion(),
 		"versions":       versions,
 	})
@@ -794,7 +769,7 @@ func (s *Server) handleAdminModels(w http.ResponseWriter, _ *http.Request) {
 // there is nothing to roll back to.
 func (s *Server) handleAdminRollback(w http.ResponseWriter, _ *http.Request) {
 	if s.admin == nil {
-		writeJSON(w, http.StatusNotImplemented, errorBody{Error: "model admin not enabled"})
+		WriteJSON(w, http.StatusNotImplemented, ErrorBody{Error: "model admin not enabled"})
 		return
 	}
 	v, err := s.admin.Rollback()
@@ -803,14 +778,15 @@ func (s *Server) handleAdminRollback(w http.ResponseWriter, _ *http.Request) {
 		if errors.Is(err, engine.ErrNoPreviousModel) {
 			status = http.StatusConflict
 		}
-		writeJSON(w, status, errorBody{Error: err.Error()})
+		WriteJSON(w, status, ErrorBody{Error: err.Error()})
 		return
 	}
 	s.logf("httpapi: rolled back to model version %d", v)
-	writeJSON(w, http.StatusOK, map[string]any{"active_version": v})
+	WriteJSON(w, http.StatusOK, map[string]any{"active_version": v})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v as a JSON document.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {

@@ -23,7 +23,7 @@ type DrainRequest struct {
 // handoff. The session keeps serving; the export is a consistent snapshot.
 func (s *Server) handleSessionStateGet(w http.ResponseWriter, r *http.Request) {
 	if s.sessionState == nil {
-		writeJSON(w, http.StatusNotImplemented, errorBody{Error: "session state transfer not supported"})
+		WriteJSON(w, http.StatusNotImplemented, ErrorBody{Error: "session state transfer not supported"})
 		return
 	}
 	id := r.PathValue("id")
@@ -32,10 +32,10 @@ func (s *Server) handleSessionStateGet(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := s.sessionState.ExportSession(id)
 	if err != nil {
-		writeJSON(w, backendStatus(err, http.StatusInternalServerError), errorBody{Error: err.Error()})
+		WriteJSON(w, backendStatus(err, http.StatusInternalServerError), ErrorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // handleSessionStatePut imports an exported session under this replica's
@@ -44,7 +44,7 @@ func (s *Server) handleSessionStateGet(w http.ResponseWriter, r *http.Request) {
 // payload itself is unusable.
 func (s *Server) handleSessionStatePut(w http.ResponseWriter, r *http.Request) {
 	if s.sessionState == nil {
-		writeJSON(w, http.StatusNotImplemented, errorBody{Error: "session state transfer not supported"})
+		WriteJSON(w, http.StatusNotImplemented, ErrorBody{Error: "session state transfer not supported"})
 		return
 	}
 	id := r.PathValue("id")
@@ -58,7 +58,7 @@ func (s *Server) handleSessionStatePut(w http.ResponseWriter, r *http.Request) {
 	if st.SessionID == "" {
 		st.SessionID = id
 	} else if st.SessionID != id {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "session_id in payload does not match URL"})
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "session_id in payload does not match URL"})
 		return
 	}
 	if !s.validFeatures(w, st.Features) {
@@ -68,35 +68,35 @@ func (s *Server) handleSessionStatePut(w http.ResponseWriter, r *http.Request) {
 	// here so a hostile payload is rejected with a 400 before the engine's
 	// own guards (which the router would misread as a model mismatch).
 	if len(st.Posterior) == 0 || len(st.Posterior) > maxPosteriorLen {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("posterior must have between 1 and %d entries", maxPosteriorLen)})
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("posterior must have between 1 and %d entries", maxPosteriorLen)})
 		return
 	}
 	if st.Epoch < 0 {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "epoch must be non-negative"})
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "epoch must be non-negative"})
 		return
 	}
 	if st.LastOneStep != nil && (math.IsNaN(*st.LastOneStep) || math.IsInf(*st.LastOneStep, 0)) {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "last_one_step must be finite"})
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "last_one_step must be finite"})
 		return
 	}
 	if len(st.Captured) > s.cfg.MaxIngestEpochs {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("captured exceeds %d epochs", s.cfg.MaxIngestEpochs)})
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("captured exceeds %d epochs", s.cfg.MaxIngestEpochs)})
 		return
 	}
 	for _, v := range st.Captured {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > s.cfg.MaxObservedMbps {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("captured values must be finite and in [0, %g]", s.cfg.MaxObservedMbps)})
+			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("captured values must be finite and in [0, %g]", s.cfg.MaxObservedMbps)})
 			return
 		}
 	}
 	if err := s.sessionState.ImportSession(st); err != nil {
 		switch {
 		case errors.Is(err, engine.ErrSessionStateSchema), errors.Is(err, engine.ErrSessionStateModelMismatch):
-			writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+			WriteJSON(w, http.StatusConflict, ErrorBody{Error: err.Error()})
 		case errors.Is(err, engine.ErrInvalidSessionState):
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error()})
 		default:
-			writeJSON(w, backendStatus(err, http.StatusInternalServerError), errorBody{Error: err.Error()})
+			WriteJSON(w, backendStatus(err, http.StatusInternalServerError), ErrorBody{Error: err.Error()})
 		}
 		return
 	}
@@ -108,7 +108,7 @@ func (s *Server) handleSessionStatePut(w http.ResponseWriter, r *http.Request) {
 // the session is not double-counted.
 func (s *Server) handleSessionStateDelete(w http.ResponseWriter, r *http.Request) {
 	if s.sessionState == nil {
-		writeJSON(w, http.StatusNotImplemented, errorBody{Error: "session state transfer not supported"})
+		WriteJSON(w, http.StatusNotImplemented, ErrorBody{Error: "session state transfer not supported"})
 		return
 	}
 	id := r.PathValue("id")
@@ -116,7 +116,7 @@ func (s *Server) handleSessionStateDelete(w http.ResponseWriter, r *http.Request
 		return
 	}
 	if !s.sessionState.ForgetSession(id) {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: engine.ErrUnknownSession.Error()})
+		WriteJSON(w, http.StatusNotFound, ErrorBody{Error: engine.ErrUnknownSession.Error()})
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -126,7 +126,7 @@ func (s *Server) handleSessionStateDelete(w http.ResponseWriter, r *http.Request
 // reflects it as "draining" with the remaining session count.
 func (s *Server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	if s.drain == nil {
-		writeJSON(w, http.StatusNotImplemented, errorBody{Error: "drain not supported"})
+		WriteJSON(w, http.StatusNotImplemented, ErrorBody{Error: "drain not supported"})
 		return
 	}
 	var req DrainRequest

@@ -170,9 +170,10 @@ type bareSessionService struct{}
 func (bareSessionService) StartSession(string, trace.Features, int64) engine.StartResponse {
 	return engine.StartResponse{}
 }
-func (bareSessionService) ObserveAndPredict(string, float64, int) (float64, error) { return 0, nil }
-func (bareSessionService) Predict(string, int) (float64, error)                    { return 0, nil }
-func (bareSessionService) EndSession(engine.SessionLog)                            {}
+func (bareSessionService) ObserveAndPredict(string, float64, int) (float64, error)  { return 0, nil }
+func (bareSessionService) Predict(string, int) (float64, error)                     { return 0, nil }
+func (bareSessionService) EndSession(engine.SessionLog)                             {}
+func (bareSessionService) ServeBatch([]engine.BatchOp, []engine.BatchResult) uint64 { return 0 }
 
 // Backends without the optional surfaces answer 501, not 404 — the router
 // uses the distinction to fall back to replay instead of retrying.

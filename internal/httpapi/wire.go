@@ -10,40 +10,18 @@
 // handlers block on nothing but per-session mutexes. Recovery and metrics
 // middleware still wrap them. The whole request is served from pooled
 // scratch: body buffer, decoded ops, engine batch slices, and the response
-// encode buffer are all reused across requests.
+// encode buffer are all reused across requests. These handlers are codecs
+// only; the op pipeline they feed is in ops.go.
 package httpapi
 
 import (
 	"errors"
 	"io"
-	"math"
 	"net/http"
-	"sync"
 
 	"cs2p/internal/engine"
 	"cs2p/internal/wire"
 )
-
-// BatchService is the optional engine surface behind /v2: one call serves a
-// whole batch of interleaved ops under a single pinned model snapshot, with
-// byte-keyed session lookups so decoded frames need no string conversions.
-// *engine.Service implements it; backends that don't are served through a
-// per-op fallback on the plain SessionService methods.
-type BatchService interface {
-	ServeBatch(ops []engine.BatchOp, res []engine.BatchResult) uint64
-}
-
-// wireScratch is one request's reusable working set.
-type wireScratch struct {
-	body []byte               // raw frame read buffer (ids alias it)
-	out  []byte               // response encode buffer
-	ops  []wire.Op            // decoded request ops
-	res  []wire.OpResult      // encoded response results
-	bops []engine.BatchOp     // translated engine ops
-	bres []engine.BatchResult // engine results
-}
-
-var wireScratchPool = sync.Pool{New: func() any { return &wireScratch{} }}
 
 // wireLimits derives the decoder bounds from the server's hardening config,
 // so one knob set governs both protocols.
@@ -60,7 +38,7 @@ func (s *Server) wireLimits() wire.Limits {
 // type, and declared length — the payload, then a probe read that rejects
 // trailing bytes. A hostile Content-Length or a garbage body therefore
 // cannot make the server buffer more than MaxFrameBytes.
-func readWireFrame(r *http.Request, sc *wireScratch, lim wire.Limits) (wire.Frame, error) {
+func readWireFrame(r *http.Request, sc *opScratch, lim wire.Limits) (wire.Frame, error) {
 	if cap(sc.body) < wire.HeaderLen {
 		sc.body = make([]byte, 0, 512)
 	}
@@ -92,8 +70,8 @@ func readWireFrame(r *http.Request, sc *wireScratch, lim wire.Limits) (wire.Fram
 // handleWire is the /v2 dispatcher (wired in ahead of the JSON middleware
 // stack by Handler).
 func (s *Server) handleWire(w http.ResponseWriter, r *http.Request) {
-	sc := wireScratchPool.Get().(*wireScratch)
-	defer wireScratchPool.Put(sc)
+	sc := opScratchPool.Get().(*opScratch)
+	defer opScratchPool.Put(sc)
 	if r.Method != http.MethodPost {
 		s.writeWireError(w, sc, http.StatusMethodNotAllowed, "POST required")
 		return
@@ -124,26 +102,11 @@ func (s *Server) handleWire(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// validWireOp applies the same input bounds the JSON predict handler
-// enforces, so the two protocols accept exactly the same op space.
-func (s *Server) validWireOp(op wire.Op) bool {
-	if int(op.Horizon) > s.cfg.MaxHorizon {
-		return false
-	}
-	if op.HasObserve {
-		o := op.ObservedMbps
-		if math.IsNaN(o) || math.IsInf(o, 0) || o < 0 || o > s.cfg.MaxObservedMbps {
-			return false
-		}
-	}
-	return true
-}
-
 // handleWireOp serves /v2/observe and /v2/predict: one MsgOp in, one
 // MsgPrediction (or MsgError) out. The two routes are the stateful and
 // stateless halves of the v1 predict handler, split so the observe flag in
 // the frame can be cross-checked against the route the client chose.
-func (s *Server) handleWireOp(w http.ResponseWriter, sc *wireScratch, f wire.Frame, lim wire.Limits, observe bool) {
+func (s *Server) handleWireOp(w http.ResponseWriter, sc *opScratch, f wire.Frame, lim wire.Limits, observe bool) {
 	if f.Type != wire.MsgOp {
 		s.writeWireError(w, sc, http.StatusBadRequest, "route expects a single-op frame")
 		return
@@ -157,21 +120,34 @@ func (s *Server) handleWireOp(w http.ResponseWriter, sc *wireScratch, f wire.Fra
 		s.writeWireError(w, sc, http.StatusBadRequest, "op observe flag does not match route")
 		return
 	}
-	if !s.validWireOp(op) {
-		s.writeWireError(w, sc, http.StatusBadRequest, "observed_mbps or horizon out of range")
+	pred, status, msg := s.serveOne(sc, batchOp(op))
+	if status != http.StatusOK {
+		s.writeWireError(w, sc, status, msg)
 		return
 	}
-	sc.ops = append(sc.ops[:0], op)
-	sc.res = sc.res[:0]
-	s.serveWireOps(sc)
-	switch res := sc.res[0]; res.Code {
-	case wire.OpOK:
-		sc.out = wire.AppendPrediction(sc.out[:0], res.PredictionMbps)
-		s.writeWire(w, http.StatusOK, sc.out)
-	case wire.OpUnknownSession:
-		s.writeWireError(w, sc, http.StatusNotFound, "unknown session")
-	default:
-		s.writeWireError(w, sc, http.StatusBadRequest, "invalid op")
+	sc.out = wire.AppendPrediction(sc.out[:0], pred)
+	s.writeWire(w, http.StatusOK, sc.out)
+}
+
+// batchOp translates a decoded wire op; the session id keeps aliasing the
+// frame buffer.
+func batchOp(op wire.Op) engine.BatchOp {
+	return engine.BatchOp{
+		SessionID:    op.SessionID,
+		ObservedMbps: op.ObservedMbps,
+		Horizon:      int(op.Horizon),
+		HasObserve:   op.HasObserve,
+	}
+}
+
+// WireOp is batchOp's inverse: what a backend that forwards ops upstream
+// over the binary protocol (the router) sends for op.
+func WireOp(op engine.BatchOp) wire.Op {
+	return wire.Op{
+		SessionID:    op.SessionID,
+		ObservedMbps: op.ObservedMbps,
+		Horizon:      clampHorizon(op.Horizon),
+		HasObserve:   op.HasObserve,
 	}
 }
 
@@ -179,13 +155,13 @@ func (s *Server) handleWireOp(w http.ResponseWriter, sc *wireScratch, f wire.Fra
 // response is 200 even when individual ops fail — partial failure is the
 // normal case at a CDN edge (sessions end and get evicted mid-batch), and
 // the per-op codes carry it without tearing down the whole round trip.
-func (s *Server) handleWireBatch(w http.ResponseWriter, sc *wireScratch, f wire.Frame, lim wire.Limits) {
+func (s *Server) handleWireBatch(w http.ResponseWriter, sc *opScratch, f wire.Frame, lim wire.Limits) {
 	if f.Type != wire.MsgBatch {
 		s.writeWireError(w, sc, http.StatusBadRequest, "route expects a batch frame")
 		return
 	}
 	var err error
-	sc.ops, err = wire.DecodeBatch(f.Payload, lim, sc.ops[:0])
+	sc.wops, err = wire.DecodeBatch(f.Payload, lim, sc.wops[:0])
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, wire.ErrOversize) {
@@ -194,89 +170,20 @@ func (s *Server) handleWireBatch(w http.ResponseWriter, sc *wireScratch, f wire.
 		s.writeWireError(w, sc, status, err.Error())
 		return
 	}
-	s.sm.batch(len(sc.ops))
-	sc.res = sc.res[:0]
-	gen := s.serveWireOps(sc)
-	sc.out = wire.AppendBatchResult(sc.out[:0], gen, sc.res)
-	s.writeWire(w, http.StatusOK, sc.out)
-}
-
-// serveWireOps translates sc.ops into engine batch ops, serves them (one
-// pinned snapshot for the whole set), and appends the index-aligned results
-// to sc.res. The returned generation is the snapshot the batch was served
-// under.
-func (s *Server) serveWireOps(sc *wireScratch) uint64 {
-	n := len(sc.ops)
-	if cap(sc.bops) < n {
-		sc.bops = make([]engine.BatchOp, n)
-		sc.bres = make([]engine.BatchResult, n)
+	s.sm.batch(len(sc.wops))
+	sc.ops = sc.ops[:0]
+	for _, op := range sc.wops {
+		sc.ops = append(sc.ops, batchOp(op))
 	}
-	sc.bops = sc.bops[:n]
-	sc.bres = sc.bres[:n]
-	for i, op := range sc.ops {
-		if !s.validWireOp(op) {
-			// Poison the op instead of tracking a side list: a NaN
-			// observation makes the engine answer BatchInvalid for exactly
-			// this index with no session side effects.
-			sc.bops[i] = engine.BatchOp{SessionID: op.SessionID, ObservedMbps: math.NaN(), HasObserve: true}
-			continue
-		}
-		sc.bops[i] = engine.BatchOp{
-			SessionID:    op.SessionID,
-			ObservedMbps: op.ObservedMbps,
-			Horizon:      int(op.Horizon),
-			HasObserve:   op.HasObserve,
-		}
-	}
-	var gen uint64
-	if s.batch != nil {
-		gen = s.batch.ServeBatch(sc.bops, sc.bres)
-	} else {
-		gen = s.serveOpsFallback(sc.bops, sc.bres)
-	}
-	for i := range sc.bres {
-		// Engine batch codes deliberately mirror the wire codes, so the
+	gen := s.serveOps(sc)
+	sc.wres = sc.wres[:0]
+	for _, r := range sc.res {
+		// Engine result codes deliberately mirror the wire codes, so the
 		// translation is a copy.
-		sc.res = append(sc.res, wire.OpResult{
-			PredictionMbps: sc.bres[i].PredictionMbps,
-			Code:           sc.bres[i].Code,
-		})
+		sc.wres = append(sc.wres, wire.OpResult{PredictionMbps: r.PredictionMbps, Code: r.Code})
 	}
-	return gen
-}
-
-// serveOpsFallback serves a batch through the plain SessionService methods
-// for backends without a batch entrypoint — correct but per-op (string
-// conversions, no pinned snapshot, generation 0 unless a model plane is
-// attached).
-func (s *Server) serveOpsFallback(ops []engine.BatchOp, res []engine.BatchResult) uint64 {
-	for i := range ops {
-		op := &ops[i]
-		if op.HasObserve && (math.IsNaN(op.ObservedMbps) || math.IsInf(op.ObservedMbps, 0) || op.ObservedMbps < 0) {
-			res[i] = engine.BatchResult{Code: engine.BatchInvalid}
-			continue
-		}
-		h := op.Horizon
-		if h <= 0 {
-			h = 1
-		}
-		var pred float64
-		var err error
-		if op.HasObserve {
-			pred, err = s.svc.ObserveAndPredict(string(op.SessionID), op.ObservedMbps, h)
-		} else {
-			pred, err = s.svc.Predict(string(op.SessionID), h)
-		}
-		if err != nil {
-			res[i] = engine.BatchResult{Code: engine.BatchUnknownSession}
-			continue
-		}
-		res[i] = engine.BatchResult{PredictionMbps: pred, Code: engine.BatchOK}
-	}
-	if s.models != nil {
-		return s.models.Snapshot().Generation()
-	}
-	return 0
+	sc.out = wire.AppendBatchResult(sc.out[:0], gen, sc.wres)
+	s.writeWire(w, http.StatusOK, sc.out)
 }
 
 func (s *Server) writeWire(w http.ResponseWriter, status int, frame []byte) {
@@ -287,7 +194,7 @@ func (s *Server) writeWire(w http.ResponseWriter, status int, frame []byte) {
 
 // writeWireError answers with a MsgError frame carrying the HTTP status, so
 // a client that only parses the body still learns the failure class.
-func (s *Server) writeWireError(w http.ResponseWriter, sc *wireScratch, status int, msg string) {
+func (s *Server) writeWireError(w http.ResponseWriter, sc *opScratch, status int, msg string) {
 	sc.out = wire.AppendError(sc.out[:0], status, msg)
 	s.writeWire(w, status, sc.out)
 }

@@ -221,35 +221,6 @@ func TestWireErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestWireDisabled pins content negotiation the other way: with the binary
-// routes off, /v2 paths fall through to the JSON stack's 404 and the v1
-// routes are untouched.
-func TestWireDisabled(t *testing.T) {
-	ensureEnv()
-	svc := engine.NewService(envEngine, envCfg, video.Default())
-	srv := NewServer(svc, nil)
-	srv.SetLogf(func(string, ...any) {})
-	srv.SetWireEnabled(false)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	resp, raw := postRawWire(t, ts.URL+"/v2/observe", wire.ContentType,
-		wire.AppendOp(nil, wire.Op{SessionID: []byte("x"), Horizon: 1}))
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("wire disabled: /v2/observe status %d, want 404", resp.StatusCode)
-	}
-	if _, err := wire.DecodeFrame(raw, wire.DefaultLimits()); err == nil {
-		t.Error("wire disabled: got a wire frame, want the JSON stack's 404")
-	}
-	c := NewClient(ts.URL)
-	s := envTest.Sessions[0]
-	if _, err := c.StartSession("wd", s.Features, s.StartUnix); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ObserveAndPredict("wd", 2.0, 1); err != nil {
-		t.Fatalf("v1 broken with wire disabled: %v", err)
-	}
-}
-
 // benchWriter is a reusable ResponseWriter so the serve benchmarks measure
 // the handler stack, not httptest's recorder allocations.
 type benchWriter struct {

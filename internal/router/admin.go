@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+
+	"cs2p/internal/httpapi"
 )
 
 // ReplicaAdminRequest is the POST /v1/admin/replicas payload: one
@@ -29,17 +31,6 @@ type ReplicaInfo struct {
 type ReplicaAdminResponse struct {
 	Replicas []ReplicaInfo `json:"replicas"`
 	Drain    *DrainResult  `json:"drain,omitempty"`
-}
-
-// adminError mirrors httpapi's error body shape.
-type adminError struct {
-	Error string `json:"error"`
-}
-
-func writeAdminJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // replicaInfos snapshots the member set with per-member session counts.
@@ -75,7 +66,7 @@ func (rt *Router) replicaInfos() []ReplicaInfo {
 
 // handleListReplicas serves GET /v1/admin/replicas.
 func (rt *Router) handleListReplicas(w http.ResponseWriter, _ *http.Request) {
-	writeAdminJSON(w, http.StatusOK, ReplicaAdminResponse{Replicas: rt.replicaInfos()})
+	httpapi.WriteJSON(w, http.StatusOK, ReplicaAdminResponse{Replicas: rt.replicaInfos()})
 }
 
 // handleAdminReplicas serves POST /v1/admin/replicas: add, remove, drain,
@@ -86,7 +77,7 @@ func (rt *Router) handleAdminReplicas(w http.ResponseWriter, r *http.Request) {
 	var req ReplicaAdminRequest
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(&req); err != nil {
-		writeAdminJSON(w, http.StatusBadRequest, adminError{Error: "malformed JSON: " + err.Error()})
+		httpapi.WriteJSON(w, http.StatusBadRequest, httpapi.ErrorBody{Error: "malformed JSON: " + err.Error()})
 		return
 	}
 	var (
@@ -98,7 +89,7 @@ func (rt *Router) handleAdminReplicas(w http.ResponseWriter, r *http.Request) {
 		var name string
 		name, err = ValidateReplicaURL(req.Replica)
 		if err != nil {
-			writeAdminJSON(w, http.StatusBadRequest, adminError{Error: err.Error()})
+			httpapi.WriteJSON(w, http.StatusBadRequest, httpapi.ErrorBody{Error: err.Error()})
 			return
 		}
 		err = rt.AddReplica(r.Context(), name)
@@ -113,7 +104,7 @@ func (rt *Router) handleAdminReplicas(w http.ResponseWriter, r *http.Request) {
 	case "undrain":
 		err = rt.UndrainReplica(r.Context(), req.Replica)
 	default:
-		writeAdminJSON(w, http.StatusBadRequest, adminError{Error: `action must be "add", "remove", "drain", or "undrain"`})
+		httpapi.WriteJSON(w, http.StatusBadRequest, httpapi.ErrorBody{Error: `action must be "add", "remove", "drain", or "undrain"`})
 		return
 	}
 	if err != nil {
@@ -124,8 +115,8 @@ func (rt *Router) handleAdminReplicas(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrAlreadyMember), errors.Is(err, ErrLastReplica):
 			status = http.StatusConflict
 		}
-		writeAdminJSON(w, status, adminError{Error: err.Error()})
+		httpapi.WriteJSON(w, status, httpapi.ErrorBody{Error: err.Error()})
 		return
 	}
-	writeAdminJSON(w, http.StatusOK, ReplicaAdminResponse{Replicas: rt.replicaInfos(), Drain: drain})
+	httpapi.WriteJSON(w, http.StatusOK, ReplicaAdminResponse{Replicas: rt.replicaInfos(), Drain: drain})
 }

@@ -3,10 +3,10 @@ package router
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sort"
 	"strings"
 
+	"cs2p/internal/engine"
 	"cs2p/internal/httpapi"
 )
 
@@ -181,22 +181,16 @@ func (rt *Router) handoffSession(ctx context.Context, source *replica, id string
 				if s := rt.stateOf(rep); s == StateDown || s == StateDraining {
 					continue
 				}
-				if err := rep.client.ImportSession(ctx, st); err != nil {
-					switch httpapi.HTTPStatus(err) {
-					case http.StatusConflict, http.StatusBadRequest, http.StatusNotImplemented:
-						// The target understood and refused (model guard or
-						// no transfer support). Other targets serve the same
-						// model, so the warm path is off the table — replay
-						// rebuilds state under whatever model the new home
-						// runs.
-						goto replay
-					}
-					rt.m.request(rep.name, false)
-					rt.reportOutcome(rep, false)
+				switch oc, _ := rt.call(rep, func(c *httpapi.Client) error { return c.ImportSession(ctx, st) }); oc {
+				case callRejected:
+					// The target understood and refused (model guard or no
+					// transfer support). Other targets serve the same model,
+					// so the warm path is off the table — replay rebuilds
+					// state under whatever model the new home runs.
+					goto replay
+				case callFailed:
 					continue
 				}
-				rt.m.request(rep.name, true)
-				rt.reportOutcome(rep, true)
 				fromHome := sess.home
 				sess.home = rep.name
 				sess.version = rt.versionOf(rep)
@@ -214,10 +208,9 @@ func (rt *Router) handoffSession(ctx context.Context, source *replica, id string
 replay:
 	// Source dead, state refused, or already desynced: rebuild from the
 	// replay window on the best candidate.
-	sess.desync = true
-	if _, err := rt.migrateLocked(sess, id, 1); err != nil {
+	if res := rt.migrate(sess, &engine.BatchOp{SessionID: []byte(id), Horizon: 1}); res.Code != engine.BatchOK {
 		rt.handoff(handoffFailed)
-		rt.logf("router: session %s handoff failed: %v", id, err)
+		rt.logf("router: session %s handoff failed: no usable replica", id)
 		return handoffFailed
 	}
 	rt.handoff(handoffReplay)

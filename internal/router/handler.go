@@ -109,14 +109,13 @@ func (rt *Router) proxyModel(w http.ResponseWriter, r *http.Request) {
 		if inm := r.Header.Get("If-None-Match"); inm != "" {
 			req.Header.Set("If-None-Match", inm)
 		}
-		resp, err := rep.client.HTTPClient().Do(req)
-		if err != nil {
-			rt.m.request(rep.name, false)
-			rt.reportOutcome(rep, false)
+		var resp *http.Response
+		if oc, _ := rt.call(rep, func(c *httpapi.Client) error {
+			resp, err = c.HTTPClient().Do(req)
+			return err
+		}); oc != callOK {
 			continue
 		}
-		rt.m.request(rep.name, true)
-		rt.reportOutcome(rep, true)
 		if ct := resp.Header.Get("Content-Type"); ct != "" {
 			w.Header().Set("Content-Type", ct)
 		}
@@ -128,7 +127,5 @@ func (rt *Router) proxyModel(w http.ResponseWriter, r *http.Request) {
 		resp.Body.Close()
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadGateway)
-	_, _ = w.Write([]byte(`{"error":"router: no usable replica"}` + "\n"))
+	httpapi.WriteJSON(w, http.StatusBadGateway, httpapi.ErrorBody{Error: ErrNoReplica.Error()})
 }

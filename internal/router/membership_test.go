@@ -9,10 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"cs2p/internal/httpapi"
 	"cs2p/internal/obs"
+	"cs2p/internal/wire"
 )
 
 // addStub boots one more stub replica server (NOT yet a member) and returns
@@ -277,6 +280,74 @@ func TestRouterDrainWarmHandoff(t *testing.T) {
 	}
 	if c.stubs[victim].Draining() {
 		t.Error("undrain did not clear the replica's draining flag")
+	}
+}
+
+// TestRouterDrainWaitsForInFlightBatchOp pins the lock the handoff relies
+// on: export→import→forget is atomic against the session's op stream only
+// if every op holds the session lock from home lookup through the upstream
+// answer. A /v2/batch op is held in flight at the old home (forwarded, not
+// yet applied) while the session's replica is drained. The handoff must not
+// export until the op is answered — an export taken before the op is applied
+// carries state that lacks it, and the import + forget that follow lose the
+// observation on the new home for good.
+func TestRouterDrainWaitsForInFlightBatchOp(t *testing.T) {
+	c := newStubCluster(t, Config{}, 1, 1)
+	ctx := context.Background()
+	c.rt.ProbeAll(ctx)
+	front := httptest.NewServer(c.rt.Handler())
+	defer front.Close()
+	const id = "inflight-0"
+	c.mustStart(id)
+	c.observeN(id, 3)
+	source := c.home(id)
+
+	batchArrived, batchRelease := make(chan struct{}), make(chan struct{})
+	exported, exportRelease := make(chan struct{}), make(chan struct{})
+	var batchOnce, exportOnce sync.Once
+	c.stubs[source].setHooks(
+		func() { batchOnce.Do(func() { close(batchArrived); <-batchRelease }) },
+		func() { exportOnce.Do(func() { close(exported); <-exportRelease }) },
+	)
+
+	opDone := make(chan error, 1)
+	go func() {
+		res, _, err := httpapi.NewClient(front.URL).Batch([]wire.Op{{SessionID: []byte(id), ObservedMbps: 10, Horizon: 1, HasObserve: true}})
+		if err == nil && res[0].Code != wire.OpOK {
+			err = fmt.Errorf("batch op answered code %d", res[0].Code)
+		}
+		opDone <- err
+	}()
+	<-batchArrived
+	drainDone := make(chan error, 1)
+	go func() {
+		_, err := c.rt.DrainReplica(ctx, source)
+		drainDone <- err
+	}()
+	// Proving the handoff is NOT running needs a time bound; every other
+	// step below waits on its event.
+	select {
+	case <-exported:
+		t.Error("drain exported the session while an op for it was in flight")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(batchRelease)
+	if err := <-opDone; err != nil {
+		t.Fatalf("in-flight batch op: %v", err)
+	}
+	<-exported
+	close(exportRelease)
+	if err := <-drainDone; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	target := c.home(id)
+	if target == source {
+		t.Fatalf("session still homed on drained replica %s", source)
+	}
+	got, _ := c.stubs[target].observations(id)
+	if want := []float64{1, 2, 3, 10}; !floatsEqual(got, want) {
+		t.Fatalf("new home's history %v, want %v: the op served mid-drain was lost in the handoff", got, want)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,7 +35,9 @@ type Config struct {
 	// VNodes is the virtual-node count per replica (0 = DefaultVNodes).
 	VNodes int
 	// ReplayWindow bounds the per-session observation window kept for
-	// failover replay (0 = DefaultReplayWindow).
+	// failover replay (0 = DefaultReplayWindow). A migration replays the
+	// window as one upstream batch, so it must fit the replicas'
+	// -max-batch-ops.
 	ReplayWindow int
 	// Thresholds tunes the health state machine (zero fields default).
 	Thresholds Thresholds
@@ -62,7 +62,8 @@ type Config struct {
 	Now func() time.Time
 	// NewClient builds the per-replica data-path client (nil = NewClient
 	// with default timeouts). The chaos harness injects fault transports
-	// here.
+	// here. Per-chunk ops always travel as binary /v2/batch frames, whether
+	// or not the client was switched to SetWireBinary.
 	NewClient func(base string) *httpapi.Client
 	// NewProbeClient builds the health-probe client (nil = NewClient
 	// hook). Separate so tests can partition the probe path from the data
@@ -116,14 +117,6 @@ func (s *routedSession) push(w float64, window int) {
 		return
 	}
 	s.recent = append(s.recent, w)
-}
-
-// dropLast removes the newest observation (an input the backend rejected
-// before it could touch filter state must not be replayed later).
-func (s *routedSession) dropLast() {
-	if len(s.recent) > 0 {
-		s.recent = s.recent[:len(s.recent)-1]
-	}
 }
 
 // homeName reads the session's home replica under its lock.
@@ -288,13 +281,6 @@ func (rt *Router) ReplicaStates() map[string]State {
 	return out
 }
 
-// lookup fetches a session record.
-func (rt *Router) lookup(id string) *routedSession {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.sessions[id]
-}
-
 // usable returns the replica unless it is Down or no longer a member — the
 // only conditions the data path refuses to talk to. Suspect, Recovering,
 // and Draining replicas keep serving the sessions they already hold, they
@@ -379,10 +365,14 @@ func (rt *Router) StartSession(id string, f trace.Features, startUnix int64) eng
 func (rt *Router) Start(id string, f trace.Features, startUnix int64) (engine.StartResponse, error) {
 	var lastErr error
 	for _, rep := range rt.startCandidates(id) {
-		resp, err := rep.client.StartSession(id, f, startUnix)
-		if err == nil {
-			rt.reportOutcome(rep, true)
-			rt.m.request(rep.name, true)
+		var resp engine.StartResponse
+		oc, err := rt.call(rep, func(c *httpapi.Client) error {
+			var err error
+			resp, err = c.StartSession(id, f, startUnix)
+			return err
+		})
+		switch oc {
+		case callOK:
 			sess := &routedSession{home: rep.name, features: f, startUnix: startUnix, version: rt.versionOf(rep)}
 			rt.mu.Lock()
 			rt.sessions[id] = sess
@@ -390,91 +380,13 @@ func (rt *Router) Start(id string, f trace.Features, startUnix int64) (engine.St
 			rt.mu.Unlock()
 			rt.m.sessions.Set(float64(n))
 			return resp, nil
-		}
-		rt.m.request(rep.name, false)
-		if st := httpapi.HTTPStatus(err); st != 0 && st/100 == 4 {
-			// The replica understood and rejected the request (validation);
-			// every replica would say the same.
+		case callRejected:
+			// Validation: every replica would say the same.
 			return engine.StartResponse{}, err
 		}
-		rt.reportOutcome(rep, false)
 		lastErr = err
 	}
 	return engine.StartResponse{}, fmt.Errorf("router: start %s: %w", id, errors.Join(ErrNoReplica, lastErr))
-}
-
-// ObserveAndPredict implements httpapi.SessionService. The observation goes
-// into the replay window FIRST: if the forward then fails in any way, the
-// window already holds everything needed to rebuild the session elsewhere,
-// including this sample.
-func (rt *Router) ObserveAndPredict(id string, observedMbps float64, horizon int) (float64, error) {
-	sess := rt.lookup(id)
-	if sess == nil {
-		return 0, fmt.Errorf("%w: %s", engine.ErrUnknownSession, id)
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	sess.push(observedMbps, rt.window)
-	if !sess.desync {
-		if rep := rt.usable(sess.home); rep != nil {
-			pred, err := rep.client.ObserveAndPredict(id, observedMbps, horizon)
-			if err == nil {
-				rt.reportOutcome(rep, true)
-				rt.m.request(rep.name, true)
-				return pred, nil
-			}
-			rt.m.request(rep.name, false)
-			st := httpapi.HTTPStatus(err)
-			if st != 0 && st != http.StatusNotFound && st/100 == 4 {
-				// Rejected at validation, before any filter state changed:
-				// the session is still in sync. Drop the sample so a later
-				// replay doesn't feed the backend an input it refused.
-				sess.dropLast()
-				return 0, err
-			}
-			if st != http.StatusNotFound {
-				rt.reportOutcome(rep, false)
-			}
-		}
-		// The home replica is down, restarted without the session (404), or
-		// failed mid-call: its filter state can no longer be trusted to
-		// match the observation stream.
-		sess.desync = true
-	}
-	return rt.migrateLocked(sess, id, horizon)
-}
-
-// Predict implements httpapi.SessionService (stateless horizon query).
-func (rt *Router) Predict(id string, horizon int) (float64, error) {
-	sess := rt.lookup(id)
-	if sess == nil {
-		return 0, fmt.Errorf("%w: %s", engine.ErrUnknownSession, id)
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if !sess.desync {
-		if rep := rt.usable(sess.home); rep != nil {
-			pred, err := rep.client.PredictAt(id, horizon)
-			if err == nil {
-				rt.reportOutcome(rep, true)
-				rt.m.request(rep.name, true)
-				return pred, nil
-			}
-			rt.m.request(rep.name, false)
-			st := httpapi.HTTPStatus(err)
-			if st != 0 && st != http.StatusNotFound && st/100 == 4 {
-				return 0, err
-			}
-			if st != http.StatusNotFound {
-				rt.reportOutcome(rep, false)
-			}
-		}
-		// PredictAt never mutates filter state, so strictly the home is
-		// not desynced — but serving this query from anywhere else still
-		// requires re-registration and replay, which is the same path.
-		sess.desync = true
-	}
-	return rt.migrateLocked(sess, id, horizon)
 }
 
 // EndSession implements httpapi.SessionService: forget the session and
@@ -504,13 +416,9 @@ func (rt *Router) EndSession(lg engine.SessionLog) {
 		}
 	}
 	for _, rep := range candidates {
-		if err := rep.client.Log(lg); err == nil {
-			rt.reportOutcome(rep, true)
-			rt.m.request(rep.name, true)
+		if oc, _ := rt.call(rep, func(c *httpapi.Client) error { return c.Log(lg) }); oc == callOK {
 			return
 		}
-		rt.m.request(rep.name, false)
-		rt.reportOutcome(rep, false)
 	}
 	rt.logf("router: session %s QoE log dropped (no live replica)", lg.SessionID)
 }
@@ -545,70 +453,6 @@ func (rt *Router) failoverCandidates(id string, sessVersion uint64) []*replica {
 		}
 	}
 	return append(append(up, draining...), down...)
-}
-
-// migrateLocked (sess.mu held) re-homes the session: re-register on the
-// best candidate, replay the observation window to rebuild filter state,
-// and answer the pending query from the replayed stream. Because the HMM
-// posterior is a function of the cluster prior and the observation
-// sequence, a full-window replay reproduces the fault-free filter state
-// exactly for young sessions and to within posterior-mixing noise for long
-// ones — which is why failover barely moves predictions.
-func (rt *Router) migrateLocked(sess *routedSession, id string, horizon int) (float64, error) {
-	var lastErr error
-	for _, rep := range rt.failoverCandidates(id, sess.version) {
-		pred, err := rt.adopt(rep, sess, id, horizon)
-		if err != nil {
-			lastErr = err
-			rt.m.request(rep.name, false)
-			rt.reportOutcome(rep, false)
-			continue
-		}
-		from := sess.home
-		sess.home = rep.name
-		sess.version = rt.versionOf(rep)
-		sess.desync = false
-		rt.reportOutcome(rep, true)
-		rt.m.request(rep.name, true)
-		rt.m.failovers.Inc()
-		if from != rep.name {
-			rt.logf("router: session %s migrated %s -> %s (replayed %d observations)", id, from, rep.name, len(sess.recent))
-		}
-		return pred, nil
-	}
-	return 0, fmt.Errorf("router: session %s: failover failed: %w", id, errors.Join(ErrNoReplica, lastErr))
-}
-
-// adopt registers sess on rep and replays its window. Intermediate replays
-// use horizon 1 (the values are discarded); the last observation carries
-// the pending query's horizon so its prediction answers it. An empty
-// window (failover on a pure predict before any observation) falls back to
-// a direct query against the fresh session.
-func (rt *Router) adopt(rep *replica, sess *routedSession, id string, horizon int) (float64, error) {
-	if _, err := rep.client.StartSession(id, sess.features, sess.startUnix); err != nil {
-		return 0, err
-	}
-	pred := math.NaN()
-	for i, o := range sess.recent {
-		h := 1
-		if i == len(sess.recent)-1 {
-			h = horizon
-		}
-		v, err := rep.client.ObserveAndPredict(id, o, h)
-		if err != nil {
-			return 0, err
-		}
-		rt.m.replayed.Inc()
-		pred = v
-	}
-	if math.IsNaN(pred) {
-		v, err := rep.client.PredictAt(id, horizon)
-		if err != nil {
-			return 0, err
-		}
-		pred = v
-	}
-	return pred, nil
 }
 
 // ProbeAll runs one synchronous health-probe round in deterministic

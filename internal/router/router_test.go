@@ -34,6 +34,11 @@ type stubBackend struct {
 	// refuseImport makes ImportSession answer with the model-guard error,
 	// simulating a generation-skewed target refusing transferred state.
 	refuseImport bool
+	// onBatch runs at the start of every ServeBatch, before any op is
+	// applied; onExport runs in ExportSession after the state snapshot is
+	// taken. Tests use them (setHooks) to hold an op or a drain handoff at
+	// an exact point; both run without mu held.
+	onBatch, onExport func()
 }
 
 func newStubBackend(version uint64) *stubBackend {
@@ -74,6 +79,35 @@ func (s *stubBackend) Predict(id string, horizon int) (float64, error) {
 	return sum(obs) + float64(horizon), nil
 }
 
+// ServeBatch is the stub's per-chunk door — every op the router forwards
+// arrives here as a binary batch. Ops are served one by one through the
+// single-op methods, so the sum-of-history prediction rule holds.
+func (s *stubBackend) ServeBatch(ops []engine.BatchOp, res []engine.BatchResult) uint64 {
+	s.mu.Lock()
+	hook := s.onBatch
+	s.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
+	for i, op := range ops {
+		var (
+			pred float64
+			err  error
+		)
+		h := max(op.Horizon, 1)
+		if op.HasObserve {
+			pred, err = s.ObserveAndPredict(string(op.SessionID), op.ObservedMbps, h)
+		} else {
+			pred, err = s.Predict(string(op.SessionID), h)
+		}
+		res[i] = engine.BatchResult{PredictionMbps: pred}
+		if err != nil {
+			res[i] = engine.BatchResult{Code: engine.BatchUnknownSession}
+		}
+	}
+	return 0
+}
+
 func (s *stubBackend) EndSession(lg engine.SessionLog) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -99,13 +133,19 @@ func (s *stubBackend) ExportSession(id string) (engine.SessionState, error) {
 	if !ok {
 		return engine.SessionState{}, engine.ErrUnknownSession
 	}
-	return engine.SessionState{
+	st := engine.SessionState{
 		Schema:    engine.SessionStateSchema,
 		SessionID: id,
 		Posterior: append([]float64(nil), obs...),
 		Started:   len(obs) > 0,
 		Epoch:     len(obs),
-	}, nil
+	}
+	if hook := s.onExport; hook != nil {
+		s.mu.Unlock()
+		hook()
+		s.mu.Lock()
+	}
+	return st, nil
 }
 
 func (s *stubBackend) ImportSession(st engine.SessionState) error {
@@ -138,6 +178,12 @@ func (s *stubBackend) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
+}
+
+func (s *stubBackend) setHooks(onBatch, onExport func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.onBatch, s.onExport = onBatch, onExport
 }
 
 func (s *stubBackend) setRefuseImport(on bool) {

@@ -120,6 +120,10 @@ const (
 	OpOK             uint8 = 0
 	OpUnknownSession uint8 = 1
 	OpInvalid        uint8 = 2
+	// OpUnavailable: the session is known but nothing could serve the op (a
+	// routing tier with every replica out). Single-op routes answer it as
+	// HTTP 502.
+	OpUnavailable uint8 = 3
 )
 
 // OpResult is one batch op's outcome.
