@@ -32,12 +32,14 @@ chaos:
 	CS2P_CHAOS=1 $(GO) test -race -run 'TestChaos' -v ./internal/httpapi
 
 # Cluster chaos: a trained 3-replica cluster behind the consistent-hash
-# router, with replicas killed and revived mid-playback, the probe path
-# partitioned, and a slow replica — plus the golden replay driven through
-# the router for bit-identical parity with one process. See DESIGN.md §13.
+# router, with replicas killed (alone, and while another drains) and revived
+# mid-playback, the router itself restarted, the probe path partitioned, and
+# a slow replica — plus the golden replay driven through the router, with a
+# drain and with a kill, for bit-identical parity with one process. All under
+# the race detector. See DESIGN.md §13.
 cluster-chaos:
-	$(GO) test -race -run 'TestClusterChaos|TestClusterModel|TestRouterConcurrentFailover' -v ./internal/router
-	$(GO) test -run 'TestGoldenReplayClusterParity|TestGoldenReplayDrainParity' -v .
+	$(GO) test -race -run 'TestClusterChaos|TestClusterModel|TestClusterRouterRestart|TestRouterConcurrentFailover|TestRouterFailoverBeyondOldWindow' -v ./internal/router
+	$(GO) test -race -run 'TestGoldenReplayClusterParity|TestGoldenReplayDrainParity|TestGoldenReplayKillParity' -v .
 
 # Microbenchmarks of the training hot paths (allocation-counted).
 bench:
@@ -95,14 +97,15 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || \
 	{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Short fuzz pass over the HTTP JSON decoders, the binary wire decoders, and
-# the model-artifact loaders (CI runs this; longer local runs: go test -fuzz
+# Short fuzz pass over the HTTP JSON decoders (session-state import
+# included), the binary wire decoders, and the model-artifact loaders (CI runs this; longer local runs: go test -fuzz
 # FuzzLoadArtifact -fuzztime 5m ./internal/registry).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStartSession -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzObserve -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzIngest -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzBatchRequest -fuzztime=10s ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz FuzzImportSession -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzLoadModelStore -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLoadArtifact -fuzztime=10s ./internal/registry

@@ -3,15 +3,14 @@
 // sessions across the replicas — sticky, because HMM filter state is
 // per-session — probes each replica's /v1/healthz to drive a
 // healthy/suspect/down/recovering/draining state machine, and when a
-// session's home replica dies it migrates the session to the ring's next
-// replica by re-registering it and replaying a bounded window of recent
-// observations.
+// session's home replica dies it recreates the session on the ring's next
+// replica from the exact filter state that came back with its last
+// acknowledged observation — bit-identical predictions, however long the
+// session.
 //
 // Membership is dynamic: POST /v1/admin/replicas adds, removes, drains, or
 // undrains a member at runtime (GET lists the set). A drain proactively
-// hands each resident session to a ring successor with its exact exported
-// filter state (warm handoff — bit-identical predictions); replay is the
-// fallback when the source is dead or the target's model guard refuses.
+// moves each resident session to a ring successor the same way.
 //
 // The router serves the exact same HTTP surface as a single replica (JSON
 // v1 and binary v2), so players point at it unchanged; whichever encoding a
@@ -43,13 +42,11 @@ func main() {
 		replicas      = flag.String("replicas", "", "comma-separated cs2p-server base URLs (required)")
 		addr          = flag.String("addr", ":8640", "listen address")
 		vnodes        = flag.Int("vnodes", router.DefaultVNodes, "virtual nodes per replica on the hash ring")
-		replayWindow  = flag.Int("replay-window", router.DefaultReplayWindow, "observations kept per session for failover replay (replayed as one batch: keep it within the replicas' -max-batch-ops)")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "health probe cadence")
 		probeTimeout  = flag.Duration("probe-timeout", time.Second, "per-probe deadline")
 		suspectAfter  = flag.Int("suspect-after", 0, "consecutive failures before a replica stops getting new sessions (0 = default)")
 		downAfter     = flag.Int("down-after", 0, "consecutive failures before a replica is marked down (0 = default)")
 		recoverAfter  = flag.Int("recover-after", 0, "consecutive successes before a recovering replica is healthy again (0 = default)")
-		allowSkew     = flag.Bool("allow-version-skew", false, "permit session failover across divergent model versions")
 		grace         = flag.Duration("shutdown-grace", 10*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
 		debugAddr     = flag.String("debug-addr", "", "serve /debug/pprof, /metrics and /healthz on this private address (empty disables)")
 	)
@@ -71,7 +68,6 @@ func main() {
 	rt, rerr := router.New(router.Config{
 		Replicas:      names,
 		VNodes:        *vnodes,
-		ReplayWindow:  *replayWindow,
 		ProbeInterval: *probeInterval,
 		ProbeTimeout:  *probeTimeout,
 		Thresholds: router.Thresholds{
@@ -79,9 +75,8 @@ func main() {
 			DownAfter:    *downAfter,
 			RecoverAfter: *recoverAfter,
 		},
-		AllowVersionSkew: *allowSkew,
-		Metrics:          reg,
-		Logf:             logger.Printf,
+		Metrics: reg,
+		Logf:    logger.Printf,
 	})
 	if rerr != nil {
 		fatalf("%v", rerr)

@@ -3,13 +3,17 @@ package cs2p_test
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"cs2p/internal/core"
 	"cs2p/internal/engine"
+	"cs2p/internal/faultinject"
 	"cs2p/internal/httpapi"
 	"cs2p/internal/registry"
 	"cs2p/internal/router"
@@ -23,6 +27,14 @@ import (
 // the cluster-parity and drain-parity golden tests. Returns the router, the
 // front-end server, the golden header line, and the test split.
 func bootGoldenCluster(t *testing.T) (*router.Router, *httptest.Server, string, *trace.Dataset) {
+	t.Helper()
+	return bootGoldenClusterVia(t, nil)
+}
+
+// bootGoldenClusterVia is bootGoldenCluster with the router→replica hop
+// routed through transport (nil = the default), so a test can take replicas
+// away.
+func bootGoldenClusterVia(t *testing.T, transport http.RoundTripper) (*router.Router, *httptest.Server, string, *trace.Dataset) {
 	t.Helper()
 	cfg := tracegen.SmallConfig()
 	cfg.Sessions = 300
@@ -68,7 +80,10 @@ func bootGoldenCluster(t *testing.T) (*router.Router, *httptest.Server, string, 
 		t.Cleanup(ts.Close)
 		replicas = append(replicas, ts.URL)
 	}
-	rt, err := router.New(router.Config{Replicas: replicas, Logf: func(string, ...any) {}})
+	rt, err := router.New(router.Config{Replicas: replicas, Logf: func(string, ...any) {},
+		NewClient: func(base string) *httpapi.Client {
+			return httpapi.NewClientWith(base, &http.Client{Transport: transport, Timeout: 5 * time.Second})
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +124,7 @@ func TestGoldenReplayClusterParity(t *testing.T) {
 		t.Errorf("cluster binary v2 replay diverged from the golden file\ngot:\n%s\nwant:\n%s",
 			binGot, string(want))
 	}
-	batGot := driveReplayBatched(t, front, header, test)
+	batGot := driveReplayBatched(t, front, header, test, nil)
 	if batGot != string(want) {
 		t.Errorf("cluster batched v2 replay diverged from the golden file\ngot:\n%s\nwant:\n%s",
 			batGot, string(want))
@@ -149,7 +164,7 @@ func TestGoldenReplayDrainParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("drain %s: %v", home, err)
 		}
-		if res.Warm == 0 || res.Replay != 0 || res.Failed != 0 {
+		if res.Warm == 0 || res.Failed != 0 {
 			t.Errorf("drain tally %+v; want warm-only with a live source", res)
 		}
 		if h, _ := rt.SessionHome("golden-1"); h == home {
@@ -161,8 +176,8 @@ func TestGoldenReplayDrainParity(t *testing.T) {
 	if !drained {
 		t.Fatal("drain hook never fired; session golden-1 played fewer than 7 chunks")
 	}
-	if warm, replay, failed := rt.HandoffOutcomes(); warm == 0 || replay != 0 || failed != 0 {
-		t.Errorf("handoff outcomes warm=%d replay=%d failed=%d; want warm only", warm, replay, failed)
+	if warm, failed := rt.HandoffOutcomes(); warm == 0 || failed != 0 {
+		t.Errorf("handoff outcomes warm=%d failed=%d; want warm only", warm, failed)
 	}
 	if got != string(want) {
 		t.Errorf("drained-mid-session replay diverged from the golden file — warm handoff must be bit-identical\ngot:\n%s\nwant:\n%s",
@@ -170,5 +185,67 @@ func TestGoldenReplayDrainParity(t *testing.T) {
 	}
 	if n := rt.PanicCount(); n != 0 {
 		t.Errorf("%d router handler panics during drained golden replay", n)
+	}
+}
+
+// TestGoldenReplayKillParity pins crash recovery against the golden file:
+// while golden-1 is mid-session its home replica is killed outright — no
+// drain, no export, the process is just gone. The router recreates the
+// session on a ring successor from the state that came back with its last
+// acknowledged observation, so the full replay, crash and all, renders
+// byte-identical to testdata/golden_replay.txt on all three encodings.
+func TestGoldenReplayKillParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("kill parity trains a model and boots three clusters; slow for -short")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_replay.txt"))
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	type drive func(t *testing.T, front *httptest.Server, header string, test *trace.Dataset, kill func()) string
+	single := func(binary bool) drive {
+		return func(t *testing.T, front *httptest.Server, header string, test *trace.Dataset, kill func()) string {
+			c := httpapi.NewClient(front.URL)
+			c.SetWireBinary(binary)
+			return driveReplayWithHook(t, c, header, test, func(i, j int) {
+				if i == 1 && j == 6 {
+					kill()
+				}
+			})
+		}
+	}
+	for name, drv := range map[string]drive{
+		"json-v1":   single(false),
+		"binary-v2": single(true),
+		"batched-v2": func(t *testing.T, front *httptest.Server, header string, test *trace.Dataset, kill func()) string {
+			return driveReplayBatched(t, front, header, test, func(j int) {
+				if j == 6 {
+					kill()
+				}
+			})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			gate := faultinject.NewHostGate(nil)
+			rt, front, header, test := bootGoldenClusterVia(t, gate)
+			killed := ""
+			got := drv(t, front, header, test, func() {
+				killed, _ = rt.SessionHome("golden-1")
+				gate.SetHostDown(strings.TrimPrefix(killed, "http://"), true)
+			})
+			if killed == "" {
+				t.Fatal("kill hook never fired; session golden-1 played fewer than 7 chunks")
+			}
+			if st := rt.ReplicaStates()[killed]; st == router.StateHealthy {
+				t.Errorf("killed replica %s still healthy: the data path never ran into the kill", killed)
+			}
+			if got != string(want) {
+				t.Errorf("killed-mid-session replay diverged from the golden file — recovery from state must be bit-identical\ngot:\n%s\nwant:\n%s",
+					got, string(want))
+			}
+			if n := rt.PanicCount(); n != 0 {
+				t.Errorf("%d router handler panics during killed golden replay", n)
+			}
+		})
 	}
 }

@@ -125,8 +125,9 @@ func driveReplayWithHook(t *testing.T, client *httpapi.Client, header string, te
 // still-live session travelling in one binary batch, and the horizon-3
 // queries in one final batch. Per-session prediction state is independent of
 // other sessions, so the lockstep interleaving must render bit-identically
-// to the sequential single-op drives.
-func driveReplayBatched(t *testing.T, ts *httptest.Server, header string, test *trace.Dataset) string {
+// to the sequential single-op drives. hook, when non-nil, fires before epoch
+// j's batch — the trigger point for mid-session cluster surgery.
+func driveReplayBatched(t *testing.T, ts *httptest.Server, header string, test *trace.Dataset, hook func(j int)) string {
 	t.Helper()
 	client := httpapi.NewClient(ts.URL)
 	sessions := test.Sessions[:4]
@@ -165,6 +166,9 @@ func driveReplayBatched(t *testing.T, ts *httptest.Server, header string, test *
 		}
 		if len(ops) == 0 {
 			break
+		}
+		if hook != nil {
+			hook(j)
 		}
 		res, _, err := client.Batch(ops)
 		if err != nil {
@@ -257,7 +261,7 @@ func TestGoldenReplayWireParity(t *testing.T) {
 	if binGot != string(want) {
 		t.Errorf("binary v2 replay diverged from golden file\ngot:\n%s\nwant:\n%s", binGot, string(want))
 	}
-	batGot := driveReplayBatched(t, ts, header, test)
+	batGot := driveReplayBatched(t, ts, header, test, nil)
 	if batGot != string(want) {
 		t.Errorf("batched v2 replay diverged from golden file\ngot:\n%s\nwant:\n%s", batGot, string(want))
 	}

@@ -27,12 +27,14 @@ const (
 // request shape, where one front end multiplexes many players' chunk
 // cadences into a single round trip. SessionID is raw bytes so a decoded
 // wire frame can alias its pooled buffer straight through the store lookup
-// without a string allocation; the engine never retains it.
+// without a string allocation; the engine never retains it. WantState asks
+// for the session's post-op BatchState in the result (the routing tier's hop).
 type BatchOp struct {
 	SessionID    []byte
 	ObservedMbps float64
 	Horizon      int
 	HasObserve   bool
+	WantState    bool
 }
 
 // Malformed reports whether the op carries an observation no filter may
@@ -43,13 +45,29 @@ func (op *BatchOp) Malformed() bool {
 	return op.HasObserve && (math.IsNaN(op.ObservedMbps) || math.IsInf(op.ObservedMbps, 0) || op.ObservedMbps < 0)
 }
 
+// BatchState is what of SessionState changes per epoch, plus the model
+// identity the import guard checks, in allocation-free form (field for field
+// wire.State). LastOneStep is NaN when none is pending; an empty Posterior
+// means no state.
+type BatchState struct {
+	Posterior       []float64
+	LastOneStep     float64
+	ModelVersion    uint64
+	ModelGeneration uint64
+	Epoch           uint32
+	Started         bool
+}
+
 // BatchResult is one op's outcome, index-aligned with the request ops.
 // Failures are codes, not errors: a 256-op batch with one evicted session
 // must not cost an allocation per miss, and the caller needs per-op
 // granularity anyway (partial failure is the normal case at the edge).
+// State is filled only for a BatchOK op that set WantState, into the slot's
+// existing posterior buffer: a caller that recycles res pays no allocation.
 type BatchResult struct {
 	PredictionMbps float64
 	Code           uint8
+	State          BatchState
 }
 
 // ServeBatch applies ops in order and fills res (caller-allocated,
@@ -68,6 +86,7 @@ func (s *Service) ServeBatch(ops []BatchOp, res []BatchResult) uint64 {
 	now := time.Now()
 	for i := range ops {
 		op := &ops[i]
+		post := res[i].State.Posterior[:0]
 		if op.Malformed() {
 			res[i] = BatchResult{Code: BatchInvalid}
 			continue
@@ -81,15 +100,24 @@ func (s *Service) ServeBatch(ops []BatchOp, res []BatchResult) uint64 {
 		if h <= 0 {
 			h = 1
 		}
-		var pred float64
+		res[i] = BatchResult{Code: BatchOK, State: BatchState{Posterior: post}}
 		s.lockSession(st)
 		if op.HasObserve {
-			pred = s.observeLocked(st, op.ObservedMbps, h)
+			res[i].PredictionMbps = s.observeLocked(st, op.ObservedMbps, h)
 		} else {
-			pred = st.pred.PredictAhead(h)
+			res[i].PredictionMbps = st.pred.PredictAhead(h)
+		}
+		if op.WantState {
+			res[i].State = BatchState{
+				Posterior:       st.pred.Filter().AppendPosterior(post),
+				LastOneStep:     st.lastOneStep,
+				ModelVersion:    st.modelVersion,
+				ModelGeneration: st.modelGen,
+				Epoch:           uint32(st.epoch),
+				Started:         st.pred.Filter().Started(),
+			}
 		}
 		st.mu.Unlock()
-		res[i] = BatchResult{PredictionMbps: pred, Code: BatchOK}
 	}
 	return snap.gen
 }

@@ -72,7 +72,7 @@ func TestServeBatchMatchesSingleOps(t *testing.T) {
 		t.Errorf("batch generation = %d, want %d", gen, svcB.ModelGeneration())
 	}
 	for i := range ops {
-		if res[i] != want[i] {
+		if res[i].Code != want[i].Code || res[i].PredictionMbps != want[i].PredictionMbps || len(res[i].State.Posterior) != 0 {
 			t.Errorf("op %d: batch %+v != single-op %+v", i, res[i], want[i])
 		}
 	}
@@ -151,5 +151,47 @@ func TestServeBatchZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("ServeBatch allocates %v per batch, want 0", allocs)
+	}
+
+	// Carrying state costs nothing either once the recycled slots have a
+	// posterior buffer: the first pass sizes them, every later one reuses.
+	ops[0].WantState, ops[2].WantState = true, true
+	svc.ServeBatch(ops, res)
+	if allocs := testing.AllocsPerRun(200, func() { svc.ServeBatch(ops, res) }); allocs != 0 {
+		t.Errorf("ServeBatch with WantState allocates %v per batch, want 0", allocs)
+	}
+	if len(res[0].State.Posterior) == 0 || len(res[1].State.Posterior) != 0 {
+		t.Errorf("state filled for the wrong ops: %+v / %+v", res[0].State, res[1].State)
+	}
+}
+
+// TestServeBatchStateMatchesExport: the state an op asks for is the session's
+// ExportSession as of that op — same posterior bits, epoch, pending
+// prediction and model identity — so importing it elsewhere is exactly the
+// warm handoff the export path already pins.
+func TestServeBatchStateMatchesExport(t *testing.T) {
+	svc, test := freshService(t, 1) // metrics attached, so the pending 1-step prediction advances
+	s := test.Sessions[1]
+	svc.StartSession("st-1", s.Features, s.StartUnix)
+	res := make([]BatchResult, 1)
+	for _, w := range s.Throughput[:6] {
+		svc.ServeBatch([]BatchOp{{SessionID: []byte("st-1"), ObservedMbps: w, Horizon: 2, HasObserve: true, WantState: true}}, res)
+		if res[0].Code != BatchOK {
+			t.Fatalf("code %d", res[0].Code)
+		}
+		exp, err := svc.ExportSession("st-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res[0].State
+		if !got.Started || int(got.Epoch) != exp.Epoch || got.ModelVersion != exp.ModelVersion || got.ModelGeneration != exp.ModelGeneration ||
+			exp.LastOneStep == nil || got.LastOneStep != *exp.LastOneStep || len(got.Posterior) != len(exp.Posterior) {
+			t.Fatalf("state %+v does not match export %+v", got, exp)
+		}
+		for i := range got.Posterior {
+			if got.Posterior[i] != exp.Posterior[i] {
+				t.Fatalf("posterior[%d] = %v, export %v", i, got.Posterior[i], exp.Posterior[i])
+			}
+		}
 	}
 }

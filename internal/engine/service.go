@@ -134,7 +134,7 @@ type sessionState struct {
 	// modelGen/modelVersion pin the snapshot the session's predictor was
 	// built from. The exported session state carries them so an importing
 	// replica can refuse a posterior that indexes a different model's
-	// states (the warm-handoff generation guard). Immutable after creation.
+	// states (the import generation guard). Immutable after creation.
 	modelGen     uint64
 	modelVersion uint64
 	// Routing identity (always recorded — session-state export needs it to
@@ -484,15 +484,14 @@ func (s *Service) EndSession(log SessionLog) {
 }
 
 // ForgetSession drops a session without recording a QoE log — the cleanup
-// half of a warm handoff: after the target replica imports the session's
-// state, the source must stop holding (and counting) it, but the playback
-// has not ended, so EndSession's log would be a lie. Counts toward
-// sessions-ended so per-replica start/end accounting stays balanced across
-// handoffs. Reports whether the session existed.
+// half of a handoff: after the target replica imports the session's state,
+// the source must stop holding it, but the playback has not ended, so
+// EndSession's log (and its sessions-ended count, like the import's
+// sessions-started count) would be a lie. Reports whether the session
+// existed.
 func (s *Service) ForgetSession(id string) bool {
 	existed := s.store.Delete(id)
 	if existed {
-		s.m.sessionsEnded.Inc()
 		s.m.sessionsActive.Set(float64(s.store.Len()))
 		s.refreshShardGauges()
 	}

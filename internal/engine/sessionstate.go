@@ -12,7 +12,8 @@ import (
 
 // SessionStateSchema versions the exported session-state payload. An
 // importer seeing a schema it does not speak must refuse the transfer (the
-// caller falls back to replay) rather than guess at field semantics.
+// caller restarts the session from the cluster prior) rather than guess at
+// field semantics.
 const SessionStateSchema = 1
 
 // Session-state transfer errors callers branch on.
@@ -23,15 +24,15 @@ var (
 	// ErrSessionStateModelMismatch: the exported posterior indexes the
 	// states of a different trained model (generation/version/cluster
 	// guard). Importing it would be silent corruption — the caller must
-	// fall back to replay, which rebuilds state under the local model.
+	// restart the session under the local model instead.
 	ErrSessionStateModelMismatch = errors.New("engine: session state from a different model")
 	// ErrInvalidSessionState: the payload is structurally unusable
 	// (missing identity, non-probability posterior).
 	ErrInvalidSessionState = errors.New("engine: invalid session state")
 )
 
-// SessionState is the versioned warm-handoff payload: everything needed to
-// recreate a live session on another replica serving the same model, such
+// SessionState is the versioned session-recovery payload: everything needed
+// to recreate a live session on any replica serving the same model, such
 // that every subsequent prediction is bit-identical to the session never
 // having moved. The HMM posterior is the heart of it; the rest is the
 // session's routing identity (to rebuild the predictor), telemetry state
@@ -62,7 +63,7 @@ type SessionState struct {
 	Captured []float64 `json:"captured,omitempty"`
 }
 
-// ExportSession snapshots a live session's exact state for warm handoff.
+// ExportSession snapshots a live session's exact state for recovery elsewhere.
 // The session keeps serving; the snapshot is a consistent copy taken under
 // the session lock.
 func (s *Service) ExportSession(id string) (SessionState, error) {
@@ -147,8 +148,8 @@ func (s *Service) ImportSession(st SessionState) error {
 	if s.online.Load() != nil && len(st.Captured) > 0 {
 		ns.captured = append([]float64(nil), st.Captured...)
 	}
+	// No start is counted: cluster-wide, a player session starts once.
 	s.store.Put(st.SessionID, ns, time.Now())
-	s.m.sessionsStarted.Inc()
 	s.m.sessionsActive.Set(float64(s.store.Len()))
 	s.refreshShardGauges()
 	return nil

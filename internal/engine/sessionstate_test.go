@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cs2p/internal/core"
+	"cs2p/internal/obs"
 	"cs2p/internal/video"
 )
 
@@ -48,8 +49,17 @@ func TestSessionExportImportBitIdentical(t *testing.T) {
 	if st.Schema != SessionStateSchema || !st.Started || st.Epoch != 8 {
 		t.Fatalf("export metadata: schema=%d started=%v epoch=%d", st.Schema, st.Started, st.Epoch)
 	}
+	b.SetMetrics(obs.NewRegistry())
 	if err := b.ImportSession(st); err != nil {
 		t.Fatal(err)
+	}
+	// An import is the same player session arriving, not a new one: counting
+	// it as a start would make every handoff two starts cluster-wide — and
+	// the source forgetting it is not an end.
+	a.SetMetrics(obs.NewRegistry())
+	a.ForgetSession("handoff")
+	if started, ended, active := b.m.sessionsStarted.Value(), a.m.sessionsEnded.Value(), b.m.sessionsActive.Value(); started != 0 || ended != 0 || active != 1 {
+		t.Errorf("after one handoff: target started = %d, source ended = %d, target active = %v; want 0, 0 and 1", started, ended, active)
 	}
 
 	// The moved session on replica B must shadow the control on replica A
@@ -90,7 +100,8 @@ func TestSessionExportUnknown(t *testing.T) {
 }
 
 // The generation guard: a posterior filtered under one model must not be
-// imported under another — the importer refuses and the caller replays.
+// imported under another — the importer refuses and the caller restarts
+// the session from the prior.
 func TestSessionImportGenerationGuard(t *testing.T) {
 	_, test := service(t)
 	a, b, e := twoReplicas(t)

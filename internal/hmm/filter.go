@@ -57,9 +57,11 @@ func (f *Filter) SetRule(r PredictionRule) { f.rule = r }
 func (f *Filter) Model() *Model { return f.model }
 
 // Posterior returns a copy of the current state posterior.
-func (f *Filter) Posterior() []float64 {
-	return append([]float64(nil), f.post...)
-}
+func (f *Filter) Posterior() []float64 { return f.AppendPosterior(nil) }
+
+// AppendPosterior appends the current state posterior to dst — the
+// allocation-free copy for callers that recycle a buffer.
+func (f *Filter) AppendPosterior(dst []float64) []float64 { return append(dst, f.post...) }
 
 // Started reports whether at least one observation has been absorbed.
 func (f *Filter) Started() bool { return f.started }

@@ -44,6 +44,13 @@ func HTTPStatus(err error) int {
 	return 0
 }
 
+// Refused reports whether err is the service declining a request it
+// understood (4xx, or 501 for a surface it lacks): a retry would fare the same.
+func Refused(err error) bool {
+	st := HTTPStatus(err)
+	return st/100 == 4 || st == http.StatusNotImplemented
+}
+
 // Client is the player-side view of the prediction service. It implements
 // predict.Midstream for one session at a time, so the simulator can drive a
 // real HTTP round trip per chunk exactly like the Dash.js prototype (§6).
@@ -191,16 +198,16 @@ func (c *Client) doJSON(ctx context.Context, method, path string, req, resp any)
 }
 
 // ExportSession pulls a live session's exact filter state from the replica —
-// the warm half of a drain handoff.
+// the source a drain prefers while the replica still answers.
 func (c *Client) ExportSession(ctx context.Context, id string) (engine.SessionState, error) {
 	var st engine.SessionState
 	err := c.doJSON(ctx, http.MethodGet, "/v1/session/"+url.PathEscape(id)+"/state", nil, &st)
 	return st, err
 }
 
-// ImportSession installs an exported session on the replica. A 409 means
-// the replica's model-identity guard refused the state (caller should fall
-// back to replay).
+// ImportSession installs a session from its state — the one way a session is
+// rebuilt anywhere. It replaces any session under the id, so repeats are
+// harmless. On 409 (the model guard refused) only a fresh StartSession is left.
 func (c *Client) ImportSession(ctx context.Context, st engine.SessionState) error {
 	return c.doJSON(ctx, http.MethodPut, "/v1/session/"+url.PathEscape(st.SessionID)+"/state", st, nil)
 }
@@ -300,14 +307,23 @@ func clampHorizon(h int) uint16 {
 // not an error: partial failure is the normal case when multiplexing many
 // sessions.
 func (c *Client) Batch(ops []wire.Op) ([]wire.OpResult, uint64, error) {
+	return c.BatchInto(ops, nil)
+}
+
+// BatchInto is Batch decoding into dst[:0]: WantState ops get their sessions'
+// states back, into the posterior buffers a recycled dst already holds.
+func (c *Client) BatchInto(ops []wire.Op, dst []wire.OpResult) ([]wire.OpResult, uint64, error) {
 	f, err := c.postWire("/v2/batch", wire.AppendBatch(nil, ops))
 	if err != nil {
 		return nil, 0, err
 	}
-	if f.Type != wire.MsgBatchResult {
-		return nil, 0, fmt.Errorf("httpapi client: POST /v2/batch: unexpected frame type 0x%02x", byte(f.Type))
+	switch f.Type {
+	case wire.MsgBatchResult:
+		return wire.DecodeBatchResult(f.Payload, wire.Limits{}, dst[:0])
+	case wire.MsgBatchStateResult:
+		return wire.DecodeBatchStateResult(f.Payload, wire.Limits{}, dst[:0])
 	}
-	return wire.DecodeBatchResult(f.Payload, wire.Limits{}, nil)
+	return nil, 0, fmt.Errorf("httpapi client: POST /v2/batch: unexpected frame type 0x%02x", byte(f.Type))
 }
 
 // StartSession opens a session and returns the server's initial guidance.

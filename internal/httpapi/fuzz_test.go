@@ -12,6 +12,7 @@ import (
 	"cs2p/internal/core"
 	"cs2p/internal/engine"
 	"cs2p/internal/obs"
+	"cs2p/internal/trace"
 	"cs2p/internal/tracegen"
 	"cs2p/internal/video"
 	"cs2p/internal/wire"
@@ -84,7 +85,7 @@ func fuzzPost(t *testing.T, path string, body []byte) *httptest.ResponseRecorder
 // fuzzPostWire drives one raw binary request at a /v2 route and applies the
 // wire oracle: no panic, a status from the protocol's taxonomy, and a
 // response body that decodes as exactly one well-formed frame of a response
-// type (MsgPrediction, MsgBatchResult, or MsgError).
+// type (MsgPrediction, MsgBatchResult, MsgBatchStateResult, or MsgError).
 func fuzzPostWire(t *testing.T, path string, body []byte) (*httptest.ResponseRecorder, wire.Frame) {
 	t.Helper()
 	srv, h := fuzzHandler()
@@ -107,7 +108,7 @@ func fuzzPostWire(t *testing.T, path string, body []byte) (*httptest.ResponseRec
 		t.Fatalf("response not a wire frame (%v) for %x", err, body)
 	}
 	switch f.Type {
-	case wire.MsgPrediction, wire.MsgBatchResult, wire.MsgError:
+	case wire.MsgPrediction, wire.MsgBatchResult, wire.MsgBatchStateResult, wire.MsgError:
 	default:
 		t.Fatalf("response frame type 0x%02x is not a response type", byte(f.Type))
 	}
@@ -132,6 +133,10 @@ func FuzzBatchRequest(f *testing.F) {
 	))
 	f.Add(mkOps(wire.Op{SessionID: []byte("fz-bat"), ObservedMbps: math.Inf(1), Horizon: 1, HasObserve: true}))
 	f.Add(mkOps(wire.Op{SessionID: []byte("fz-bat"), Horizon: 65535}))
+	f.Add(mkOps( // the routing tier's hop: an observation asking for its state
+		wire.Op{SessionID: []byte("fz-bat"), ObservedMbps: 1.5, Horizon: 1, HasObserve: true, WantState: true},
+		wire.Op{SessionID: []byte("nope"), Horizon: 1, WantState: true},
+	))
 	f.Add(wire.AppendOp(nil, wire.Op{SessionID: []byte("fz-bat"), Horizon: 1})) // wrong type for the route
 	f.Add([]byte{0xC5, 0x2B, 1, byte(wire.MsgBatch), 0xFF, 0xFF, 0xFF, 0x7F})   // huge declared length
 	f.Add([]byte{0xC5, 0x2B, 1, byte(wire.MsgBatch), 2, 0, 0, 0, 0xFF, 0xFF})   // 65535 ops, no bodies
@@ -145,17 +150,24 @@ func FuzzBatchRequest(f *testing.F) {
 		if rec.Code != http.StatusOK {
 			return
 		}
-		if fr.Type != wire.MsgBatchResult {
-			t.Fatalf("200 response carried frame type 0x%02x", byte(fr.Type))
-		}
 		// The request had to be a decodable batch to get a 200; the response
-		// must answer exactly its ops, and every successful op must carry a
-		// usable prediction.
+		// must answer exactly its ops — with the state-carrying result type
+		// if and only if some op asked for state — and every successful op
+		// must carry a usable prediction, plus a usable state when it asked.
 		sent, err := wire.DecodeBatch(body[wire.HeaderLen:], srvFuzzLimits(), nil)
 		if err != nil {
 			t.Fatalf("200 for a batch the decoder rejects: %v", err)
 		}
-		res, _, err := wire.DecodeBatchResult(fr.Payload, wire.Limits{}, nil)
+		want, decode := wire.MsgBatchResult, wire.DecodeBatchResult
+		for _, op := range sent {
+			if op.WantState {
+				want, decode = wire.MsgBatchStateResult, wire.DecodeBatchStateResult
+			}
+		}
+		if fr.Type != want {
+			t.Fatalf("200 response carried frame type 0x%02x, want 0x%02x", byte(fr.Type), byte(want))
+		}
+		res, _, err := decode(fr.Payload, wire.Limits{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,6 +177,9 @@ func FuzzBatchRequest(f *testing.F) {
 		for i, r := range res {
 			if r.Code == wire.OpOK && (math.IsNaN(r.PredictionMbps) || math.IsInf(r.PredictionMbps, 0) || r.PredictionMbps <= 0) {
 				t.Fatalf("op %d: OK result with prediction %v", i, r.PredictionMbps)
+			}
+			if got := len(r.State.Posterior) > 0; got != (r.Code == wire.OpOK && sent[i].WantState) {
+				t.Fatalf("op %d (code %d, want state %v): state present = %v", i, r.Code, sent[i].WantState, got)
 			}
 		}
 	})
@@ -291,6 +306,94 @@ func FuzzObserve(f *testing.F) {
 		}
 		if math.IsNaN(resp.PredictionMbps) || math.IsInf(resp.PredictionMbps, 0) || resp.PredictionMbps <= 0 {
 			t.Fatalf("accepted observation produced prediction %v for %q", resp.PredictionMbps, body)
+		}
+	})
+}
+
+// FuzzImportSession fuzzes PUT /v1/session/{id}/state, the route every tier
+// rebuilds sessions through — a posterior accepted from the network. Oracles:
+// no input may panic or draw a 5xx; an accepted import (204) must leave a
+// session holding exactly the pushed filter state (never one whose restore
+// was skipped); a rejected one must leave no session; and the 400/409 split
+// holds — 409 only for a payload that is sound but names another schema or
+// model, so callers can tell "start afresh" from "you sent garbage".
+func FuzzImportSession(f *testing.F) {
+	srv, h := fuzzHandler()
+	svc := srv.svc.(*engine.Service)
+	const id = "fz-imp"
+	svc.StartSession(id, trace.Features{ISP: "isp-1"}, 1)
+	if _, err := svc.ObserveAndPredict(id, 2.5, 1); err != nil {
+		f.Fatal(err)
+	}
+	good, err := svc.ExportSession(id)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed := func(mut func(st *engine.SessionState)) {
+		st := good
+		st.Posterior = append([]float64(nil), good.Posterior...)
+		mut(&st)
+		b, _ := json.Marshal(st)
+		f.Add(b)
+	}
+	seed(func(*engine.SessionState) {})
+	seed(func(st *engine.SessionState) { st.ModelGeneration += 7 })    // another model: 409
+	seed(func(st *engine.SessionState) { st.Schema++ })                // another schema: 409
+	seed(func(st *engine.SessionState) { st.ClusterID = "elsewhere" }) // cluster witness: 409
+	seed(func(st *engine.SessionState) { st.Posterior[0] = -1 })
+	seed(func(st *engine.SessionState) { st.Posterior = st.Posterior[:1] })
+	seed(func(st *engine.SessionState) { st.Posterior = nil })
+	seed(func(st *engine.SessionState) { st.Epoch = -3 })
+	seed(func(st *engine.SessionState) { st.SessionID = "someone-else" })
+	seed(func(st *engine.SessionState) { st.Captured = []float64{1, -2} })
+	f.Add([]byte(`{"schema":1,"posterior":[1e999]}`))
+	f.Add([]byte(`{"schema":1,"posterior":[0.5,0.5]}trailing`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte{})
+	serving := svc.Health()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		svc.ForgetSession(id)
+		before := srv.PanicCount()
+		req := httptest.NewRequest(http.MethodPut, "/v1/session/"+id+"/state", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if got := srv.PanicCount(); got != before {
+			t.Fatalf("handler panicked on %q", body)
+		}
+		var sent engine.SessionState
+		sound := json.Unmarshal(body, &sent) == nil
+		got, err := svc.ExportSession(id)
+		switch rec.Code {
+		case http.StatusNoContent:
+			if err != nil {
+				t.Fatalf("204 but no session: %v", err)
+			}
+			if got.Started != sent.Started || got.Epoch != sent.Epoch || len(got.Posterior) != len(sent.Posterior) {
+				t.Fatalf("204 but session holds %+v, pushed %+v", got, sent)
+			}
+			for i := range got.Posterior {
+				if math.Float64bits(got.Posterior[i]) != math.Float64bits(sent.Posterior[i]) {
+					t.Fatalf("204 but posterior %v, pushed %v (restore skipped?)", got.Posterior, sent.Posterior)
+				}
+			}
+		case http.StatusConflict:
+			otherModel := sent.ModelVersion != serving.ModelVersion || (serving.ModelVersion == 0 && sent.ModelGeneration != serving.Generation)
+			// (A cluster named in the payload is re-resolved from its fuzzed
+			// features, so only its absence rules that refusal out.)
+			if !sound || (sent.Schema == engine.SessionStateSchema && !otherModel && sent.ClusterID == "") {
+				t.Fatalf("409 for a payload that names this schema and model (or is not sound at all): %q", body)
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("unexpected status %d for %q", rec.Code, body)
+		}
+		if rec.Code != http.StatusNoContent {
+			if err == nil {
+				t.Fatalf("status %d left a session behind for %q", rec.Code, body)
+			}
+			if !json.Valid(rec.Body.Bytes()) {
+				t.Fatalf("non-JSON response %q for %q", rec.Body.Bytes(), body)
+			}
 		}
 	})
 }

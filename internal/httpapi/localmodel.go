@@ -7,24 +7,27 @@ import (
 	"net/http"
 	"net/url"
 
+	"cs2p/internal/engine"
 	"cs2p/internal/hmm"
 	"cs2p/internal/trace"
 )
 
 // modelResponse is the GET /v1/model payload.
 type modelResponse struct {
-	ClusterID     string     `json:"cluster_id"`
-	Model         *hmm.Model `json:"model"`
-	InitialMedian float64    `json:"initial_median"`
+	ClusterID       string     `json:"cluster_id"`
+	Model           *hmm.Model `json:"model"`
+	InitialMedian   float64    `json:"initial_median"`
+	ModelVersion    uint64     `json:"model_version"`
+	ModelGeneration uint64     `json:"model_generation"`
 }
 
 // LocalPredictor is the client-side (decentralized) deployment of §5.3: the
 // player downloads its cluster's model once and runs Algorithm 1 locally —
 // no per-chunk round trips. It implements predict.Midstream.
 type LocalPredictor struct {
-	clusterID string
-	filter    *hmm.Filter
-	initial   float64
+	mr     modelResponse // the download: cluster, model, its served identity
+	filter *hmm.Filter
+	epoch  int // observations absorbed
 }
 
 // FetchLocalPredictor downloads the cluster model for the given features
@@ -91,15 +94,33 @@ func (c *Client) FetchLocalPredictor(f trace.Features) (*LocalPredictor, error) 
 // localPredictorFrom builds a fresh predictor (new filter state) from a
 // validated model payload.
 func localPredictorFrom(mr modelResponse) *LocalPredictor {
-	return &LocalPredictor{
-		clusterID: mr.ClusterID,
-		filter:    hmm.NewFilter(mr.Model),
-		initial:   mr.InitialMedian,
+	return &LocalPredictor{mr: mr, filter: hmm.NewFilter(mr.Model)}
+}
+
+// SessionState renders the predictor as the importable state of session id:
+// a server that installs it (same model) continues exactly where this filter
+// stands — how a player resyncs a session that was lost or fell out of step.
+func (p *LocalPredictor) SessionState(id string, f trace.Features, startUnix int64) engine.SessionState {
+	st := engine.SessionState{
+		Schema:          engine.SessionStateSchema,
+		SessionID:       id,
+		Features:        f,
+		StartUnix:       startUnix,
+		ModelVersion:    p.mr.ModelVersion,
+		ModelGeneration: p.mr.ModelGeneration,
+		ClusterID:       p.mr.ClusterID,
+		Posterior:       p.filter.Posterior(),
+		Started:         p.filter.Started(),
+		Epoch:           p.epoch,
 	}
+	if next := p.Predict(); !math.IsNaN(next) {
+		st.LastOneStep = &next
+	}
+	return st
 }
 
 // ClusterID identifies the downloaded model.
-func (p *LocalPredictor) ClusterID() string { return p.clusterID }
+func (p *LocalPredictor) ClusterID() string { return p.mr.ClusterID }
 
 // Predict implements predict.Midstream (Algorithm 1: cluster median before
 // any observation, HMM filter afterwards).
@@ -108,13 +129,13 @@ func (p *LocalPredictor) Predict() float64 { return p.PredictAhead(1) }
 // PredictAhead implements predict.Midstream.
 func (p *LocalPredictor) PredictAhead(k int) float64 {
 	if !p.filter.Started() {
-		if math.IsNaN(p.initial) {
-			return math.NaN()
-		}
-		return p.initial
+		return p.mr.InitialMedian
 	}
 	return p.filter.PredictAhead(k)
 }
 
 // Observe implements predict.Midstream.
-func (p *LocalPredictor) Observe(w float64) { p.filter.Observe(w) }
+func (p *LocalPredictor) Observe(w float64) {
+	p.filter.Observe(w)
+	p.epoch++
+}

@@ -171,7 +171,7 @@ func newClientMetrics(reg *obs.Registry) clientMetrics {
 		retries: reg.Counter("cs2p_client_retries_total",
 			"Extra attempts spent on idempotent calls.", nil),
 		rereg: reg.Counter("cs2p_client_reregistrations_total",
-			"Session re-registrations with observation replay after a desync.", nil),
+			"Session resyncs (state push, or a fresh start) after a desync.", nil),
 		localFallbacks: reg.Counter("cs2p_client_local_fallbacks_total",
 			"Predictions served by the local decentralized model (§5.3).", nil),
 		nanPreds: reg.Counter("cs2p_client_nan_predictions_total",

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"time"
@@ -21,14 +22,10 @@ type ResilienceConfig struct {
 	// BreakerCooldown is how long the breaker stays open before probing
 	// again (default 2s).
 	BreakerCooldown time.Duration
-	// ReplayWindow is how many recent observations are replayed after a
-	// 404-triggered re-registration, so the server-side HMM filter
-	// re-warms from the cluster prior instead of starting cold
-	// (default 8).
-	ReplayWindow int
 	// DisableLocalFallback skips fetching the §5.3 decentralized model at
 	// session start; without it, remote failures degrade to NaN like the
-	// plain SessionPredictor.
+	// plain SessionPredictor, and a resync restarts the server-side session
+	// from the cluster prior (no mirror state to push).
 	DisableLocalFallback bool
 	// Seed makes the retry jitter deterministic (tests, chaos harness).
 	Seed int64
@@ -47,7 +44,6 @@ func DefaultResilienceConfig() ResilienceConfig {
 		Retry:            DefaultRetryPolicy(),
 		BreakerThreshold: 3,
 		BreakerCooldown:  2 * time.Second,
-		ReplayWindow:     8,
 		Seed:             1,
 	}
 }
@@ -64,9 +60,9 @@ type ResilienceStats struct {
 	RemoteFailures int
 	// Retries counts extra attempts spent on idempotent calls.
 	Retries int
-	// Reregistrations counts resyncs: session re-registrations (with
-	// observation replay) after a 404 or a failed observe left the
-	// server-side filter out of sync.
+	// Reregistrations counts resyncs: attempts to put the server-side
+	// session back in step (state push, or a fresh start) after a 404 or a
+	// failed or skipped observe.
 	Reregistrations int
 	// LocalFallbacks counts predictions served by the local §5.3 model.
 	LocalFallbacks int
@@ -78,7 +74,7 @@ type ResilienceStats struct {
 }
 
 // PredictionAPI is the remote surface the resilient predictor rides: the
-// four calls of the degradation ladder. *Client implements it over HTTP;
+// five calls of the degradation ladder. *Client implements it over HTTP;
 // tests and embedded deployments can supply an in-process implementation,
 // so the ladder's logic is exercised without a network stack.
 type PredictionAPI interface {
@@ -86,14 +82,15 @@ type PredictionAPI interface {
 	ObserveAndPredict(id string, observedMbps float64, horizon int) (float64, error)
 	PredictAt(id string, horizon int) (float64, error)
 	FetchLocalPredictor(f trace.Features) (*LocalPredictor, error)
+	ImportSession(ctx context.Context, st engine.SessionState) error
 }
 
 var _ PredictionAPI = (*Client)(nil)
 
 // ResilientSessionPredictor implements predict.Midstream over a
 // PredictionAPI with the full degradation ladder of DESIGN.md §8:
-// remote call → (idempotent-only) retry → 404 re-registration with
-// observation replay → circuit breaker → local cluster-model fallback.
+// remote call → (idempotent-only) retry → resync by pushing the local
+// mirror's exact state → circuit breaker → local cluster-model fallback.
 // Playback keeps getting real predictions through server restarts and
 // network loss; only with no local model does it degrade to NaN (the
 // player's own heuristic). Not safe for concurrent use, like every other
@@ -107,13 +104,12 @@ type ResilientSessionPredictor struct {
 	breaker   *Breaker
 	rng       *rand.Rand
 	local     *LocalPredictor // nil when fetch failed or disabled
-	recent    []float64       // last ReplayWindow observations, oldest first
 	lastPred  float64
 	started   bool
 	// desync marks the server-side filter as diverged from the observation
-	// stream (a failed observe may or may not have reached it). While set,
-	// remote predictions are untrusted; the next Observe resyncs by
-	// re-registering and replaying the recent window.
+	// stream (a failed observe may or may not have reached it; a skipped
+	// one never did). While set, remote predictions are untrusted; the next
+	// admitted Observe resyncs before anything else.
 	desync bool
 	stats  ResilienceStats
 	cm     clientMetrics
@@ -136,9 +132,6 @@ func NewResilientPredictor(api PredictionAPI, id string, f trace.Features, start
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 2 * time.Second
 	}
-	if cfg.ReplayWindow <= 0 {
-		cfg.ReplayWindow = 8
-	}
 	p := &ResilientSessionPredictor{
 		c:         api,
 		id:        id,
@@ -153,42 +146,33 @@ func NewResilientPredictor(api PredictionAPI, id string, f trace.Features, start
 	if cfg.Metrics != nil {
 		p.breaker.SetOnChange(p.cm.breakerTransition)
 	}
-	var resp struct {
-		initial float64
-	}
-	retries, err := withRetry(cfg.Retry, p.rng, cfg.Sleep, func() error {
-		r, err := api.StartSession(id, f, startUnix)
-		if err == nil {
-			resp.initial = r.InitialPredictionMbps
-		}
-		return err
-	})
-	p.addRetries(retries)
-	if err != nil {
+	var resp engine.StartResponse
+	if err := p.retried(func() (err error) { resp, err = api.StartSession(id, f, startUnix); return err }); err != nil {
 		return nil, err
 	}
-	p.lastPred = resp.initial
+	p.lastPred = resp.InitialPredictionMbps
 	if !cfg.DisableLocalFallback {
-		retries, err := withRetry(cfg.Retry, p.rng, cfg.Sleep, func() error {
+		// A failed fetch leaves the predictor degraded but functional; stats
+		// show local == nil via LocalFallbacks staying 0 and NaNPredictions
+		// rising.
+		_ = p.retried(func() error {
 			lp, err := api.FetchLocalPredictor(f)
 			if err == nil {
 				p.local = lp
 			}
 			return err
 		})
-		p.addRetries(retries)
-		// err != nil: degraded but functional; stats show local == nil
-		// via LocalFallbacks staying 0 and NaNPredictions rising.
-		_ = err
 	}
 	return p, nil
 }
 
-// addRetries bumps the retry counter in both the stats snapshot and the
-// scraped mirror.
-func (p *ResilientSessionPredictor) addRetries(n int) {
-	p.stats.Retries += n
-	p.cm.retries.Add(n)
+// retried runs an idempotent call under the retry policy, counting the
+// extra attempts in both the stats snapshot and the scraped mirror.
+func (p *ResilientSessionPredictor) retried(call func() error) error {
+	retries, err := withRetry(p.cfg.Retry, p.rng, p.cfg.Sleep, call)
+	p.stats.Retries += retries
+	p.cm.retries.Add(retries)
+	return err
 }
 
 // Breaker exposes the circuit breaker (tests, metrics).
@@ -210,32 +194,20 @@ func (p *ResilientSessionPredictor) PredictAhead(k int) float64 {
 	if k <= 1 || !p.started {
 		return p.lastPred
 	}
-	if p.desync {
+	switch {
+	case p.desync:
 		// The server's filter missed observations; its horizon estimates
 		// are stale until the next resync. The local mirror has the full
 		// observation stream, so it is the better source.
-		if p.local != nil {
-			p.localFallback()
-			return p.local.PredictAhead(k)
-		}
-		return p.lastPred
-	}
-	if p.breaker.Allow() {
+	case p.breaker.Allow():
 		var pred float64
-		retries, err := withRetry(p.cfg.Retry, p.rng, p.cfg.Sleep, func() error {
-			v, err := p.c.PredictAt(p.id, k)
-			if err == nil {
-				pred = v
-			}
-			return err
-		})
-		p.addRetries(retries)
+		err := p.retried(func() (err error) { pred, err = p.c.PredictAt(p.id, k); return err })
 		if err == nil {
 			p.breaker.Success()
 			return pred
 		}
 		p.breaker.Failure()
-	} else {
+	default:
 		p.stats.BreakerFastFails++
 		p.cm.fastFails.Inc()
 	}
@@ -259,18 +231,16 @@ func (p *ResilientSessionPredictor) Observe(w float64) {
 	p.stats.Observations++
 	p.cm.observations.Inc()
 	p.started = true
-	p.recent = append(p.recent, w)
-	if len(p.recent) > p.cfg.ReplayWindow {
-		p.recent = p.recent[len(p.recent)-p.cfg.ReplayWindow:]
-	}
 	if p.local != nil {
-		// Mirror every observation into the local filter so failover is
-		// warm the instant it's needed.
+		// Mirror every observation into the local filter: it is both the
+		// fallback predictor and the exact state a resync pushes.
 		p.local.Observe(w)
 	}
 	if !p.breaker.Allow() {
 		p.stats.BreakerFastFails++
 		p.cm.fastFails.Inc()
+		// The server never sees this sample, so its filter is now behind.
+		p.desync = true
 		p.fallback()
 		return
 	}
@@ -292,11 +262,7 @@ func (p *ResilientSessionPredictor) Observe(w float64) {
 		// longer be trusted to match the observation stream.
 		p.desync = true
 	}
-	// Resync: re-register (StartSession resets the server-side filter, so
-	// a previously half-applied window cannot double-count) and replay the
-	// recent observations so the filter re-warms from the cluster prior
-	// (§5.2's posterior converges in a few epochs).
-	if pred, ok := p.reregister(); ok {
+	if pred, ok := p.resync(w); ok {
 		p.desync = false
 		p.breaker.Success()
 		p.stats.RemoteOK++
@@ -308,31 +274,36 @@ func (p *ResilientSessionPredictor) Observe(w float64) {
 	p.fallback()
 }
 
-// reregister re-opens the session and replays the buffered observations
-// (the current one included, as its tail). Returns the freshest remote
-// prediction on success.
-func (p *ResilientSessionPredictor) reregister() (float64, bool) {
+// resync puts the server-side session back in step with the observation
+// stream, w (already mirrored) included, and returns the server's next-epoch
+// prediction. The mirror's state is pushed as is: ImportSession replaces
+// whatever the server holds, so neither a half-applied observe nor a retried
+// push can double-count, and the server continues bit for bit where an
+// undisturbed session would be. A refused state (the model moved on) or no
+// mirror takes the one cold path: a fresh StartSession, then w sent once.
+func (p *ResilientSessionPredictor) resync(w float64) (float64, bool) {
 	p.stats.Reregistrations++
 	p.cm.rereg.Inc()
-	retries, err := withRetry(p.cfg.Retry, p.rng, p.cfg.Sleep, func() error {
-		_, err := p.c.StartSession(p.id, p.features, p.startUnix)
-		return err
-	})
-	p.addRetries(retries)
-	if err != nil {
-		return 0, false
-	}
-	pred := math.NaN()
-	for _, o := range p.recent {
-		// Replay is not blind-retried either: each call feeds the new
-		// session's filter exactly once or the whole recovery aborts.
-		v, err := p.c.ObserveAndPredict(p.id, o, 1)
-		if err != nil {
+	if p.local != nil {
+		err := p.retried(func() error {
+			return p.c.ImportSession(context.TODO(), p.local.SessionState(p.id, p.features, p.startUnix))
+		})
+		if err == nil {
+			var pred float64
+			err = p.retried(func() (err error) { pred, err = p.c.PredictAt(p.id, 1); return err })
+			return pred, err == nil
+		}
+		if !Refused(err) {
 			return 0, false
 		}
-		pred = v
 	}
-	return pred, !math.IsNaN(pred)
+	if p.retried(func() error { _, err := p.c.StartSession(p.id, p.features, p.startUnix); return err }) != nil {
+		return 0, false
+	}
+	// Not blind-retried: the fresh filter absorbs w exactly once, or the
+	// session stays desynced and the next resync starts it over.
+	pred, err := p.c.ObserveAndPredict(p.id, w, 1)
+	return pred, err == nil
 }
 
 // fallback serves the prediction from the local §5.3 model, or NaN when

@@ -1,6 +1,8 @@
 package httpapi
 
 import (
+	"context"
+	"errors"
 	"math"
 	"net/http"
 	"testing"
@@ -8,6 +10,8 @@ import (
 
 	"cs2p/internal/engine"
 	"cs2p/internal/faultinject"
+	"cs2p/internal/hmm"
+	"cs2p/internal/mathx"
 	"cs2p/internal/trace"
 )
 
@@ -37,8 +41,8 @@ func quietResilience() ResilienceConfig {
 
 // TestResilientReregisterAfter404 is the restart-survival path: the server
 // forgets the session mid-stream (GC or restart), the next observation gets
-// a 404, and the predictor re-registers and replays its recent window so
-// predictions continue without a NaN gap.
+// a 404, and the predictor re-installs the session from its local mirror's
+// state so predictions continue without a NaN gap.
 func TestResilientReregisterAfter404(t *testing.T) {
 	ts, test := testServer(t)
 	defer ts.Close()
@@ -74,7 +78,7 @@ func TestResilientReregisterAfter404(t *testing.T) {
 	if _, err := c.PredictAt("res-404", 2); err != nil {
 		t.Errorf("session not re-registered server-side: %v", err)
 	}
-	// And the replayed filter is warm: horizon queries return real numbers.
+	// And the restored filter is warm: horizon queries return real numbers.
 	if v := p.PredictAhead(3); math.IsNaN(v) || v <= 0 {
 		t.Errorf("post-recovery horizon prediction = %v", v)
 	}
@@ -189,5 +193,220 @@ func TestResilientStartRetries(t *testing.T) {
 	}
 	if p.Stats().Retries == 0 {
 		t.Error("no retries recorded despite drops")
+	}
+}
+
+// TestResilientServerWipedBeyondOldWindow: the server loses a session 12
+// chunks in — past the 8 observations the client used to keep for replay —
+// and the predictor puts it back from its local mirror. From then on every
+// prediction, at every horizon, and the server-side session state itself
+// (posterior bits, epoch count) equal an undisturbed control session's: the
+// recovery is exact, not a re-warmed approximation with a restarted epoch
+// count.
+func TestResilientServerWipedBeyondOldWindow(t *testing.T) {
+	ts, test := testServer(t)
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	svc := envServer.svc.(*engine.Service)
+	s := longSession(t, test, 20, 0)
+	open := func(id string) *ResilientSessionPredictor {
+		p, err := c.NewResilientSessionPredictor(id, s.Features, s.StartUnix, quietResilience())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	wiped, control := open("wiped"), open("wiped-control")
+	for j, w := range s.Throughput[:20] {
+		if j == 12 {
+			svc.ForgetSession("wiped")
+		}
+		wiped.Observe(w)
+		control.Observe(w)
+		for _, k := range []int{1, 3} {
+			if got, want := wiped.PredictAhead(k), control.PredictAhead(k); got != want {
+				t.Fatalf("chunk %d horizon %d: prediction %v after the wipe, undisturbed %v", j, k, got, want)
+			}
+		}
+		got, err := svc.ExportSession("wiped")
+		if err != nil {
+			t.Fatalf("chunk %d: %v", j, err)
+		}
+		want, _ := svc.ExportSession("wiped-control")
+		if got.Epoch != want.Epoch || !floatsBitEqual(got.Posterior, want.Posterior) {
+			t.Fatalf("chunk %d: server state epoch=%d post=%v, undisturbed epoch=%d post=%v", j, got.Epoch, got.Posterior, want.Epoch, want.Posterior)
+		}
+	}
+	if st := wiped.Stats(); st.Reregistrations != 1 || st.LocalFallbacks != 0 || st.RemoteOK != 20 {
+		t.Errorf("stats %+v; want one resync, every observation answered remotely", st)
+	}
+}
+
+func floatsBitEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// epochAPI is an in-process PredictionAPI whose whole session state is the
+// number of observations it has absorbed, and whose prediction is that
+// count — so a sample the server never saw, or saw twice, shows in every
+// later answer. down fails every call with a transport-style error;
+// refuseState makes ImportSession answer 409 like a moved-on model guard.
+type epochAPI struct {
+	epochs      map[string]int
+	down        bool
+	refuseState bool
+	noModel     bool
+}
+
+var errEpochAPIDown = errors.New("epochAPI: connection refused")
+
+func (a *epochAPI) StartSession(id string, _ trace.Features, _ int64) (engine.StartResponse, error) {
+	if a.down {
+		return engine.StartResponse{}, errEpochAPIDown
+	}
+	a.epochs[id] = 0
+	return engine.StartResponse{}, nil
+}
+
+func (a *epochAPI) ObserveAndPredict(id string, _ float64, horizon int) (float64, error) {
+	if _, ok := a.epochs[id]; !ok || a.down {
+		return 0, errEpochAPIDown
+	}
+	a.epochs[id]++
+	return float64(a.epochs[id]), nil
+}
+
+func (a *epochAPI) PredictAt(id string, horizon int) (float64, error) {
+	if _, ok := a.epochs[id]; !ok || a.down {
+		return 0, errEpochAPIDown
+	}
+	return float64(a.epochs[id]), nil
+}
+
+func (a *epochAPI) FetchLocalPredictor(trace.Features) (*LocalPredictor, error) {
+	if a.noModel {
+		return nil, &StatusError{Status: http.StatusNotImplemented}
+	}
+	return localPredictorFrom(modelResponse{Model: &hmm.Model{
+		Pi:    []float64{1},
+		Trans: &mathx.Matrix{Rows: 1, Cols: 1, Data: []float64{1}},
+		Emit:  []mathx.Gaussian{{Mu: 1, Sigma: 0.5}},
+	}}), nil
+}
+
+func (a *epochAPI) ImportSession(_ context.Context, st engine.SessionState) error {
+	if a.down {
+		return errEpochAPIDown
+	}
+	if a.refuseState {
+		return &StatusError{Status: http.StatusConflict}
+	}
+	a.epochs[st.SessionID] = st.Epoch
+	return nil
+}
+
+// TestResilientResync walks the ways a server-side session falls out of step
+// and checks the server ends up having absorbed every observation exactly
+// once (or, on the cold path, restarted and absorbed the current one).
+func TestResilientResync(t *testing.T) {
+	const id = "sync"
+	type step func(t *testing.T, api *epochAPI, p *ResilientSessionPredictor, now *time.Time)
+	observe := func(t *testing.T, _ *epochAPI, p *ResilientSessionPredictor, _ *time.Time) { p.Observe(1) }
+	cases := []struct {
+		name        string
+		api         epochAPI
+		steps       []step
+		wantEpochs  int
+		wantResyncs int
+	}{
+		{
+			// Three failed horizon queries (idempotent, so they rightly
+			// leave the session in step) open the breaker; the next observe
+			// is skipped. The sample the server never saw must mark the
+			// session desynced — forwarding the following one as if nothing
+			// happened loses an observation for the rest of the session.
+			name: "observe skipped by an open breaker",
+			steps: []step{
+				observe,
+				func(t *testing.T, api *epochAPI, p *ResilientSessionPredictor, _ *time.Time) {
+					api.down = true
+					for i := 0; i < 3; i++ {
+						p.PredictAhead(2)
+					}
+					if p.Breaker().State() != BreakerOpen {
+						t.Fatalf("breaker %v after three failed queries, want open", p.Breaker().State())
+					}
+					p.Observe(1) // fast-failed
+					api.down = false
+				},
+				func(_ *testing.T, _ *epochAPI, _ *ResilientSessionPredictor, now *time.Time) {
+					*now = now.Add(time.Hour)
+				},
+				observe,
+			},
+			wantEpochs: 3, wantResyncs: 1,
+		},
+		{
+			name: "session lost server-side",
+			steps: []step{observe, observe,
+				func(_ *testing.T, api *epochAPI, _ *ResilientSessionPredictor, _ *time.Time) { delete(api.epochs, id) },
+				observe,
+			},
+			wantEpochs: 3, wantResyncs: 1,
+		},
+		{
+			// The model moved on: the state is refused and the session takes
+			// the cold path — fresh start, current observation applied.
+			name: "state refused",
+			api:  epochAPI{refuseState: true},
+			steps: []step{observe, observe,
+				func(_ *testing.T, api *epochAPI, _ *ResilientSessionPredictor, _ *time.Time) { delete(api.epochs, id) },
+				observe,
+			},
+			wantEpochs: 1, wantResyncs: 1,
+		},
+		{
+			name: "no local model to push",
+			api:  epochAPI{noModel: true},
+			steps: []step{observe, observe,
+				func(_ *testing.T, api *epochAPI, _ *ResilientSessionPredictor, _ *time.Time) { delete(api.epochs, id) },
+				observe,
+			},
+			wantEpochs: 1, wantResyncs: 1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			api := tc.api
+			api.epochs = map[string]int{}
+			cfg := quietResilience()
+			cfg.Retry.MaxAttempts = 1
+			p, err := NewResilientPredictor(&api, id, trace.Features{}, 0, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now := time.Unix(0, 0)
+			p.Breaker().SetClock(func() time.Time { return now })
+			for _, st := range tc.steps {
+				st(t, &api, p, &now)
+			}
+			if got := api.epochs[id]; got != tc.wantEpochs {
+				t.Errorf("server absorbed %d observations, want %d", got, tc.wantEpochs)
+			}
+			if got := p.Predict(); got != float64(tc.wantEpochs) {
+				t.Errorf("prediction %v, want the server's %d", got, tc.wantEpochs)
+			}
+			if got := p.Stats().Reregistrations; got != tc.wantResyncs {
+				t.Errorf("resyncs = %d, want %d", got, tc.wantResyncs)
+			}
+		})
 	}
 }

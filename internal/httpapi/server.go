@@ -201,16 +201,21 @@ type IngestService interface {
 	Ingest(sessions []*trace.Session) (engine.IngestResult, error)
 }
 
-// SessionStateService is the optional warm-handoff surface behind
-// GET/PUT/DELETE /v1/session/{id}/state: export a live session's exact
-// filter state, import one exported elsewhere (refusing model mismatches),
-// and forget a session without a QoE log after its state has moved.
-// *engine.Service implements it; backends without it answer 501 and the
-// router falls back to replay-based migration.
+// SessionStateService is the optional replica-side session-transfer surface
+// behind GET/PUT/DELETE /v1/session/{id}/state: export a live session's
+// exact state, install one from its state (refusing model mismatches), and
+// forget a session without a QoE log after its state has moved.
+// *engine.Service implements it; backends without it answer 501.
 type SessionStateService interface {
+	SessionImporter
 	ExportSession(id string) (engine.SessionState, error)
-	ImportSession(st engine.SessionState) error
 	ForgetSession(id string) bool
+}
+
+// SessionImporter is the PUT third of it — how every tier rebuilds a session,
+// so *router.Router implements it too and players can resync through one.
+type SessionImporter interface {
+	ImportSession(st engine.SessionState) error
 }
 
 // DrainControl is the optional administrative drain surface behind
@@ -277,8 +282,8 @@ type Server struct {
 	// ingest is the backend's trace-intake surface (type-asserted in
 	// NewServer); nil answers POST /v1/ingest with 501.
 	ingest IngestService
-	// sessionState is the warm-handoff surface (type-asserted in
-	// NewServer); nil answers the /v1/session/{id}/state routes with 501.
+	// sessionState is the session-transfer surface (type-asserted in
+	// NewServer); nil answers GET and DELETE /v1/session/{id}/state with 501.
 	sessionState SessionStateService
 	// drain is the administrative drain flag (type-asserted in NewServer);
 	// nil answers POST /v1/admin/drain with 501.
@@ -738,9 +743,11 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	}
 	sm, id := store.Lookup(f)
 	WriteJSON(w, http.StatusOK, map[string]any{
-		"cluster_id":     id,
-		"model":          sm.Model,
-		"initial_median": sm.InitialMedian,
+		"cluster_id":       id,
+		"model":            sm.Model,
+		"initial_median":   sm.InitialMedian,
+		"model_version":    snap.Version(),
+		"model_generation": snap.Generation(),
 	})
 }
 

@@ -19,8 +19,8 @@ type DrainRequest struct {
 	Draining bool `json:"draining"`
 }
 
-// handleSessionStateGet exports a live session's exact filter state for warm
-// handoff. The session keeps serving; the export is a consistent snapshot.
+// handleSessionStateGet exports a live session's exact filter state. The
+// session keeps serving; the export is a consistent snapshot.
 func (s *Server) handleSessionStateGet(w http.ResponseWriter, r *http.Request) {
 	if s.sessionState == nil {
 		WriteJSON(w, http.StatusNotImplemented, ErrorBody{Error: "session state transfer not supported"})
@@ -38,12 +38,14 @@ func (s *Server) handleSessionStateGet(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, st)
 }
 
-// handleSessionStatePut imports an exported session under this replica's
-// model. The status code is the router's fallback signal: 409 means the
-// model-identity guard refused the transfer (replay instead), 400 means the
-// payload itself is unusable.
+// handleSessionStatePut installs a session from its state under this
+// backend's model — the primary recovery path, so the payload is treated as
+// hostile. The status code is the caller's signal: 409 means the
+// model-identity guard refused the state (start the session afresh), 400
+// means the payload itself is unusable.
 func (s *Server) handleSessionStatePut(w http.ResponseWriter, r *http.Request) {
-	if s.sessionState == nil {
+	importer, ok := s.svc.(SessionImporter)
+	if !ok {
 		WriteJSON(w, http.StatusNotImplemented, ErrorBody{Error: "session state transfer not supported"})
 		return
 	}
@@ -66,7 +68,7 @@ func (s *Server) handleSessionStatePut(w http.ResponseWriter, r *http.Request) {
 	}
 	// The posterior feeds the HMM filter directly; bound and sanity-check it
 	// here so a hostile payload is rejected with a 400 before the engine's
-	// own guards (which the router would misread as a model mismatch).
+	// own guards (which the caller would misread as a model mismatch).
 	if len(st.Posterior) == 0 || len(st.Posterior) > maxPosteriorLen {
 		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("posterior must have between 1 and %d entries", maxPosteriorLen)})
 		return
@@ -89,14 +91,16 @@ func (s *Server) handleSessionStatePut(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := s.sessionState.ImportSession(st); err != nil {
+	if err := importer.ImportSession(st); err != nil {
 		switch {
 		case errors.Is(err, engine.ErrSessionStateSchema), errors.Is(err, engine.ErrSessionStateModelMismatch):
 			WriteJSON(w, http.StatusConflict, ErrorBody{Error: err.Error()})
 		case errors.Is(err, engine.ErrInvalidSessionState):
 			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error()})
 		default:
-			WriteJSON(w, backendStatus(err, http.StatusInternalServerError), ErrorBody{Error: err.Error()})
+			// Only a routing backend gets here: its replicas refused (their
+			// 4xx passes through) or none could be reached.
+			WriteJSON(w, backendStatus(err, http.StatusBadGateway), ErrorBody{Error: err.Error()})
 		}
 		return
 	}

@@ -137,24 +137,28 @@ func batchOp(op wire.Op) engine.BatchOp {
 		ObservedMbps: op.ObservedMbps,
 		Horizon:      int(op.Horizon),
 		HasObserve:   op.HasObserve,
+		WantState:    op.WantState,
 	}
 }
 
-// WireOp is batchOp's inverse: what a backend that forwards ops upstream
-// over the binary protocol (the router) sends for op.
+// WireOp is what a backend that forwards ops upstream over the binary
+// protocol (the router) sends for op. An observation asks for the state it
+// leaves behind: what the forwarder recreates the session from if need be.
 func WireOp(op engine.BatchOp) wire.Op {
 	return wire.Op{
 		SessionID:    op.SessionID,
 		ObservedMbps: op.ObservedMbps,
 		Horizon:      clampHorizon(op.Horizon),
 		HasObserve:   op.HasObserve,
+		WantState:    op.HasObserve,
 	}
 }
 
-// handleWireBatch serves /v2/batch: MsgBatch in, MsgBatchResult out. The
-// response is 200 even when individual ops fail — partial failure is the
-// normal case at a CDN edge (sessions end and get evicted mid-batch), and
-// the per-op codes carry it without tearing down the whole round trip.
+// handleWireBatch serves /v2/batch: MsgBatch in, MsgBatchResult out
+// (MsgBatchStateResult only when some op asked for state, which players
+// never do). The response is 200 even when individual ops fail — partial
+// failure is the normal case at a CDN edge (sessions end and get evicted
+// mid-batch), and the per-op codes carry it without failing the round trip.
 func (s *Server) handleWireBatch(w http.ResponseWriter, sc *opScratch, f wire.Frame, lim wire.Limits) {
 	if f.Type != wire.MsgBatch {
 		s.writeWireError(w, sc, http.StatusBadRequest, "route expects a batch frame")
@@ -172,17 +176,24 @@ func (s *Server) handleWireBatch(w http.ResponseWriter, sc *opScratch, f wire.Fr
 	}
 	s.sm.batch(len(sc.wops))
 	sc.ops = sc.ops[:0]
+	wantState := false
 	for _, op := range sc.wops {
 		sc.ops = append(sc.ops, batchOp(op))
+		wantState = wantState || op.WantState
 	}
 	gen := s.serveOps(sc)
 	sc.wres = sc.wres[:0]
-	for _, r := range sc.res {
-		// Engine result codes deliberately mirror the wire codes, so the
-		// translation is a copy.
-		sc.wres = append(sc.wres, wire.OpResult{PredictionMbps: r.PredictionMbps, Code: r.Code})
+	for i := range sc.res {
+		// Engine result codes and state deliberately mirror the wire's, so
+		// the translation is a copy.
+		r := &sc.res[i]
+		sc.wres = append(sc.wres, wire.OpResult{PredictionMbps: r.PredictionMbps, Code: r.Code, State: wire.State(r.State)})
 	}
-	sc.out = wire.AppendBatchResult(sc.out[:0], gen, sc.wres)
+	if wantState {
+		sc.out = wire.AppendBatchStateResult(sc.out[:0], gen, sc.wres)
+	} else {
+		sc.out = wire.AppendBatchResult(sc.out[:0], gen, sc.wres)
+	}
 	s.writeWire(w, http.StatusOK, sc.out)
 }
 

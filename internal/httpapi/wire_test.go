@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -330,4 +331,80 @@ func BenchmarkWireServe(b *testing.B) {
 			drive(b, h, "/v2/batch", wire.ContentType, frame, size)
 		})
 	}
+}
+
+// fixedBackend answers every op with a prediction that is a pure function of
+// the op, so response frames are reproducible byte for byte.
+type fixedBackend struct{ bareSessionService }
+
+func (fixedBackend) ServeBatch(ops []engine.BatchOp, res []engine.BatchResult) uint64 {
+	for i, op := range ops {
+		res[i] = engine.BatchResult{PredictionMbps: op.ObservedMbps + float64(op.Horizon)}
+		if string(op.SessionID) == "gone" {
+			res[i] = engine.BatchResult{Code: engine.BatchUnknownSession}
+		}
+	}
+	return 7
+}
+
+// TestDirectClientFramesFrozen pins the player-facing binary protocol to its
+// bytes: what a direct client sends for an observe, a horizon query and a
+// batch, and what the server answers, are the literal frames below —
+// captured before the state-carrying result type and its op flag existed. A
+// client that never asks for state must not be able to tell they do.
+func TestDirectClientFramesFrozen(t *testing.T) {
+	srv := NewServer(fixedBackend{}, nil)
+	srv.SetLogf(func(string, ...any) {})
+	h := srv.Handler()
+	var got []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(r.Method, r.URL.Path, bytes.NewReader(body))
+		req.Header = r.Header
+		h.ServeHTTP(rec, req)
+		got = append(got, r.URL.Path+" > "+hex.EncodeToString(body), r.URL.Path+" < "+hex.EncodeToString(rec.Body.Bytes()))
+		w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	c.SetWireBinary(true)
+	if _, err := c.ObserveAndPredict("s1", 2.5, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.PredictAt("s1", 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ObserveAndPredict("gone", 1, 1); HTTPStatus(err) != http.StatusNotFound {
+		t.Fatalf("lost session: %v, want 404", err)
+	}
+	if _, _, err := c.Batch([]wire.Op{
+		{SessionID: []byte("s1"), ObservedMbps: 1.25, Horizon: 1, HasObserve: true},
+		{SessionID: []byte("gone"), Horizon: 4},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := frozenFrames
+	if len(got) != len(want) {
+		t.Fatalf("%d frames, want %d:\n%q", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("frame %d:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+}
+
+// frozenFrames: request (>) and response (<) bodies, hex, in call order.
+var frozenFrames = []string{
+	"/v2/observe > c52b01010f000000010300000000000000044002007331",
+	"/v2/observe < c52b0102080000000000000000001640",
+	"/v2/predict > c52b01010f000000000200000000000000000002007331",
+	"/v2/predict < c52b0102080000000000000000000040",
+	"/v2/observe > c52b010111000000010100000000000000f03f0400676f6e65",
+	"/v2/observe < c52b01051300000094010f00756e6b6e6f776e2073657373696f6e",
+	"/v2/batch > c52b0103220000000200010100000000000000f43f0200733100040000000000000000000400676f6e65",
+	"/v2/batch < c52b01041c00000007000000000000000200000000000000000240010000000000000000",
 }

@@ -2,9 +2,10 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"fmt"
-	"net/http"
 	"sort"
+	"sync"
 
 	"cs2p/internal/engine"
 	"cs2p/internal/httpapi"
@@ -33,7 +34,7 @@ const (
 func (rt *Router) call(rep *replica, fn func(c *httpapi.Client) error) (outcome, error) {
 	err := fn(rep.client)
 	rt.m.request(rep.name, err == nil)
-	if st := httpapi.HTTPStatus(err); st/100 == 4 || st == http.StatusNotImplemented {
+	if httpapi.Refused(err) {
 		return callRejected, err
 	}
 	rt.reportOutcome(rep, err == nil)
@@ -43,18 +44,23 @@ func (rt *Router) call(rep *replica, fn func(c *httpapi.Client) error) (outcome,
 	return callOK, nil
 }
 
-// upstream sends wops to rep as one /v2/batch frame. The router→replica hop
-// is always binary v2, whatever mode Config.NewClient built the client in,
-// and this is its only call site.
-func (rt *Router) upstream(rep *replica, wops []wire.Op) (rres []wire.OpResult, gen uint64, oc outcome) {
-	oc, _ = rt.call(rep, func(c *httpapi.Client) error {
-		var err error
-		rres, gen, err = c.Batch(wops)
-		if err == nil && len(rres) != len(wops) {
+// resultPool recycles upstream result slices, posterior buffers and all: the
+// state riding back with every observation decodes without allocating.
+var resultPool = sync.Pool{New: func() any { return new([]wire.OpResult) }}
+
+// upstream sends wops to rep as one /v2/batch frame, decoding into *buf. The
+// router→replica hop is always binary v2, whatever mode Config.NewClient
+// built the client in, and this is its only call site.
+func (rt *Router) upstream(rep *replica, wops []wire.Op, buf *[]wire.OpResult) (rres []wire.OpResult, gen uint64, oc outcome) {
+	oc, _ = rt.call(rep, func(c *httpapi.Client) (err error) {
+		if rres, gen, err = c.BatchInto(wops, *buf); err == nil && len(rres) != len(wops) {
 			err = fmt.Errorf("router: %s answered %d results for %d ops", rep.name, len(rres), len(wops))
 		}
 		return err
 	})
+	if oc == callOK {
+		*buf = rres
+	}
 	return rres, gen, oc
 }
 
@@ -65,23 +71,22 @@ func (rt *Router) upstream(rep *replica, wops []wire.Op) (rres []wire.OpResult, 
 //
 //  1. look up every op's session and lock the distinct sessions in id order
 //     (lockSessions); the locks are held until the last op is answered, so a
-//     drain handoff — which holds the same lock across export→import→forget
-//     — can never interleave with an op for the session it is moving;
+//     drain handoff — which holds the same lock across its whole move — can
+//     never interleave with an op for the session it is moving;
 //  2. group the ops by home replica and forward each group as one upstream
 //     batch;
 //  3. recover per op: an op whose session's home is untrusted, gone, failed
 //     the group call, or answered OpUnknownSession (the replica restarted
-//     without it) is answered by migrate, which re-registers the session and
-//     replays its window; later ops of that session in the same batch then
-//     go round again to the new home, so a batch spanning a dying replica
-//     degrades per op instead of failing whole.
+//     without it) is answered by migrate; later ops of that session in the
+//     same batch then go round again to the new home, so a batch spanning a
+//     dying replica degrades per op instead of failing whole.
 //
-// An observation enters the replay window when the op carrying it is
-// answered OK or handed to migrate — exactly once, and before any replay
-// that must include it. The returned generation is the one value every
-// group agreed on, or 0 when they diverged or any op was recovered (a
-// frontend caching on generation must not treat a mixed batch as one
-// snapshot).
+// The session record advances only when an observation is answered OK, to
+// the state that came back with it: whatever a failed attempt did to some
+// replica's copy, the record is the session as of its last answered op. An
+// op answered BatchUnavailable was not applied. The returned generation is
+// the one every group agreed on, or 0 when they diverged or any op was
+// recovered (a mixed batch is not one snapshot).
 func (rt *Router) ServeBatch(ops []engine.BatchOp, res []engine.BatchResult) uint64 {
 	sess, pending, locked := rt.lockSessions(ops, res)
 	defer func() {
@@ -99,6 +104,8 @@ func (rt *Router) ServeBatch(ops []engine.BatchOp, res []engine.BatchResult) uin
 		gen    uint64
 		mixed  bool
 	)
+	buf := resultPool.Get().(*[]wire.OpResult)
+	defer resultPool.Put(buf)
 	for len(pending) > 0 {
 		groups = groups[:0]
 	next:
@@ -117,12 +124,14 @@ func (rt *Router) ServeBatch(ops []engine.BatchOp, res []engine.BatchResult) uin
 					continue
 				}
 			}
-			res[i] = rt.migrate(s, &ops[i])
+			if res[i] = rt.migrate(context.TODO(), s, &ops[i], buf); res[i].Code == engine.BatchOK {
+				rt.m.failovers.Inc()
+			}
 			mixed = true
 		}
 		pending = pending[:0]
 		for _, g := range groups {
-			rres, ggen, oc := rt.upstream(g.rep, g.wops)
+			rres, ggen, oc := rt.upstream(g.rep, g.wops, buf)
 			if oc == callOK {
 				if gen == 0 {
 					gen = ggen
@@ -143,7 +152,7 @@ func (rt *Router) ServeBatch(ops []engine.BatchOp, res []engine.BatchResult) uin
 					pending = append(pending, i)
 				default:
 					if rres[k].Code == wire.OpOK && ops[i].HasObserve {
-						s.push(ops[i].ObservedMbps, rt.window)
+						s.ack(&rres[k].State)
 					}
 					res[i] = engine.BatchResult{PredictionMbps: rres[k].PredictionMbps, Code: rres[k].Code}
 				}
@@ -223,71 +232,66 @@ func (rt *Router) Predict(id string, horizon int) (float64, error) {
 	return rt.serveOne(engine.BatchOp{SessionID: []byte(id), Horizon: horizon})
 }
 
-// migrate (sess.mu held) re-homes the session and answers op from the
-// replayed stream. op's observation goes into the replay window FIRST: if
-// every candidate then fails, the window already holds everything needed to
-// rebuild the session later, including this sample. Because the HMM
-// posterior is a function of the cluster prior and the observation
-// sequence, a full-window replay reproduces the fault-free filter state
-// exactly for young sessions and to within posterior-mixing noise for long
-// ones — which is why failover barely moves predictions. With no candidate
-// left the op is answered BatchUnavailable and the session stays desynced.
-func (rt *Router) migrate(sess *routedSession, op *engine.BatchOp) engine.BatchResult {
-	id := string(op.SessionID)
-	if op.HasObserve {
-		sess.push(op.ObservedMbps, rt.window)
-	}
+// migrate (sess.mu held) recreates the session on the first candidate that
+// will have it and, when op is non-nil, answers op there. It is the one way
+// a session moves — failover and drain both call it — and it is exact,
+// however long the session and whether or not its old home lives: the
+// candidate imports the last acknowledged state (replacing any copy it
+// held, so a half-failed attempt cannot count twice) and op is applied on
+// top, once. With nothing acknowledged yet the session stands at the
+// cluster prior, and a fresh StartSession is that import.
+//
+// The one cold path: when model guards refuse the state and an op must be
+// answered, the session restarts from Algorithm 1's prior under the new
+// model. A drain (op == nil) never goes cold; the session stays exact on its
+// draining home. With no candidate left the op is answered BatchUnavailable,
+// unapplied, and the session stays desynced.
+func (rt *Router) migrate(ctx context.Context, sess *routedSession, op *engine.BatchOp, buf *[]wire.OpResult) engine.BatchResult {
 	sess.desync = true
-	for _, rep := range rt.failoverCandidates(id, sess.version) {
-		pred, ok := rt.adopt(rep, sess, op)
-		if !ok {
-			continue
+	id := sess.st.SessionID
+	cands := rt.candidates(id, false)
+	cold := len(sess.st.Posterior) == 0
+	for {
+		refused := false
+		for _, rep := range cands {
+			oc, _ := rt.call(rep, func(c *httpapi.Client) error {
+				if cold {
+					_, err := c.StartSession(id, sess.st.Features, sess.st.StartUnix)
+					return err
+				}
+				return c.ImportSession(ctx, sess.st)
+			})
+			if oc == callRejected && !cold {
+				refused = true
+				rt.m.skewRefusals.Inc()
+				rt.logf("router: %s refused session %s's state", rep.name, id)
+			}
+			if oc != callOK {
+				continue
+			}
+			if cold {
+				sess.st.Posterior = sess.st.Posterior[:0] // rep's copy started from the prior
+			}
+			res := engine.BatchResult{Code: engine.BatchOK}
+			if op != nil {
+				rres, _, oc := rt.upstream(rep, []wire.Op{httpapi.WireOp(*op)}, buf)
+				if oc != callOK || rres[0].Code != wire.OpOK {
+					continue
+				}
+				res.PredictionMbps = rres[0].PredictionMbps
+				if op.HasObserve {
+					sess.ack(&rres[0].State)
+				}
+			}
+			if sess.home != rep.name {
+				rt.logf("router: session %s migrated %s -> %s", id, sess.home, rep.name)
+			}
+			sess.home, sess.desync = rep.name, false
+			return res
 		}
-		from := sess.home
-		sess.home = rep.name
-		sess.version = rt.versionOf(rep)
-		sess.desync = false
-		rt.m.failovers.Inc()
-		if from != rep.name {
-			rt.logf("router: session %s migrated %s -> %s (replayed %d observations)", id, from, rep.name, len(sess.recent))
+		if cold || !refused || op == nil {
+			return engine.BatchResult{Code: engine.BatchUnavailable}
 		}
-		return engine.BatchResult{PredictionMbps: pred, Code: engine.BatchOK}
+		cold = true
 	}
-	return engine.BatchResult{Code: engine.BatchUnavailable}
-}
-
-// adopt registers sess on rep and replays its window as ONE upstream batch.
-// Intermediate replays use horizon 1 (the values are discarded); the last
-// observation carries the pending op's horizon so its prediction answers
-// it. An empty window (failover on a pure predict before any observation)
-// sends the query alone against the fresh session.
-func (rt *Router) adopt(rep *replica, sess *routedSession, op *engine.BatchOp) (float64, bool) {
-	oc, _ := rt.call(rep, func(c *httpapi.Client) error {
-		_, err := c.StartSession(string(op.SessionID), sess.features, sess.startUnix)
-		return err
-	})
-	if oc != callOK {
-		return 0, false
-	}
-	query := httpapi.WireOp(engine.BatchOp{SessionID: op.SessionID, Horizon: op.Horizon})
-	wops := make([]wire.Op, 0, len(sess.recent)+1)
-	for _, o := range sess.recent {
-		wops = append(wops, wire.Op{SessionID: op.SessionID, ObservedMbps: o, Horizon: 1, HasObserve: true})
-	}
-	if n := len(wops); n > 0 {
-		wops[n-1].Horizon = query.Horizon
-	} else {
-		wops = append(wops, query)
-	}
-	rres, _, oc := rt.upstream(rep, wops)
-	if oc != callOK {
-		return 0, false
-	}
-	for _, r := range rres {
-		if r.Code != wire.OpOK {
-			return 0, false
-		}
-	}
-	rt.m.replayed.Add(len(sess.recent))
-	return rres[len(rres)-1].PredictionMbps, true
 }

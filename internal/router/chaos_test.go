@@ -9,6 +9,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,6 +150,18 @@ func (c *realCluster) panics() int64 {
 	return n
 }
 
+// state reads session id's exact state straight off its home replica (not
+// through the fault gate): what stands behind the rendered prediction.
+func (c *realCluster) state(id string) engine.SessionState {
+	c.t.Helper()
+	home, _ := c.rt.SessionHome(id)
+	st, err := httpapi.NewClient(home).ExportSession(context.Background(), id)
+	if err != nil {
+		c.t.Fatalf("export %s from %s: %v", id, home, err)
+	}
+	return st
+}
+
 func (c *realCluster) failovers() uint64 {
 	return c.reg.Counter("cs2p_router_failovers_total", "", nil).Value()
 }
@@ -216,7 +229,7 @@ func playAll(t *testing.T, c *realCluster, hooks map[int]map[int]func()) cluster
 		if h := hooks[i]; h != nil {
 			pred = &obsHook{inner: p, hooks: h}
 		}
-		rec := &renderHook{inner: pred, b: &b, i: i}
+		rec := &renderHook{inner: pred, b: &b, i: i, state: func() engine.SessionState { return c.state(id) }}
 		play := sim.Play(spec, abr.MPC{}, rec, s.Throughput, weights)
 		res.qoes = append(res.qoes, play.QoE)
 		res.chunks = append(res.chunks, play.Chunks)
@@ -228,20 +241,25 @@ func playAll(t *testing.T, c *realCluster, hooks map[int]map[int]func()) cluster
 	return res
 }
 
-// renderHook prints every prediction the player actually used, so two runs
-// can be compared bit for bit.
+// renderHook prints every prediction the player actually used and the
+// session state it came from (epoch count, filter posterior), so two runs
+// can be compared bit for bit — on the state, not just on the
+// most-likely-state mean the prediction rule reduces it to, which a merely
+// approximate recovery usually reproduces.
 type renderHook struct {
 	inner predict.Midstream
 	b     *strings.Builder
 	i     int
 	n     int
+	state func() engine.SessionState
 }
 
 func (r *renderHook) Predict() float64           { return r.inner.Predict() }
 func (r *renderHook) PredictAhead(k int) float64 { return r.inner.PredictAhead(k) }
 func (r *renderHook) Observe(w float64) {
 	r.inner.Observe(w)
-	fmt.Fprintf(r.b, "s%d c%d obs=%.10g pred=%.10g\n", r.i, r.n, w, r.inner.Predict())
+	st := r.state()
+	fmt.Fprintf(r.b, "s%d c%d obs=%.10g pred=%.10g epoch=%d post=%v\n", r.i, r.n, w, r.inner.Predict(), st.Epoch, st.Posterior)
 	r.n++
 }
 
@@ -269,12 +287,17 @@ func assertClusterBand(t *testing.T, name string, base, run clusterResult, c *re
 	}
 }
 
+// killChunk is where the kill scenarios take a replica away: past the 16
+// observations the router used to keep for replay, so only recovery from
+// exact state — not a windowed approximation of it — can render fault-free.
+const killChunk = 17
+
 // TestClusterChaosKillReplica is the acceptance scenario: 6 full playbacks
 // through a 3-replica cluster; while session 2 is mid-playback its home
-// replica is killed. Every video must finish, nothing panics, median QoE
-// stays within 20% of fault-free, at least one failover is recorded — and
-// the whole faulted run is deterministic: a second identical run renders
-// every prediction bit-identically.
+// replica is killed. Every video must finish, nothing panics, at least one
+// failover is recorded — and a crash, like a planned drain, may move a
+// session but never change an answer: the faulted run renders every
+// prediction bit-identically to the fault-free one, repeatably.
 func TestClusterChaosKillReplica(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster chaos boots a trained 3-replica cluster; slow for -short")
@@ -289,7 +312,7 @@ func TestClusterChaosKillReplica(t *testing.T) {
 	run := func() (clusterResult, uint64) {
 		c := newRealCluster(t, 3, nil)
 		hooks := map[int]map[int]func(){
-			2: {10: func() {
+			2: {killChunk: func() {
 				home, ok := c.rt.SessionHome("cchaos-2")
 				if !ok {
 					t.Fatal("session cchaos-2 has no home at kill time")
@@ -308,7 +331,11 @@ func TestClusterChaosKillReplica(t *testing.T) {
 	if failovers == 0 {
 		t.Error("killed a home replica mid-playback but no failover was recorded")
 	}
-	assertClusterBand(t, "kill-replica", base, first, newRealCluster(t, 3, nil), 0.20)
+	if first.render != base.render {
+		t.Errorf("killed-replica run diverged from fault-free — recovery from state must be bit-identical\ngot:\n%s\nwant:\n%s",
+			first.render, base.render)
+	}
+	assertClusterBand(t, "kill-replica", base, first, newRealCluster(t, 3, nil), 0)
 
 	second, _ := run()
 	if first.render != second.render {
@@ -334,7 +361,7 @@ func floatsEqual(a, b []float64) bool {
 
 // TestClusterChaosKillAndRevive: the killed replica comes back two epochs
 // later. The migrated session must NOT flap back (stickiness after
-// failover), and playback still completes in band.
+// failover), and the run still renders bit-identically to fault-free.
 func TestClusterChaosKillAndRevive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster chaos boots a trained 3-replica cluster; slow for -short")
@@ -344,17 +371,20 @@ func TestClusterChaosKillAndRevive(t *testing.T) {
 	var killed string
 	hooks := map[int]map[int]func(){
 		2: {
-			10: func() {
+			killChunk: func() {
 				killed, _ = c.rt.SessionHome("cchaos-2")
 				c.gate.SetHostDown(strings.TrimPrefix(killed, "http://"), true)
 			},
-			12: func() {
+			killChunk + 2: func() {
 				c.gate.SetHostDown(strings.TrimPrefix(killed, "http://"), false)
 			},
 		},
 	}
 	run := playAll(t, c, hooks)
-	assertClusterBand(t, "kill-revive", base, run, c, 0.20)
+	if run.render != base.render {
+		t.Errorf("kill-and-revive run diverged from fault-free\ngot:\n%s\nwant:\n%s", run.render, base.render)
+	}
+	assertClusterBand(t, "kill-revive", base, run, c, 0)
 	if home, _ := c.rt.SessionHome("cchaos-2"); home == killed {
 		t.Errorf("session flapped back to revived replica %s mid-playback", killed)
 	}
@@ -439,10 +469,9 @@ func bootExtraChaosReplica(t *testing.T, c *realCluster) string {
 
 // TestClusterChaosDrainUnderLoad: while session 2 is mid-playback, its home
 // replica is administratively drained. The handoff must be warm — exact
-// exported filter state, zero replays — which makes the whole faulted run
-// render bit-identically to the fault-free baseline: a planned drain, unlike
-// a crash, is allowed to move sessions but never to change an answer. The
-// run is also deterministic across identical repeats.
+// filter state — which makes the whole run render bit-identically to the
+// fault-free baseline: a drain is allowed to move sessions but never to
+// change an answer. The run is also deterministic across identical repeats.
 func TestClusterChaosDrainUnderLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster chaos boots a trained 3-replica cluster; slow for -short")
@@ -461,7 +490,7 @@ func TestClusterChaosDrainUnderLoad(t *testing.T) {
 				if err != nil {
 					t.Fatalf("drain %s: %v", home, err)
 				}
-				if res.Warm == 0 || res.Replay != 0 || res.Failed != 0 {
+				if res.Warm == 0 || res.Failed != 0 {
 					t.Errorf("drain tally %+v; want all-warm with a live source", res)
 				}
 			}},
@@ -470,9 +499,8 @@ func TestClusterChaosDrainUnderLoad(t *testing.T) {
 	}
 
 	first, c1 := run()
-	warm, replay, failed := c1.rt.HandoffOutcomes()
-	if warm == 0 || replay != 0 || failed != 0 {
-		t.Errorf("handoff outcomes warm=%d replay=%d failed=%d; want warm only (source was alive)", warm, replay, failed)
+	if warm, failed := c1.rt.HandoffOutcomes(); warm == 0 || failed != 0 {
+		t.Errorf("handoff outcomes warm=%d failed=%d; want warm only", warm, failed)
 	}
 	if first.render != base.render {
 		t.Errorf("drained run's predictions diverged from fault-free — warm handoff must be bit-identical\ngot:\n%s\nwant:\n%s",
@@ -485,6 +513,49 @@ func TestClusterChaosDrainUnderLoad(t *testing.T) {
 		t.Errorf("drain-under-load is nondeterministic across identical runs\nfirst:\n%s\nsecond:\n%s",
 			first.render, second.render)
 	}
+}
+
+// TestClusterChaosKillDuringDrain is the compound event: while session 2 is
+// mid-playback (past the old replay window), the replica its drain handoff
+// would land on is killed, and then its home is drained. The handoff must
+// step over the dead target, land the exact state on the remaining member,
+// and later sessions must place around both — all without changing one
+// rendered prediction relative to fault-free.
+func TestClusterChaosKillDuringDrain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster chaos boots a trained 3-replica cluster; slow for -short")
+	}
+	base := playAll(t, newRealCluster(t, 3, nil), nil)
+	c := newRealCluster(t, 3, nil)
+	hooks := map[int]map[int]func(){
+		2: {killChunk: func() {
+			const id = "cchaos-2"
+			home, _ := c.rt.SessionHome(id)
+			var target string
+			for _, rep := range c.rt.candidates(id, false) {
+				if rep.name != home {
+					target = rep.name
+					break
+				}
+			}
+			c.gate.SetHostDown(strings.TrimPrefix(target, "http://"), true)
+			res, err := c.rt.DrainReplica(context.Background(), home)
+			if err != nil {
+				t.Fatalf("drain %s: %v", home, err)
+			}
+			if res.Warm != 1 || res.Failed != 0 {
+				t.Errorf("drain tally %+v; want the one live session moved warm past the dead target", res)
+			}
+			if h, _ := c.rt.SessionHome(id); h == home || h == target {
+				t.Errorf("session homed on %s after draining %s with %s dead", h, home, target)
+			}
+		}},
+	}
+	run := playAll(t, c, hooks)
+	if run.render != base.render {
+		t.Errorf("kill-during-drain run diverged from fault-free\ngot:\n%s\nwant:\n%s", run.render, base.render)
+	}
+	assertClusterBand(t, "kill-during-drain", base, run, c, 0)
 }
 
 // TestClusterChaosJoinUnderLoad: a fourth artifact-booted replica joins the
@@ -524,8 +595,8 @@ func TestClusterChaosJoinUnderLoad(t *testing.T) {
 	}
 
 	first, c1 := run()
-	if warm, replay, failed := c1.rt.HandoffOutcomes(); warm+replay+failed != 0 {
-		t.Errorf("a pure join triggered handoffs (warm=%d replay=%d failed=%d); joins must not move sessions", warm, replay, failed)
+	if warm, failed := c1.rt.HandoffOutcomes(); warm+failed != 0 {
+		t.Errorf("a pure join triggered handoffs (warm=%d failed=%d); joins must not move sessions", warm, failed)
 	}
 	if first.render != base.render {
 		t.Errorf("join-under-load changed predictions — same artifact everywhere must render identically\ngot:\n%s\nwant:\n%s",
@@ -557,5 +628,102 @@ func TestClusterModelFetchThroughRouter(t *testing.T) {
 	lp.Observe(s.Throughput[0])
 	if p := lp.Predict(); math.IsNaN(p) || p <= 0 {
 		t.Fatalf("local predictor from proxied model predicts %g", p)
+	}
+}
+
+// TestClusterRouterRestartClientResync: the router itself restarts 12 chunks
+// into a session — its routing table, held states and all, is gone, while
+// the replicas live on. The resilient player's next observation is answered
+// 404; it pushes its local mirror's state through the new router, which
+// places the session and carries on. Every later prediction, at every
+// horizon, and the replica-side state (epoch, posterior bits) equal those of
+// a control session whose router never restarted.
+func TestClusterRouterRestartClientResync(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a trained 3-replica cluster; slow for -short")
+	}
+	c := newRealCluster(t, 3, nil)
+	reborn, err := New(Config{Replicas: c.names, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reborn.ProbeAll(context.Background())
+	var live atomic.Value
+	live.Store(c.rt.Handler())
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		live.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	defer front.Close()
+
+	s := chaosPick(t)[2]
+	open := func(base, id string) *httpapi.ResilientSessionPredictor {
+		cfg := httpapi.DefaultResilienceConfig()
+		cfg.Sleep = func(time.Duration) {}
+		p, err := httpapi.NewResilientPredictor(httpapi.NewClient(base), id, s.Features, s.StartUnix, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	restarted, control := open(front.URL, "rr-1"), open(c.front.URL, "rr-control")
+	state := func(rt *Router, id string) engine.SessionState {
+		home, _ := rt.SessionHome(id)
+		st, err := httpapi.NewClient(home).ExportSession(context.Background(), id)
+		if err != nil {
+			t.Fatalf("export %s from %q: %v", id, home, err)
+		}
+		return st
+	}
+	rt := c.rt
+	for j, w := range s.Throughput[:20] {
+		if j == 12 {
+			rt = reborn
+			live.Store(reborn.Handler())
+		}
+		restarted.Observe(w)
+		control.Observe(w)
+		for _, k := range []int{1, 3} {
+			if got, want := restarted.PredictAhead(k), control.PredictAhead(k); got != want {
+				t.Fatalf("chunk %d horizon %d: prediction %v across the router restart, undisturbed %v", j, k, got, want)
+			}
+		}
+		got, want := state(rt, "rr-1"), state(c.rt, "rr-control")
+		if got.Epoch != want.Epoch || fmt.Sprint(got.Posterior) != fmt.Sprint(want.Posterior) {
+			t.Fatalf("chunk %d: state epoch=%d post=%v, undisturbed epoch=%d post=%v", j, got.Epoch, got.Posterior, want.Epoch, want.Posterior)
+		}
+	}
+	if st := restarted.Stats(); st.Reregistrations != 1 || st.LocalFallbacks != 0 || st.RemoteOK != 20 {
+		t.Errorf("stats %+v; want one resync and every observation answered remotely", st)
+	}
+}
+
+// TestClusterHopStateAllocParity measures the whole routed hop — router,
+// upstream round trip, replica handler, engine — for an observation, whose
+// state rides back to the router, against a horizon query, which carries
+// none: in steady state the observation allocates nothing more. The state
+// is filled, encoded, decoded and recorded entirely in recycled buffers.
+func TestClusterHopStateAllocParity(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("boots a trained cluster (slow for -short); allocation counts are meaningless under -race")
+	}
+	c := newRealCluster(t, 2, nil)
+	s := chaosPick(t)[0]
+	if _, err := c.rt.Start("alloc-1", s.Features, s.StartUnix); err != nil {
+		t.Fatal(err)
+	}
+	res := make([]engine.BatchResult, 1)
+	observe := []engine.BatchOp{{SessionID: []byte("alloc-1"), ObservedMbps: 2, Horizon: 1, HasObserve: true}}
+	query := []engine.BatchOp{{SessionID: []byte("alloc-1"), Horizon: 2}}
+	for i := 0; i < 20; i++ { // warm connections, pools and buffers
+		c.rt.ServeBatch(observe, res)
+		c.rt.ServeBatch(query, res)
+	}
+	withState := testing.AllocsPerRun(200, func() { c.rt.ServeBatch(observe, res) })
+	without := testing.AllocsPerRun(200, func() { c.rt.ServeBatch(query, res) })
+	if res[0].Code != engine.BatchOK {
+		t.Fatalf("op answered code %d", res[0].Code)
+	}
+	if withState > without {
+		t.Errorf("routed observe allocates %v per op, a stateless query %v: carrying state must add none", withState, without)
 	}
 }

@@ -193,13 +193,11 @@ func homesByReplica(t *testing.T, c *stubCluster, ids []string) map[string][]str
 }
 
 // TestRouterDrainWarmHandoff: draining a live replica moves every resident
-// session warm — exact exported state, zero replays — onto other members.
-// The stub's prediction is sum(history)+horizon and each session has more
-// history (6 observations) than the replay window (4), so a warm handoff is
-// the ONLY way the post-drain prediction can equal the fault-free value:
-// replay would have forgotten observations 1 and 2.
+// session warm — exact state — onto other members. The stub's prediction is
+// sum(history)+horizon, so the post-drain prediction equals the fault-free
+// value only if the whole history arrived.
 func TestRouterDrainWarmHandoff(t *testing.T) {
-	c := newStubCluster(t, Config{ReplayWindow: 4}, 1, 1, 1)
+	c := newStubCluster(t, Config{}, 1, 1, 1)
 	ctx := context.Background()
 	c.rt.ProbeAll(ctx)
 	var ids []string
@@ -223,11 +221,11 @@ func TestRouterDrainWarmHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if res.Warm != len(resident) || res.Replay != 0 || res.Failed != 0 {
-		t.Fatalf("drain tally %+v; want %d warm, 0 replay, 0 failed", res, len(resident))
+	if res.Warm != len(resident) || res.Failed != 0 {
+		t.Fatalf("drain tally %+v; want %d warm, 0 failed", res, len(resident))
 	}
-	if warm, replay, failed := c.rt.HandoffOutcomes(); warm != uint64(len(resident)) || replay != 0 || failed != 0 {
-		t.Fatalf("handoff outcomes warm=%d replay=%d failed=%d; want %d/0/0", warm, replay, failed, len(resident))
+	if warm, failed := c.rt.HandoffOutcomes(); warm != uint64(len(resident)) || failed != 0 {
+		t.Fatalf("handoff outcomes warm=%d failed=%d; want %d/0", warm, failed, len(resident))
 	}
 	if st := c.rt.ReplicaStates()[victim]; st != StateDraining {
 		t.Fatalf("drained replica state %s, want draining", st)
@@ -235,7 +233,7 @@ func TestRouterDrainWarmHandoff(t *testing.T) {
 	if !c.stubs[victim].Draining() {
 		t.Error("drain was not mirrored onto the replica's own draining flag")
 	}
-	// 1+2+...+6 = 21; a window-4 replay would predict 3+4+5+6 = 18.
+	// 1+2+...+6 = 21.
 	for _, id := range resident {
 		newHome := c.home(id)
 		if newHome == victim {
@@ -246,7 +244,7 @@ func TestRouterDrainWarmHandoff(t *testing.T) {
 			t.Fatalf("predict %s after handoff: %v", id, err)
 		}
 		if pred != 21+2 {
-			t.Errorf("session %s predicts %g after drain; want exact full-history 23 (warm), not windowed 20", id, pred)
+			t.Errorf("session %s predicts %g after drain; want exact full-history 23", id, pred)
 		}
 		if _, ok := c.stubs[victim].observations(id); ok {
 			t.Errorf("session %s still resident on the source after warm handoff", id)
@@ -351,11 +349,12 @@ func TestRouterDrainWaitsForInFlightBatchOp(t *testing.T) {
 	}
 }
 
-// TestRouterDrainDeadSourceFallsBackToReplay: when the source cannot answer
-// the export, the drain still empties it — via windowed replay, visible in
-// the tally, the counters, and the windowed (not full-history) prediction.
-func TestRouterDrainDeadSourceFallsBackToReplay(t *testing.T) {
-	c := newStubCluster(t, Config{ReplayWindow: 4}, 1, 1, 1)
+// TestRouterDrainDeadSourceUsesHeldState: when the source cannot answer the
+// export, the drain still empties it — from the state the router already
+// holds, which is the same state: the handoff is as warm, and as exact, as
+// with a live source.
+func TestRouterDrainDeadSourceUsesHeldState(t *testing.T) {
+	c := newStubCluster(t, Config{}, 1, 1, 1)
 	ctx := context.Background()
 	c.rt.ProbeAll(ctx)
 	const id = "dead-0"
@@ -368,32 +367,32 @@ func TestRouterDrainDeadSourceFallsBackToReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if res.Warm != 0 || res.Replay != 1 || res.Failed != 0 {
-		t.Fatalf("drain tally %+v; want 0 warm, 1 replay (source dead)", res)
+	if res.Warm != 1 || res.Failed != 0 {
+		t.Fatalf("drain tally %+v; want 1 warm (held state needs no live source)", res)
 	}
-	if warm, replay, _ := c.rt.HandoffOutcomes(); warm != 0 || replay != 1 {
-		t.Fatalf("handoff outcomes warm=%d replay=%d; want 0/1", warm, replay)
+	if warm, failed := c.rt.HandoffOutcomes(); warm != 1 || failed != 0 {
+		t.Fatalf("handoff outcomes warm=%d failed=%d; want 1/0", warm, failed)
 	}
 	if h := c.home(id); h == victim {
 		t.Fatalf("session still homed on dead drained replica")
 	}
 	pred, err := c.rt.Predict(id, 2)
 	if err != nil {
-		t.Fatalf("predict after replay handoff: %v", err)
+		t.Fatalf("predict after handoff: %v", err)
 	}
-	if pred != 3+4+5+6+2 {
-		t.Errorf("replayed session predicts %g; want windowed 20", pred)
+	if pred != 21+2 {
+		t.Errorf("session predicts %g after a dead-source drain; want the full-history 23", pred)
 	}
 }
 
-// TestRouterDrainGuardRefusalFallsBackToReplay: a target whose model guard
-// refuses the transferred state (409) ends the warm path — every replica
-// serves the same model, so asking the next one is pointless — and the
-// session is rebuilt by replay instead. This is the mid-rollout story:
-// draining old-generation replicas while new-generation ones refuse old
-// state still converges, just without bit-identity.
-func TestRouterDrainGuardRefusalFallsBackToReplay(t *testing.T) {
-	c := newStubCluster(t, Config{ReplayWindow: 4}, 1, 1, 1)
+// TestRouterDrainGuardRefusalLeavesSessionHome: when every other member's
+// model guard refuses the state (409) — the mid-rollout story: draining an
+// old-generation replica while the new-generation ones refuse old state —
+// the drain does not trade the session's exact filter for a cold restart.
+// The session is tallied failed and stays, still exact, on its draining
+// home; it goes cold only if that home is later lost with an op to answer.
+func TestRouterDrainGuardRefusalLeavesSessionHome(t *testing.T) {
+	c := newStubCluster(t, Config{}, 1, 1, 1)
 	ctx := context.Background()
 	c.rt.ProbeAll(ctx)
 	const id = "guard-0"
@@ -409,15 +408,24 @@ func TestRouterDrainGuardRefusalFallsBackToReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if res.Warm != 0 || res.Replay != 1 || res.Failed != 0 {
-		t.Fatalf("drain tally %+v; want 0 warm, 1 replay (guard refused)", res)
+	if res.Warm != 0 || res.Failed != 1 {
+		t.Fatalf("drain tally %+v; want 0 warm, 1 failed (every guard refused)", res)
+	}
+	if h := c.home(id); h != victim {
+		t.Fatalf("session moved to %s although no member accepted its state", h)
 	}
 	pred, err := c.rt.Predict(id, 2)
 	if err != nil {
-		t.Fatalf("predict after guarded handoff: %v", err)
+		t.Fatalf("predict after refused handoff: %v", err)
 	}
-	if pred != 3+4+5+6+2 {
-		t.Errorf("guard-refused session predicts %g; want windowed 20", pred)
+	if pred != 21+2 {
+		t.Errorf("session predicts %g; want the full-history 23 from its draining home", pred)
+	}
+	// The home dies: now an op must be answered, and the cold path is all
+	// that is left — a fresh session plus the pending observation.
+	c.kill(victim)
+	if pred, err = c.rt.ObserveAndPredict(id, 7, 1); err != nil || pred != 7+1 {
+		t.Fatalf("after the draining home died: prediction %g err %v, want the cold-restart 8", pred, err)
 	}
 }
 
@@ -468,10 +476,10 @@ func TestRouterAddRemoveReplica(t *testing.T) {
 }
 
 // TestRouterRemoveReplicaLazyRecovery: sessions homed on a removed member
-// recover on their next operation — desync, re-register on the new ring,
-// replay the window — with no admin involvement.
+// recover on their next operation — migrated, state intact, onto the new
+// ring — with no admin involvement.
 func TestRouterRemoveReplicaLazyRecovery(t *testing.T) {
-	c := newStubCluster(t, Config{ReplayWindow: 4}, 1, 1)
+	c := newStubCluster(t, Config{}, 1, 1)
 	ctx := context.Background()
 	c.rt.ProbeAll(ctx)
 	var id string
@@ -486,14 +494,13 @@ func TestRouterRemoveReplicaLazyRecovery(t *testing.T) {
 	if err := c.rt.RemoveReplica(c.names[0]); err != nil {
 		t.Fatalf("remove: %v", err)
 	}
-	// Window holds [3 4 5 6]; pushing 7 slides it to [4 5 6 7], replayed
-	// onto the survivor: 4+5+6+7 + horizon 1 = 23.
+	// The survivor gets the whole session: 1+...+7 + horizon 1 = 29.
 	pred, err := c.rt.ObserveAndPredict(id, 7, 1)
 	if err != nil {
 		t.Fatalf("observe after removal: %v", err)
 	}
-	if pred != 23 {
-		t.Errorf("post-removal prediction %g, want replayed 23", pred)
+	if pred != 29 {
+		t.Errorf("post-removal prediction %g, want the full-history 29", pred)
 	}
 	if h := c.home(id); h != c.names[1] {
 		t.Errorf("session recovered onto %s, want the survivor %s", h, c.names[1])
@@ -604,7 +611,7 @@ func TestRouterAdminReplicasHTTP(t *testing.T) {
 // scraped through the real handler and the repo's own parser.
 func TestRouterMembershipMetricsScrape(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := newStubCluster(t, Config{Metrics: reg, ReplayWindow: 4}, 1, 1, 1)
+	c := newStubCluster(t, Config{Metrics: reg}, 1, 1, 1)
 	ctx := context.Background()
 	c.rt.ProbeAll(ctx)
 	var ids []string
@@ -645,10 +652,10 @@ func TestRouterMembershipMetricsScrape(t *testing.T) {
 	if v := vals[`cs2p_router_handoffs_total{outcome="warm"}`]; v != float64(warmWant) {
 		t.Errorf(`cs2p_router_handoffs_total{outcome="warm"} = %g, want %d`, v, warmWant)
 	}
-	for _, outcome := range []string{"replay", "failed"} {
-		key := fmt.Sprintf(`cs2p_router_handoffs_total{outcome=%q}`, outcome)
-		if v, ok := vals[key]; !ok || v != 0 {
-			t.Errorf("%s = %g (present=%v), want 0 present", key, v, ok)
-		}
+	if v, ok := vals[`cs2p_router_handoffs_total{outcome="failed"}`]; !ok || v != 0 {
+		t.Errorf(`cs2p_router_handoffs_total{outcome="failed"} = %g (present=%v), want 0 present`, v, ok)
+	}
+	if _, ok := vals[`cs2p_router_handoffs_total{outcome="replay"}`]; ok {
+		t.Error(`cs2p_router_handoffs_total{outcome="replay"} still exported; replay is gone`)
 	}
 }

@@ -10,12 +10,6 @@ import (
 // gauges, in gauge-value order.
 var allStates = []State{StateHealthy, StateSuspect, StateDown, StateRecovering, StateDraining}
 
-// handoffOutcomes are the label values of cs2p_router_handoffs_total:
-// "warm" (exact filter state pushed to the new home), "replay" (state
-// rebuilt from the observation window), "failed" (neither worked — the
-// session stays desynced until its next operation retries).
-var handoffOutcomes = []string{"warm", "replay", "failed"}
-
 // routerMetrics caches the router's instruments. Per-replica handles are
 // built eagerly for the initial set and on demand as membership changes;
 // mu guards the maps (the handles themselves are concurrency-safe). The
@@ -23,14 +17,12 @@ var handoffOutcomes = []string{"warm", "replay", "failed"}
 // and lookups on nil maps return nil.
 type routerMetrics struct {
 	reg *obs.Registry
-	// failovers counts replay-based session recoveries: migrations to
-	// another replica and re-registrations on a restarted home alike.
+	// failovers counts data-path session recoveries: migrations to another
+	// replica and re-installs on a restarted home alike.
 	failovers *obs.Counter
-	// replayed counts observations re-sent while rebuilding a session's
-	// filter state on its new home.
-	replayed *obs.Counter
-	// skewRefusals counts failover candidates rejected because their model
-	// version diverged from the session's.
+	// skewRefusals counts failover candidates whose model guard refused a
+	// session's state (they serve a different model than the one the
+	// posterior indexes).
 	skewRefusals *obs.Counter
 	// modelSkew gauges how many distinct model versions the live replicas
 	// currently serve, minus one — 0 is a converged cluster.
@@ -39,8 +31,11 @@ type routerMetrics struct {
 	sessions *obs.Gauge
 	// panics counts handler panics absorbed by the recovery middleware.
 	panics *obs.Counter
-	// handoffs counts drain-driven session handoffs by outcome.
-	handoffs map[string]*obs.Counter
+	// handoffWarm/handoffFailed count drain-driven session handoffs
+	// (cs2p_router_handoffs_total{outcome}): moved with exact filter state,
+	// or taken by no other member — the session stays put until its next
+	// operation retries.
+	handoffWarm, handoffFailed *obs.Counter
 	// replicaCount gauges the member count per health state
 	// (cs2p_router_replicas{state=...}).
 	replicaCount map[State]*obs.Gauge
@@ -65,28 +60,23 @@ func newRouterMetrics(reg *obs.Registry, replicas []string) *routerMetrics {
 	m := &routerMetrics{
 		reg: reg,
 		failovers: reg.Counter("cs2p_router_failovers_total",
-			"Replay-based session recoveries (migration or re-registration).", nil),
-		replayed: reg.Counter("cs2p_router_replayed_observations_total",
-			"Observations replayed to rebuild session state on a new replica.", nil),
+			"Sessions recreated from their last acknowledged state (migration or re-install on a restarted home).", nil),
 		skewRefusals: reg.Counter("cs2p_router_version_skew_refusals_total",
-			"Failover candidates rejected for serving a divergent model version.", nil),
+			"Failover candidates that refused a session's state for serving a divergent model.", nil),
 		modelSkew: reg.Gauge("cs2p_router_model_skew",
 			"Distinct model versions across live replicas minus one (0 = converged).", nil),
 		sessions: reg.Gauge("cs2p_router_sessions",
 			"Sessions currently routed.", nil),
 		panics: reg.Counter("cs2p_router_panics_total",
 			"Router handler panics absorbed by the recovery middleware.", nil),
-		handoffs:     make(map[string]*obs.Counter, len(handoffOutcomes)),
 		replicaCount: make(map[State]*obs.Gauge, len(allStates)),
 		state:        make(map[string]*obs.Gauge, len(replicas)),
 		requests:     make(map[string]map[string]*obs.Counter, len(replicas)),
 		probes:       make(map[string]map[string]*obs.Counter, len(replicas)),
 	}
-	for _, o := range handoffOutcomes {
-		m.handoffs[o] = reg.Counter("cs2p_router_handoffs_total",
-			"Drain-driven session handoffs by outcome (warm = exact state transfer, replay = window rebuild, failed = neither).",
-			obs.Labels{"outcome": o})
-	}
+	const handoffHelp = "Drain-driven session handoffs by outcome (warm = exact state transfer, failed = no member took it)."
+	m.handoffWarm = reg.Counter("cs2p_router_handoffs_total", handoffHelp, obs.Labels{"outcome": "warm"})
+	m.handoffFailed = reg.Counter("cs2p_router_handoffs_total", handoffHelp, obs.Labels{"outcome": "failed"})
 	for _, s := range allStates {
 		m.replicaCount[s] = reg.Gauge("cs2p_router_replicas",
 			"Cluster members per health state.",
@@ -161,11 +151,6 @@ func (m *routerMetrics) setState(replica string, s State) {
 	g := m.state[replica]
 	m.mu.RUnlock()
 	g.Set(float64(s))
-}
-
-// handoff records one drain-handoff outcome.
-func (m *routerMetrics) handoff(outcome string) {
-	m.handoffs[outcome].Inc()
 }
 
 // setReplicaCounts publishes the per-state member counts. States absent

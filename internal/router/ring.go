@@ -1,11 +1,11 @@
 // Package router is the fault-tolerant multi-replica serving tier
 // (DESIGN.md §13): a frontend that consistent-hash-routes playback sessions
 // across N cs2p-server replicas, watches each replica's health through a
-// probe-driven state machine, and fails sessions over between replicas by
-// replaying a bounded window of recent observations — the PR-2
-// resilient-client invariant lifted server-side. Sessions are sticky
-// because the HMM filter state lives on the session's home replica; the
-// replay window is what makes that state reconstructible anywhere.
+// probe-driven state machine, and moves sessions between replicas by
+// installing their exact state. Sessions are sticky because the HMM filter
+// state lives on the session's home replica; the copy of it that rides back
+// with every acknowledged observation is what makes a session
+// reconstructible anywhere.
 package router
 
 import (

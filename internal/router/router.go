@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,18 +13,12 @@ import (
 	"cs2p/internal/httpapi"
 	"cs2p/internal/obs"
 	"cs2p/internal/trace"
+	"cs2p/internal/wire"
 )
 
-// ErrNoReplica means every eligible replica was tried (or refused for
-// model-version skew) and none could serve the call.
+// ErrNoReplica means every eligible replica was tried and none could serve
+// the call.
 var ErrNoReplica = errors.New("router: no usable replica")
-
-// DefaultReplayWindow bounds the per-session observation window. The HMM
-// posterior forgets its starting point within a handful of epochs, so 16
-// replayed observations reconstruct a session's filter state to within
-// floating-point noise of fault-free — and for sessions shorter than the
-// window, exactly.
-const DefaultReplayWindow = 16
 
 // Config shapes a Router.
 type Config struct {
@@ -34,24 +29,12 @@ type Config struct {
 	Replicas []string
 	// VNodes is the virtual-node count per replica (0 = DefaultVNodes).
 	VNodes int
-	// ReplayWindow bounds the per-session observation window kept for
-	// failover replay (0 = DefaultReplayWindow). A migration replays the
-	// window as one upstream batch, so it must fit the replicas'
-	// -max-batch-ops.
-	ReplayWindow int
 	// Thresholds tunes the health state machine (zero fields default).
 	Thresholds Thresholds
 	// ProbeInterval paces RunHealthChecker (0 = 2s).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe (0 = 1s).
 	ProbeTimeout time.Duration
-	// AllowVersionSkew lets a session fail over onto a replica whose
-	// probed model version differs from the one the session started on.
-	// Off by default: divergent models give divergent predictions, and a
-	// mid-session model change is exactly the inconsistency the version
-	// probe exists to prevent. Replicas with unknown version (never
-	// probed) are always eligible.
-	AllowVersionSkew bool
 	// Metrics, when set, receives the router instruments and is served at
 	// GET /metrics.
 	Metrics *obs.Registry
@@ -79,7 +62,6 @@ type replica struct {
 	probe     *httpapi.Client
 	health    healthState
 	version   uint64 // last probed model version (0 = unknown)
-	gen       uint64 // last probed model generation
 	trainedAt int64  // last probed model training time (unix, 0 = unknown)
 	// adminDrained records that THIS router ordered the drain; a probe
 	// seeing a healthy (non-draining) healthz must not undo it. Drains
@@ -88,35 +70,36 @@ type replica struct {
 }
 
 // routedSession is the router's per-session record: where the session
-// lives, what it takes to recreate it (features + replay window), and
-// whether its home replica's filter state is still trusted. Its mutex
-// serializes the session's operations — the same per-session discipline the
-// engine applies — so a migration never interleaves with a concurrent
-// observation for the same id.
+// lives, the last state a replica acknowledged for it, and whether its home
+// replica's copy is still trusted. Its mutex serializes the session's
+// operations, as the engine's does, so a migration never interleaves with a
+// concurrent observation for the same id.
 type routedSession struct {
-	mu        sync.Mutex
-	home      string
-	features  trace.Features
-	startUnix int64
-	// version pins the model version the session's predictions come from;
-	// failover refuses candidates serving a different one.
-	version uint64
-	// recent is the bounded replay window of observations, oldest first.
-	recent []float64
-	// desync marks the home replica's filter state untrusted (a failed
-	// observe may or may not have been applied); the next operation must
-	// re-register and replay rather than forward.
+	mu   sync.Mutex
+	home string
+	// st is everything it takes to recreate the session anywhere: identity
+	// from its start, and the filter state that came back with its last
+	// acknowledged observation. An empty Posterior means none yet: the
+	// session stands at Algorithm 1's prior, which a fresh StartSession
+	// reproduces. lastOneStep backs st.LastOneStep without allocating.
+	st          engine.SessionState
+	lastOneStep float64
+	// desync marks the home replica's copy untrusted (a failed observe may
+	// or may not have been applied); the next operation must migrate
+	// rather than forward.
 	desync bool
 }
 
-// push appends an observation, sliding the window when full.
-func (s *routedSession) push(w float64, window int) {
-	if len(s.recent) >= window {
-		copy(s.recent, s.recent[1:])
-		s.recent[len(s.recent)-1] = w
-		return
+// ack records the state returned with an acknowledged observation, reusing
+// the posterior buffer (none returned leaves the record empty).
+func (s *routedSession) ack(ws *wire.State) {
+	s.st.Posterior = append(s.st.Posterior[:0], ws.Posterior...)
+	s.st.Started, s.st.Epoch = ws.Started, int(ws.Epoch)
+	s.st.ModelVersion, s.st.ModelGeneration = ws.ModelVersion, ws.ModelGeneration
+	s.lastOneStep, s.st.LastOneStep = ws.LastOneStep, nil
+	if !math.IsNaN(ws.LastOneStep) {
+		s.st.LastOneStep = &s.lastOneStep
 	}
-	s.recent = append(s.recent, w)
 }
 
 // homeName reads the session's home replica under its lock.
@@ -126,9 +109,10 @@ func (s *routedSession) homeName() string {
 	return s.home
 }
 
-// Router consistent-hash-routes sessions across replicas and recovers them
-// by replay when a replica dies. It implements httpapi.SessionService: the
-// cluster presents the exact same surface as one process.
+// Router consistent-hash-routes sessions across replicas and, when one dies
+// or drains, recreates its sessions elsewhere from their last acknowledged
+// state. It implements httpapi.SessionService: the cluster presents the
+// exact same surface as one process.
 type Router struct {
 	cfg Config
 	th  Thresholds
@@ -138,19 +122,16 @@ type Router struct {
 	mu       sync.Mutex
 	mem      *Membership
 	sessions map[string]*routedSession
-	window   int
 	now      func() time.Time
 	logf     func(format string, args ...any)
 	m        *routerMetrics
-	start    time.Time
 	// newClient/newProbe are the resolved client factories, kept so
 	// AddReplica builds late joiners exactly like the initial set.
 	newClient func(base string) *httpapi.Client
 	newProbe  func(base string) *httpapi.Client
 	// Handoff outcome counters (also mirrored to metrics): kept as plain
-	// atomics so harnesses without a registry can still assert warm vs
-	// replay.
-	warmN, replayN, failedN atomic.Uint64
+	// atomics so harnesses without a registry can still assert them.
+	warmN, failedN atomic.Uint64
 	// srv is the embedded httpapi server presenting the router over HTTP,
 	// built once on first Handler/Run call.
 	srvInit sync.Once
@@ -164,9 +145,6 @@ func New(cfg Config) (*Router, error) {
 	names := seed.Replicas()
 	if len(names) == 0 {
 		return nil, errors.New("router: at least one replica required")
-	}
-	if cfg.ReplayWindow <= 0 {
-		cfg.ReplayWindow = DefaultReplayWindow
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 2 * time.Second
@@ -187,11 +165,9 @@ func New(cfg Config) (*Router, error) {
 		th:        cfg.Thresholds.withDefaults(),
 		mem:       newMembership(cfg.VNodes),
 		sessions:  make(map[string]*routedSession),
-		window:    cfg.ReplayWindow,
 		now:       cfg.Now,
 		logf:      cfg.Logf,
 		m:         newRouterMetrics(cfg.Metrics, names),
-		start:     time.Now(),
 		newClient: newClient,
 		newProbe:  newProbe,
 	}
@@ -295,20 +271,6 @@ func (rt *Router) usable(name string) *replica {
 	return rep
 }
 
-// stateOf reads a replica's current health state.
-func (rt *Router) stateOf(rep *replica) State {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rep.health.state
-}
-
-// versionOf reads a replica's last probed model version.
-func (rt *Router) versionOf(rep *replica) uint64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rep.version
-}
-
 // reportOutcome feeds a data-path result into the replica's health state:
 // a failed forward is evidence of trouble exactly like a failed probe, and
 // folding it in makes failover reactive — the router notices a dead
@@ -319,38 +281,44 @@ func (rt *Router) reportOutcome(rep *replica, ok bool) {
 	rt.mu.Lock()
 	from, to := rep.health.observe(ok, rt.now(), rt.th)
 	rt.mu.Unlock()
+	rt.moved(rep.name, from, to, "")
+}
+
+// moved publishes a replica's state transition, if it is one.
+func (rt *Router) moved(name string, from, to State, why string) {
 	if from != to {
-		rt.m.setState(rep.name, to)
+		rt.m.setState(name, to)
 		rt.refreshReplicaCounts()
-		rt.logf("router: replica %s %s -> %s", rep.name, from, to)
+		rt.logf("router: replica %s %s -> %s%s", name, from, to, why)
 	}
 }
 
-// startCandidates orders the replicas for placing a NEW session: ring
-// sequence within tiers of Healthy/Recovering first, then Suspect, then
-// Draining, then Down as a last resort (a probe-path partition must not
-// make the whole cluster unroutable when the replicas themselves are
-// fine). Draining below Suspect: a drain is a promise the replica is
-// leaving, so new sessions land there only when nothing else answers.
-func (rt *Router) startCandidates(id string) []*replica {
+// candidates orders the replicas a session may be put on: ring sequence from
+// its hash point within tiers of up first, then Draining (the replica is
+// leaving, and a drain's own migrations must not land right back on it),
+// then Down as a last resort (a probe-path partition must not make the
+// cluster unroutable; better a slow recovery than a lost session). Placing a
+// NEW session also holds Suspect replicas back, below the rest of up. Model
+// versions play no part: taking a session's state is the import guard's call.
+func (rt *Router) candidates(id string, newSession bool) []*replica {
 	seq := rt.mem.Ring().Sequence(id)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	var healthy, suspect, draining, down []*replica
+	var tiers [4][]*replica // up, suspect, draining, down
 	for _, name := range seq {
 		rep := rt.mem.replicas[name]
-		switch rep.health.state {
-		case StateSuspect:
-			suspect = append(suspect, rep)
-		case StateDraining:
-			draining = append(draining, rep)
-		case StateDown:
-			down = append(down, rep)
-		default:
-			healthy = append(healthy, rep)
+		t := 0
+		switch {
+		case rep.health.state == StateSuspect && newSession:
+			t = 1
+		case rep.health.state == StateDraining:
+			t = 2
+		case rep.health.state == StateDown:
+			t = 3
 		}
+		tiers[t] = append(tiers[t], rep)
 	}
-	return append(append(append(healthy, suspect...), draining...), down...)
+	return append(append(append(tiers[0], tiers[1]...), tiers[2]...), tiers[3]...)
 }
 
 // StartSession implements httpapi.SessionService: place the session on the
@@ -363,30 +331,44 @@ func (rt *Router) StartSession(id string, f trace.Features, startUnix int64) eng
 // Start is StartSession with the error: the HTTP handler uses it to
 // propagate total-cluster-outage as 502 instead of a zero response.
 func (rt *Router) Start(id string, f trace.Features, startUnix int64) (engine.StartResponse, error) {
+	var resp engine.StartResponse
+	st := engine.SessionState{Schema: engine.SessionStateSchema, SessionID: id, Features: f, StartUnix: startUnix}
+	err := rt.place(&st, func(c *httpapi.Client) (err error) {
+		resp, err = c.StartSession(id, f, startUnix)
+		st.ClusterID = resp.ClusterID
+		return err
+	})
+	return resp, err
+}
+
+// ImportSession implements httpapi.SessionImporter: a client that lost step
+// with its session (or whose router forgot it) pushes the state, and the
+// router places it like a new session, state and all.
+func (rt *Router) ImportSession(st engine.SessionState) error {
+	return rt.place(&st, func(c *httpapi.Client) error { return c.ImportSession(context.TODO(), st) })
+}
+
+// place runs install against the start candidates until one answers, then
+// routes the session there with *st as its record. A refusal (validation,
+// the model guard) ends the walk: every replica would say the same.
+func (rt *Router) place(st *engine.SessionState, install func(c *httpapi.Client) error) error {
 	var lastErr error
-	for _, rep := range rt.startCandidates(id) {
-		var resp engine.StartResponse
-		oc, err := rt.call(rep, func(c *httpapi.Client) error {
-			var err error
-			resp, err = c.StartSession(id, f, startUnix)
-			return err
-		})
+	for _, rep := range rt.candidates(st.SessionID, true) {
+		oc, err := rt.call(rep, install)
 		switch oc {
 		case callOK:
-			sess := &routedSession{home: rep.name, features: f, startUnix: startUnix, version: rt.versionOf(rep)}
 			rt.mu.Lock()
-			rt.sessions[id] = sess
+			rt.sessions[st.SessionID] = &routedSession{home: rep.name, st: *st}
 			n := len(rt.sessions)
 			rt.mu.Unlock()
 			rt.m.sessions.Set(float64(n))
-			return resp, nil
+			return nil
 		case callRejected:
-			// Validation: every replica would say the same.
-			return engine.StartResponse{}, err
+			return err
 		}
 		lastErr = err
 	}
-	return engine.StartResponse{}, fmt.Errorf("router: start %s: %w", id, errors.Join(ErrNoReplica, lastErr))
+	return fmt.Errorf("router: placing %s: %w", st.SessionID, errors.Join(ErrNoReplica, lastErr))
 }
 
 // EndSession implements httpapi.SessionService: forget the session and
@@ -399,60 +381,18 @@ func (rt *Router) EndSession(lg engine.SessionLog) {
 	n := len(rt.sessions)
 	rt.mu.Unlock()
 	rt.m.sessions.Set(float64(n))
-	order := rt.orderSnapshot()
-	tried := make(map[string]bool, len(order))
-	candidates := make([]*replica, 0, len(order))
+	home := "" // tried first: it holds the session's intake capture
 	if sess != nil {
-		if rep := rt.usable(sess.homeName()); rep != nil {
-			candidates = append(candidates, rep)
-			tried[rep.name] = true
-		}
+		home = sess.homeName()
 	}
-	for _, name := range order {
-		if !tried[name] {
-			if rep := rt.usable(name); rep != nil {
-				candidates = append(candidates, rep)
+	for i, name := range append([]string{home}, rt.orderSnapshot()...) {
+		if rep := rt.usable(name); rep != nil && (i == 0 || name != home) {
+			if oc, _ := rt.call(rep, func(c *httpapi.Client) error { return c.Log(lg) }); oc == callOK {
+				return
 			}
 		}
 	}
-	for _, rep := range candidates {
-		if oc, _ := rt.call(rep, func(c *httpapi.Client) error { return c.Log(lg) }); oc == callOK {
-			return
-		}
-	}
 	rt.logf("router: session %s QoE log dropped (no live replica)", lg.SessionID)
-}
-
-// failoverCandidates orders replicas for migrating an EXISTING session:
-// ring sequence from the session's hash point in tiers of up, then
-// Draining, then Down (both are still tried last — better a slow recovery
-// than a lost session), with version-skewed replicas refused outright
-// unless AllowVersionSkew. A session's version pin only binds when both
-// sides are known (non-zero): an unprobed cluster must not refuse
-// everything. Draining below up keeps a drain's own migrations from
-// landing right back on the replica being emptied.
-func (rt *Router) failoverCandidates(id string, sessVersion uint64) []*replica {
-	seq := rt.mem.Ring().Sequence(id)
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var up, draining, down []*replica
-	for _, name := range seq {
-		rep := rt.mem.replicas[name]
-		if sessVersion != 0 && rep.version != 0 && rep.version != sessVersion && !rt.cfg.AllowVersionSkew {
-			rt.m.skewRefusals.Inc()
-			rt.logf("router: refusing %s for session migration: model v%d != session v%d", name, rep.version, sessVersion)
-			continue
-		}
-		switch rep.health.state {
-		case StateDown:
-			down = append(down, rep)
-		case StateDraining:
-			draining = append(draining, rep)
-		default:
-			up = append(up, rep)
-		}
-	}
-	return append(append(up, draining...), down...)
 }
 
 // ProbeAll runs one synchronous health-probe round in deterministic
@@ -485,32 +425,23 @@ func (rt *Router) probeOne(ctx context.Context, rep *replica) {
 	rt.mu.Lock()
 	if ok {
 		rep.version = hr.ModelVersion
-		rep.gen = hr.Generation
 		rep.trainedAt = hr.TrainedAtUnix
 	}
 	from := rep.health.state
 	var to State
 	switch {
 	case remoteDraining && from != StateDraining && from != StateDown:
-		rep.health.state = StateDraining
-		rep.health.fails, rep.health.successes = 0, 0
-		rep.health.since = rt.now()
 		to = StateDraining
+		rep.health = healthState{state: to, since: rt.now()}
 	case ok && from == StateDraining && !rep.adminDrained && !remoteDraining:
-		rep.health.state = StateHealthy
-		rep.health.fails, rep.health.successes = 0, 0
-		rep.health.since = rt.now()
 		to = StateHealthy
+		rep.health = healthState{state: to, since: rt.now()}
 	default:
 		_, to = rep.health.observe(ok, rt.now(), rt.th)
 	}
 	rt.mu.Unlock()
 	rt.m.probe(rep.name, ok)
-	if from != to {
-		rt.m.setState(rep.name, to)
-		rt.refreshReplicaCounts()
-		rt.logf("router: replica %s %s -> %s (probe)", rep.name, from, to)
-	}
+	rt.moved(rep.name, from, to, " (probe)")
 }
 
 // modelSkew counts distinct known model versions among non-Down replicas,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,13 +17,15 @@ import (
 	"cs2p/internal/httpapi"
 	"cs2p/internal/obs"
 	"cs2p/internal/trace"
+	"cs2p/internal/wire"
 )
 
 // stubBackend implements httpapi.SessionService (plus HealthReporter) with
 // a prediction that is a pure function of the observation history:
-// sum(observations) + horizon. That makes replay fidelity directly
-// checkable — a migrated session predicts exactly what an uninterrupted
-// one would if and only if the router replayed the full history.
+// sum(observations) + horizon. Its whole "filter state" IS that history,
+// carried in the state payload's posterior slot, which makes recovery
+// fidelity directly checkable — a migrated session predicts exactly what an
+// uninterrupted one would if and only if its full state arrived, once.
 type stubBackend struct {
 	mu        sync.Mutex
 	version   uint64
@@ -103,6 +106,10 @@ func (s *stubBackend) ServeBatch(ops []engine.BatchOp, res []engine.BatchResult)
 		res[i] = engine.BatchResult{PredictionMbps: pred}
 		if err != nil {
 			res[i] = engine.BatchResult{Code: engine.BatchUnknownSession}
+		} else if op.WantState {
+			st, _ := s.state(string(op.SessionID))
+			res[i].State = engine.BatchState{Posterior: st.Posterior, LastOneStep: math.NaN(),
+				ModelVersion: st.ModelVersion, Epoch: uint32(st.Epoch), Started: st.Started}
 		}
 	}
 	return 0
@@ -122,37 +129,42 @@ func (s *stubBackend) Health() engine.HealthStatus {
 }
 
 // ExportSession packs the observation history into the state payload's
-// posterior slot: the stub's entire "filter state" IS the history, so a
-// warm handoff is exact iff the full history arrives — which makes warm vs
-// replay directly distinguishable once the history outgrows the replay
-// window.
+// posterior slot, stamped with the stub's model version.
 func (s *stubBackend) ExportSession(id string) (engine.SessionState, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	obs, ok := s.sessions[id]
+	st, ok := s.state(id)
 	if !ok {
 		return engine.SessionState{}, engine.ErrUnknownSession
 	}
-	st := engine.SessionState{
-		Schema:    engine.SessionStateSchema,
-		SessionID: id,
-		Posterior: append([]float64(nil), obs...),
-		Started:   len(obs) > 0,
-		Epoch:     len(obs),
-	}
-	if hook := s.onExport; hook != nil {
-		s.mu.Unlock()
+	s.mu.Lock()
+	hook := s.onExport
+	s.mu.Unlock()
+	if hook != nil {
 		hook()
-		s.mu.Lock()
 	}
 	return st, nil
+}
+
+// state snapshots a session's history as its state payload.
+func (s *stubBackend) state(id string) (engine.SessionState, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	obs, ok := s.sessions[id]
+	return engine.SessionState{
+		Schema:       engine.SessionStateSchema,
+		SessionID:    id,
+		ModelVersion: s.version,
+		Posterior:    append([]float64(nil), obs...),
+		Started:      len(obs) > 0,
+		Epoch:        len(obs),
+	}, ok
 }
 
 func (s *stubBackend) ImportSession(st engine.SessionState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.refuseImport {
-		return fmt.Errorf("%w: stub refuses transfers", engine.ErrSessionStateModelMismatch)
+	// The model guard: state indexed by another model's states is refused.
+	if s.refuseImport || st.ModelVersion != s.version {
+		return fmt.Errorf("%w: stub v%d refuses state from v%d", engine.ErrSessionStateModelMismatch, s.version, st.ModelVersion)
 	}
 	s.sessions[st.SessionID] = append([]float64(nil), st.Posterior...)
 	return nil
@@ -211,12 +223,6 @@ func (s *stubBackend) observations(id string) ([]float64, bool) {
 	defer s.mu.Unlock()
 	obs, ok := s.sessions[id]
 	return append([]float64(nil), obs...), ok
-}
-
-func (s *stubBackend) startCount(id string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.starts[id]
 }
 
 func (s *stubBackend) totalStarts() int {
@@ -400,8 +406,9 @@ func TestRouterStickySessions(t *testing.T) {
 // TestRouterFailoverReplay is the tentpole invariant: kill a session's home
 // replica and the next observation must (a) succeed, (b) land the session
 // on another replica, and (c) return EXACTLY the prediction an
-// uninterrupted run would have produced, because the full observation
-// history was replayed.
+// uninterrupted run would have produced, because the session's last
+// acknowledged state was installed there and the observation applied on top,
+// once. (The name is from when recovery replayed an observation window.)
 func TestRouterFailoverReplay(t *testing.T) {
 	c := newStubCluster(t, Config{}, 1, 1, 1)
 	const id = "failover-1"
@@ -431,7 +438,7 @@ func TestRouterFailoverReplay(t *testing.T) {
 		t.Fatalf("session missing on new home %s", newHome)
 	}
 	if len(obs) != 6 {
-		t.Fatalf("new home has %d observations, want the full replayed history of 6", len(obs))
+		t.Fatalf("new home has %d observations, want the full history of 6", len(obs))
 	}
 
 	// Subsequent traffic flows to the new home without further migration.
@@ -447,34 +454,37 @@ func TestRouterFailoverReplay(t *testing.T) {
 	}
 }
 
-// TestRouterReplayWindowBound: with a window smaller than the history, a
-// migration replays only the last W observations.
-func TestRouterReplayWindowBound(t *testing.T) {
-	c := newStubCluster(t, Config{ReplayWindow: 4}, 1, 1, 1)
-	const id = "window-1"
+// TestRouterFailoverBeyondOldWindow: failover after 40 observations — far
+// past the 16 the router used to keep for replay — equals the full history.
+// State recovery has no horizon: the new home holds all 41 samples and
+// predicts the fault-free sum, where a windowed replay answered from the
+// last 16.
+func TestRouterFailoverBeyondOldWindow(t *testing.T) {
+	c := newStubCluster(t, Config{}, 1, 1, 1)
+	const id = "long-1"
 	c.mustStart(id)
-	for k := 1; k <= 6; k++ {
+	want := 0.0
+	for k := 1; k <= 40; k++ {
+		want += float64(k)
 		if _, err := c.rt.ObserveAndPredict(id, float64(k), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.kill(c.home(id))
-	pred, err := c.rt.ObserveAndPredict(id, 7, 1)
+	pred, err := c.rt.ObserveAndPredict(id, 41, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Window holds [4 5 6 7]: sum 22 + horizon 1.
-	if want := 23.0; pred != want {
-		t.Fatalf("windowed replay prediction %g, want %g", pred, want)
+	if want += 41 + 1; pred != want {
+		t.Fatalf("failover after 40 observations predicts %g, want the full-history %g", pred, want)
 	}
-	obs, _ := c.stubs[c.home(id)].observations(id)
-	if len(obs) != 4 {
-		t.Fatalf("new home has %d observations, want the 4-wide window", len(obs))
+	if obs, _ := c.stubs[c.home(id)].observations(id); len(obs) != 41 {
+		t.Fatalf("new home has %d observations, want all 41", len(obs))
 	}
 }
 
 // TestRouterPredictFailover: a stateless horizon query also survives a dead
-// home, answered from the replayed stream.
+// home, answered from the recovered state.
 func TestRouterPredictFailover(t *testing.T) {
 	c := newStubCluster(t, Config{}, 1, 1, 1)
 	const id = "predict-1"
@@ -494,7 +504,7 @@ func TestRouterPredictFailover(t *testing.T) {
 		t.Fatalf("post-failover predict %g, want %g", pred, want)
 	}
 	if obs, _ := c.stubs[c.home(id)].observations(id); len(obs) != 4 {
-		t.Fatalf("predict failover replayed %d observations, want 4", len(obs))
+		t.Fatalf("predict failover left %d observations on the new home, want 4", len(obs))
 	}
 }
 
@@ -556,33 +566,38 @@ func TestRouterSuspectDrains(t *testing.T) {
 	}
 }
 
-// TestRouterVersionSkewRefusal: failover must not move a session onto a
-// replica serving a different model version — predictions would jump for
-// reasons no player could explain. With no same-version replica left, the
-// call fails instead.
+// TestRouterVersionSkewRefusal: a posterior cannot cross models, and the
+// replica's import guard — not the router — is the authority on that. While
+// a same-model replica lives, failover lands there exactly. With only a
+// different-model replica left, its guard refuses the state (counted) and
+// the session takes the one cold path: a fresh start from the new model's
+// prior, with the pending observation applied on top.
 func TestRouterVersionSkewRefusal(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newStubCluster(t, Config{Metrics: reg}, 1, 1, 2)
-	c.rt.ProbeAll(context.Background()) // record versions
+	c.rt.ProbeAll(context.Background())
 
-	// Find a session homed on a v1 replica.
+	// Find a session homed on a v1 replica whose first failover candidate
+	// is the v2 one, so the refusal is exercised while a v1 replica lives.
 	var id string
-	for i := 0; i < 32; i++ {
+	for i := 0; i < 64 && id == ""; i++ {
 		cand := fmt.Sprintf("skew-%d", i)
 		c.mustStart(cand)
 		if _, err := c.rt.ObserveAndPredict(cand, 1, 1); err != nil {
 			t.Fatal(err)
 		}
-		if c.stubs[c.home(cand)].version == 1 {
+		seq := c.rt.candidates(cand, false)
+		if c.stubs[c.home(cand)].version == 1 && c.stubs[seq[1].name].version == 2 {
 			id = cand
-			break
 		}
 	}
 	if id == "" {
-		t.Fatal("no session landed on a v1 replica")
+		t.Fatal("no v1-homed session with the v2 replica next in line")
 	}
+	refusals := reg.Counter("cs2p_router_version_skew_refusals_total", "", nil)
 
-	// Kill its home: migration must pick the OTHER v1 replica, never v2.
+	// Kill its home: v2 is asked first and refuses; the other v1 replica
+	// takes the state, so the prediction is the fault-free one.
 	c.kill(c.home(id))
 	pred, err := c.rt.ObserveAndPredict(id, 2, 1)
 	if err != nil {
@@ -594,21 +609,35 @@ func TestRouterVersionSkewRefusal(t *testing.T) {
 	if v := c.stubs[c.home(id)].version; v != 1 {
 		t.Fatalf("session migrated onto model v%d, want v1", v)
 	}
-
-	// Kill the second v1 replica too: only v2 remains, and strict mode
-	// refuses it.
-	c.kill(c.home(id))
-	if _, err := c.rt.ObserveAndPredict(id, 3, 1); !errors.Is(err, ErrNoReplica) {
-		t.Fatalf("failover across versions: err = %v, want ErrNoReplica", err)
+	if refusals.Value() == 0 {
+		t.Error("the v2 replica refused the state but the counter is zero")
 	}
-	if n := reg.Counter("cs2p_router_version_skew_refusals_total", "", nil).Value(); n == 0 {
-		t.Error("skew refusals happened but the counter is zero")
+
+	// Kill the second v1 replica too: only v2 remains. The session restarts
+	// there from the prior — history gone, the pending observation applied.
+	c.kill(c.home(id))
+	pred, err = c.rt.ObserveAndPredict(id, 3, 1)
+	if err != nil {
+		t.Fatalf("failover across versions: %v", err)
+	}
+	if want := 3.0 + 1; pred != want {
+		t.Fatalf("cold restart predicts %g, want %g (fresh session + the pending observation)", pred, want)
+	}
+	if v := c.stubs[c.home(id)].version; v != 2 {
+		t.Fatalf("session on model v%d, want the v2 survivor", v)
+	}
+	// From there on the session is exact again under the new model.
+	c.stubs[c.home(id)].wipe()
+	if pred, err = c.rt.ObserveAndPredict(id, 4, 1); err != nil || pred != 3+4+1 {
+		t.Fatalf("after the cold restart: prediction %g err %v, want %g", pred, err, 3.0+4+1)
 	}
 }
 
-// TestRouterVersionSkewAllowed: the escape hatch works.
+// TestRouterVersionSkewAllowed: recovery across a model change needs no
+// escape hatch — with only a different-version replica alive, failover
+// succeeds onto it.
 func TestRouterVersionSkewAllowed(t *testing.T) {
-	c := newStubCluster(t, Config{AllowVersionSkew: true}, 1, 1, 2)
+	c := newStubCluster(t, Config{}, 1, 1, 2)
 	c.rt.ProbeAll(context.Background())
 	c.mustStart("skew-ok")
 	if _, err := c.rt.ObserveAndPredict("skew-ok", 1, 1); err != nil {
@@ -630,7 +659,7 @@ func TestRouterVersionSkewAllowed(t *testing.T) {
 		}
 	}
 	if _, err := c.rt.ObserveAndPredict("skew-ok", 2, 1); err != nil {
-		t.Fatalf("failover with AllowVersionSkew: %v", err)
+		t.Fatalf("failover onto a different model version: %v", err)
 	}
 	if h := c.home("skew-ok"); h != survivor {
 		t.Fatalf("session on %s, want the sole survivor %s", h, survivor)
@@ -651,7 +680,7 @@ func TestRouterUnknownSession(t *testing.T) {
 
 // TestRouterReplicaRestartReRegisters: a replica that restarts (state
 // wiped, process back) answers 404 for its sessions; the router must
-// re-register and replay in place rather than fail the call.
+// re-install the session's state in place rather than fail the call.
 func TestRouterReplicaRestartReRegisters(t *testing.T) {
 	c := newStubCluster(t, Config{}, 1, 1, 1)
 	const id = "restart-1"
@@ -670,8 +699,8 @@ func TestRouterReplicaRestartReRegisters(t *testing.T) {
 	if want := 11.0; pred != want { // sum(1..4) + 1
 		t.Fatalf("post-restart prediction %g, want %g", pred, want)
 	}
-	if got := c.stubs[c.home(id)].startCount(id); got < 2 {
-		t.Fatalf("session was not re-registered (start count %d)", got)
+	if obs, _ := c.stubs[c.home(id)].observations(id); len(obs) != 4 {
+		t.Fatalf("re-installed session holds %d observations, want 4", len(obs))
 	}
 }
 
@@ -724,15 +753,16 @@ func TestRouterTotalOutage(t *testing.T) {
 	if h := c.rt.Health(); h.Ready {
 		t.Error("router reports ready with every replica down")
 	}
-	// One replica returns; the pending observation was kept in the window,
-	// so the recovered prediction includes it AND the new one.
+	// One replica returns. The observation answered 502 was not applied —
+	// a failed op has no effect — so the recovered session is every
+	// acknowledged observation plus the new one.
 	c.revive(c.names[0])
 	pred, err := c.rt.ObserveAndPredict(id, 5, 1)
 	if err != nil {
 		t.Fatalf("observe after partial recovery: %v", err)
 	}
-	if want := 16.0; pred != want { // sum(1..5) + 1
-		t.Fatalf("recovered prediction %g, want %g (lost observations?)", pred, want)
+	if want := 12.0; pred != want { // 1+2+3 + 5 + 1
+		t.Fatalf("recovered prediction %g, want %g (acknowledged history + the new sample)", pred, want)
 	}
 	if !c.rt.Health().Ready {
 		t.Error("router still not ready after a replica recovered")
@@ -753,5 +783,66 @@ func TestRouterStartValidationPassesThrough(t *testing.T) {
 		if st != StateHealthy {
 			t.Errorf("replica %s demoted to %s by a client input error", name, st)
 		}
+	}
+}
+
+// TestRouterImportSession: the router's half of client-side recovery. A
+// router that has never heard of a session (it restarted) takes the state a
+// client pushes through PUT /v1/session/{id}/state, places the session like
+// a new one and holds the state as its record — so the very next failover is
+// exact too. A state no replica's model guard accepts comes back 409, the
+// client's signal to start afresh.
+func TestRouterImportSession(t *testing.T) {
+	c := newStubCluster(t, Config{}, 1, 1, 1)
+	front := httptest.NewServer(c.rt.Handler())
+	defer front.Close()
+	cl := httpapi.NewClient(front.URL)
+	ctx := context.Background()
+	const id = "pushed-1"
+	history := []float64{1, 2, 3, 4, 5}
+	st := engine.SessionState{Schema: engine.SessionStateSchema, SessionID: id, ModelVersion: 1,
+		Posterior: history, Started: true, Epoch: len(history)}
+	if err := cl.ImportSession(ctx, st); err != nil {
+		t.Fatalf("import through the router: %v", err)
+	}
+	if got, _ := c.stubs[c.home(id)].observations(id); !floatsEqual(got, history) {
+		t.Fatalf("home holds %v after the import, want %v", got, history)
+	}
+	pred, err := cl.ObserveAndPredict(id, 6, 1)
+	if err != nil || pred != 21+1 {
+		t.Fatalf("observe after import: %g, %v; want 22", pred, err)
+	}
+	// The pushed state (plus the observation acknowledged since) is the
+	// router's record: losing the home loses nothing.
+	c.kill(c.home(id))
+	if pred, err = cl.ObserveAndPredict(id, 7, 1); err != nil || pred != 28+1 {
+		t.Fatalf("failover after import: %g, %v; want 29", pred, err)
+	}
+
+	st.SessionID, st.ModelVersion = "pushed-2", 9
+	if err := cl.ImportSession(ctx, st); httpapi.HTTPStatus(err) != http.StatusConflict {
+		t.Fatalf("state from a model no replica serves: %v, want 409", err)
+	}
+	if _, ok := c.rt.SessionHome("pushed-2"); ok {
+		t.Error("a refused import left a routed session behind")
+	}
+}
+
+// TestRouterStateRidesAllocFree: holding every session's last acknowledged
+// state costs the data path no allocation in steady state — ack copies into
+// the record's own posterior buffer.
+func TestRouterStateRidesAllocFree(t *testing.T) {
+	sess := &routedSession{}
+	ws := wire.State{Posterior: []float64{0.2, 0.5, 0.3}, LastOneStep: 2.5, ModelVersion: 3, Epoch: 40, Started: true}
+	sess.ack(&ws) // sizes the buffer
+	if allocs := testing.AllocsPerRun(100, func() { sess.ack(&ws) }); allocs != 0 {
+		t.Errorf("ack allocates %v per observation, want 0", allocs)
+	}
+	if sess.st.LastOneStep == nil || *sess.st.LastOneStep != 2.5 || sess.st.Epoch != 40 || !floatsEqual(sess.st.Posterior, ws.Posterior) {
+		t.Errorf("record %+v does not hold the acknowledged state", sess.st)
+	}
+	ws.LastOneStep = math.NaN()
+	if sess.ack(&ws); sess.st.LastOneStep != nil {
+		t.Error("a NaN pending prediction must be recorded as none")
 	}
 }

@@ -36,6 +36,17 @@ func FuzzWireDecode(f *testing.F) {
 	}))
 	f.Add(AppendBatchResult(nil, 7, []OpResult{{PredictionMbps: 2}, {Code: OpUnknownSession}}))
 	f.Add(AppendError(nil, 400, "bad"))
+	f.Add(AppendBatch(nil, []Op{{SessionID: []byte("a"), ObservedMbps: 1, Horizon: 1, HasObserve: true, WantState: true}}))
+	f.Add(AppendOp(nil, Op{SessionID: []byte("a"), Horizon: 1, WantState: true}))
+	f.Add(AppendBatchStateResult(nil, 7, []OpResult{
+		{PredictionMbps: 2, State: State{Posterior: []float64{0.5, 0.5}, LastOneStep: 2, ModelVersion: 3, ModelGeneration: 1, Epoch: 9, Started: true}},
+		{Code: OpUnknownSession},
+		{PredictionMbps: 1, State: State{Posterior: []float64{1}}},
+	}))
+	// A state result whose posterior count promises more than the frame holds.
+	lying := AppendBatchStateResult(nil, 7, []OpResult{{State: State{Posterior: []float64{1}}}})
+	lying[HeaderLen+19], lying[HeaderLen+20] = 0xFF, 0xFF
+	f.Add(lying)
 	// Hostile shapes: truncation, trailing data, lying lengths, oversize.
 	f.Add([]byte{})
 	f.Add([]byte{magic0, magic1})
@@ -109,6 +120,24 @@ func FuzzWireDecode(f *testing.F) {
 			}
 			if !nan && !bytes.Equal(AppendBatchResult(nil, gen, res), b) {
 				t.Fatalf("batch-result re-encode not canonical for %x", b)
+			}
+		case MsgBatchStateResult:
+			res, gen, err := DecodeBatchStateResult(frame.Payload, lim, nil)
+			if err != nil {
+				if !typedDecodeErr(err) {
+					t.Fatalf("untyped batch-state-result error %v", err)
+				}
+				return
+			}
+			nan := false
+			for _, r := range res {
+				nan = nan || math.IsNaN(r.PredictionMbps) || math.IsNaN(r.State.LastOneStep)
+				for _, p := range r.State.Posterior {
+					nan = nan || math.IsNaN(p)
+				}
+			}
+			if !nan && !bytes.Equal(AppendBatchStateResult(nil, gen, res), b) {
+				t.Fatalf("batch-state-result re-encode not canonical for %x", b)
 			}
 		case MsgError:
 			status, msg, err := DecodeError(frame.Payload)

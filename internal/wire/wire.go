@@ -63,6 +63,9 @@ const (
 	// MsgError is a typed failure (response): an HTTP-aligned status code
 	// plus a short message.
 	MsgError MsgType = 0x05
+	// MsgBatchStateResult is MsgBatchResult plus each op's post-op session
+	// State (response to a batch in which some op set WantState).
+	MsgBatchStateResult MsgType = 0x06
 )
 
 // Typed decode errors. Handlers map them to 400s; fuzzing asserts every
@@ -99,20 +102,26 @@ func DefaultLimits() Limits {
 
 // Op is one observe/predict operation. HasObserve distinguishes the
 // stateful observe+predict round trip (the per-chunk call) from the
-// stateless multi-horizon query. SessionID aliases the decoded frame's
-// buffer — it is valid only until the buffer is reused.
+// stateless multi-horizon query. WantState asks for the session's post-op
+// State alongside the prediction — in batch frames only (the routing tier's
+// hop): a single-op MsgPrediction has nowhere to put the answer. SessionID
+// aliases the decoded frame's buffer, valid only until the buffer is reused.
 type Op struct {
 	SessionID    []byte
 	ObservedMbps float64
 	Horizon      uint16
 	HasObserve   bool
+	WantState    bool
 }
 
 // opFixedLen is the fixed-width prefix of one encoded op:
 // flags(1) + horizon(2) + observed(8) + idlen(2).
 const opFixedLen = 1 + 2 + 8 + 2
 
-const flagHasObserve = 0x01
+const (
+	flagHasObserve = 0x01
+	flagWantState  = 0x02
+)
 
 // Result codes for batch ops. 0 is success; nonzero codes name the
 // per-op failure without carrying an allocation-heavy error string.
@@ -126,14 +135,33 @@ const (
 	OpUnavailable uint8 = 3
 )
 
-// OpResult is one batch op's outcome.
+// State is a session's whole serving state after an op: Algorithm 1's
+// filter (posterior, whether any observation has been absorbed), the epoch
+// count, the 1-step prediction awaiting its score (NaN when none), and the
+// identity of the model the posterior indexes. Imported under that model it
+// reproduces the session exactly. An empty Posterior means no state.
+type State struct {
+	Posterior       []float64
+	LastOneStep     float64
+	ModelVersion    uint64
+	ModelGeneration uint64
+	Epoch           uint32
+	Started         bool
+}
+
+// OpResult is one batch op's outcome; State only for an OpOK WantState op.
 type OpResult struct {
 	PredictionMbps float64
 	Code           uint8
+	State          State
 }
 
 // opResultLen is one encoded result: code(1) + prediction(8).
 const opResultLen = 1 + 8
+
+// stateFixedLen is one encoded state's fixed-width prefix: posterior count(2)
+// + started(1) + epoch(4) + lastOneStep(8) + version(8) + generation(8).
+const stateFixedLen = 2 + 1 + 4 + 8 + 8 + 8
 
 // Frame is a decoded header plus its payload slice (aliasing the input).
 type Frame struct {
@@ -171,7 +199,7 @@ func PeekHeader(hdr []byte, lim Limits) (MsgType, int, error) {
 	}
 	t := MsgType(hdr[3])
 	switch t {
-	case MsgOp, MsgPrediction, MsgBatch, MsgBatchResult, MsgError:
+	case MsgOp, MsgPrediction, MsgBatch, MsgBatchResult, MsgError, MsgBatchStateResult:
 	default:
 		return 0, 0, ErrUnknownType
 	}
@@ -215,6 +243,9 @@ func appendOpBody(dst []byte, op Op) []byte {
 	if op.HasObserve {
 		flags |= flagHasObserve
 	}
+	if op.WantState {
+		flags |= flagWantState
+	}
 	dst = append(dst, flags)
 	dst = binary.LittleEndian.AppendUint16(dst, op.Horizon)
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(op.ObservedMbps))
@@ -229,11 +260,12 @@ func decodeOpBody(b []byte, i int, lim Limits) (Op, int, error) {
 	}
 	// Reserved flag bits must be zero: a future version can claim them
 	// without old decoders silently misreading new frames.
-	if b[i]&^flagHasObserve != 0 {
+	if b[i]&^(flagHasObserve|flagWantState) != 0 {
 		return Op{}, 0, ErrBadValue
 	}
 	var op Op
 	op.HasObserve = b[i]&flagHasObserve != 0
+	op.WantState = b[i]&flagWantState != 0
 	op.Horizon = binary.LittleEndian.Uint16(b[i+1 : i+3])
 	op.ObservedMbps = math.Float64frombits(binary.LittleEndian.Uint64(b[i+3 : i+11]))
 	idLen := int(binary.LittleEndian.Uint16(b[i+11 : i+13]))
@@ -251,11 +283,14 @@ func decodeOpBody(b []byte, i int, lim Limits) (Op, int, error) {
 	return op, i + idLen, nil
 }
 
-// DecodeOp decodes a MsgOp payload.
+// DecodeOp decodes a MsgOp payload (WantState refused: nowhere to answer it).
 func DecodeOp(payload []byte, lim Limits) (Op, error) {
 	op, n, err := decodeOpBody(payload, 0, lim)
 	if err != nil {
 		return Op{}, err
+	}
+	if op.WantState {
+		return Op{}, ErrBadValue
 	}
 	if n != len(payload) {
 		return Op{}, ErrTrailingData
@@ -329,40 +364,104 @@ func DecodeBatch(payload []byte, lim Limits, dst []Op) ([]Op, error) {
 // never straddle two generations' metadata), count(2), then one fixed-width
 // result per op, index-aligned with the request.
 func AppendBatchResult(dst []byte, generation uint64, res []OpResult) []byte {
+	return appendResults(dst, MsgBatchResult, generation, res)
+}
+
+// AppendBatchStateResult encodes the state-carrying batch response: the
+// MsgBatchResult layout with each op's State after its code and prediction
+// (the stateFixedLen prefix, then the posterior doubles).
+func AppendBatchStateResult(dst []byte, generation uint64, res []OpResult) []byte {
+	return appendResults(dst, MsgBatchStateResult, generation, res)
+}
+
+func appendResults(dst []byte, t MsgType, generation uint64, res []OpResult) []byte {
+	le := binary.LittleEndian
 	off := len(dst)
-	dst = appendHeader(dst, MsgBatchResult)
-	dst = binary.LittleEndian.AppendUint64(dst, generation)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(res)))
-	for _, r := range res {
-		dst = append(dst, r.Code)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.PredictionMbps))
+	dst = appendHeader(dst, t)
+	dst = le.AppendUint64(dst, generation)
+	dst = le.AppendUint16(dst, uint16(len(res)))
+	for i := range res {
+		dst = append(dst, res[i].Code)
+		dst = le.AppendUint64(dst, math.Float64bits(res[i].PredictionMbps))
+		if t == MsgBatchResult {
+			continue
+		}
+		st := &res[i].State
+		dst = le.AppendUint16(dst, uint16(len(st.Posterior)))
+		dst = append(dst, 0)
+		if st.Started {
+			dst[len(dst)-1] = 1
+		}
+		dst = le.AppendUint32(dst, st.Epoch)
+		dst = le.AppendUint64(dst, math.Float64bits(st.LastOneStep))
+		dst = le.AppendUint64(dst, st.ModelVersion)
+		dst = le.AppendUint64(dst, st.ModelGeneration)
+		for _, p := range st.Posterior {
+			dst = le.AppendUint64(dst, math.Float64bits(p))
+		}
 	}
 	return patchLen(dst, off)
 }
 
 // DecodeBatchResult decodes a MsgBatchResult payload, appending to dst.
 func DecodeBatchResult(payload []byte, lim Limits, dst []OpResult) ([]OpResult, uint64, error) {
+	return decodeResults(payload, lim, dst, false)
+}
+
+// DecodeBatchStateResult decodes a MsgBatchStateResult payload, appending to
+// dst; posteriors reuse the buffers recycled dst slots hold (no allocation).
+func DecodeBatchStateResult(payload []byte, lim Limits, dst []OpResult) ([]OpResult, uint64, error) {
+	return decodeResults(payload, lim, dst, true)
+}
+
+func decodeResults(payload []byte, lim Limits, dst []OpResult, withState bool) ([]OpResult, uint64, error) {
+	le := binary.LittleEndian
 	if len(payload) < 10 {
 		return dst, 0, ErrTruncated
 	}
-	gen := binary.LittleEndian.Uint64(payload[:8])
-	count := int(binary.LittleEndian.Uint16(payload[8:10]))
+	gen := le.Uint64(payload[:8])
+	count := int(le.Uint16(payload[8:10]))
 	if lim.MaxBatchOps > 0 && count > lim.MaxBatchOps {
 		return dst, 0, ErrOversize
 	}
-	if len(payload) != 10+count*opResultLen {
-		if len(payload) < 10+count*opResultLen {
-			return dst, 0, ErrTruncated
-		}
-		return dst, 0, ErrTrailingData
-	}
 	i := 10
 	for k := 0; k < count; k++ {
-		dst = append(dst, OpResult{
-			Code:           payload[i],
-			PredictionMbps: math.Float64frombits(binary.LittleEndian.Uint64(payload[i+1 : i+9])),
-		})
+		if len(payload)-i < opResultLen {
+			return dst, 0, ErrTruncated
+		}
+		r := OpResult{Code: payload[i], PredictionMbps: math.Float64frombits(le.Uint64(payload[i+1 : i+9]))}
 		i += opResultLen
+		if withState {
+			if len(payload)-i < stateFixedLen {
+				return dst, 0, ErrTruncated
+			}
+			n := int(le.Uint16(payload[i : i+2]))
+			// Canonical encoding: the started byte is 0 or 1.
+			if payload[i+2] > 1 {
+				return dst, 0, ErrBadValue
+			}
+			r.State = State{
+				Started:         payload[i+2] == 1,
+				Epoch:           le.Uint32(payload[i+3 : i+7]),
+				LastOneStep:     math.Float64frombits(le.Uint64(payload[i+7 : i+15])),
+				ModelVersion:    le.Uint64(payload[i+15 : i+23]),
+				ModelGeneration: le.Uint64(payload[i+23 : i+31]),
+			}
+			if i += stateFixedLen; len(payload)-i < 8*n {
+				return dst, 0, ErrTruncated
+			}
+			if len(dst) < cap(dst) {
+				r.State.Posterior = dst[:len(dst)+1][len(dst)].State.Posterior[:0]
+			}
+			for ; n > 0; n-- {
+				r.State.Posterior = append(r.State.Posterior, math.Float64frombits(le.Uint64(payload[i:i+8])))
+				i += 8
+			}
+		}
+		dst = append(dst, r)
+	}
+	if i != len(payload) {
+		return dst, 0, ErrTrailingData
 	}
 	return dst, gen, nil
 }

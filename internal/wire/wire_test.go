@@ -94,8 +94,98 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d results, want %d", len(gotRes), len(res))
 	}
 	for i := range res {
-		if gotRes[i] != res[i] {
+		if gotRes[i].Code != res[i].Code || gotRes[i].PredictionMbps != res[i].PredictionMbps || len(gotRes[i].State.Posterior) != 0 {
 			t.Errorf("result %d mismatch: got %+v want %+v", i, gotRes[i], res[i])
+		}
+	}
+}
+
+// stateResults is a state-carrying result set covering every shape: a full
+// state, a result without one, and a state whose pending prediction is NaN.
+func stateResults() []OpResult {
+	return []OpResult{
+		{PredictionMbps: 2.25, State: State{Posterior: []float64{0.25, 0.5, 0.25}, LastOneStep: 2.25, ModelVersion: 7, ModelGeneration: 3, Epoch: 41, Started: true}},
+		{Code: OpUnknownSession},
+		{PredictionMbps: 1, State: State{Posterior: []float64{1}, LastOneStep: math.NaN(), Epoch: 0}},
+	}
+}
+
+func sameState(a, b State) bool {
+	if len(a.Posterior) != len(b.Posterior) || math.Float64bits(a.LastOneStep) != math.Float64bits(b.LastOneStep) ||
+		a.ModelVersion != b.ModelVersion || a.ModelGeneration != b.ModelGeneration || a.Epoch != b.Epoch || a.Started != b.Started {
+		return false
+	}
+	for i := range a.Posterior {
+		if math.Float64bits(a.Posterior[i]) != math.Float64bits(b.Posterior[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBatchStateResultRoundTrip: the state-carrying result type carries every
+// field bit-exact, and the op flag that asks for it survives a batch frame
+// but is refused on a single-op frame, whose response cannot answer it.
+func TestBatchStateResultRoundTrip(t *testing.T) {
+	lim := DefaultLimits()
+	res := stateResults()
+	f, err := DecodeFrame(AppendBatchStateResult(nil, 42, res), lim)
+	if err != nil || f.Type != MsgBatchStateResult {
+		t.Fatalf("frame: type %v err %v", f.Type, err)
+	}
+	got, gen, err := DecodeBatchStateResult(f.Payload, lim, nil)
+	if err != nil || gen != 42 || len(got) != len(res) {
+		t.Fatalf("decode: %d results gen %d err %v", len(got), gen, err)
+	}
+	for i := range res {
+		if got[i].Code != res[i].Code || got[i].PredictionMbps != res[i].PredictionMbps || !sameState(got[i].State, res[i].State) {
+			t.Errorf("result %d: got %+v want %+v", i, got[i], res[i])
+		}
+	}
+
+	ops := []Op{{SessionID: []byte("s"), ObservedMbps: 1, Horizon: 1, HasObserve: true, WantState: true}, {SessionID: []byte("s"), Horizon: 2}}
+	bf, _ := DecodeFrame(AppendBatch(nil, ops), lim)
+	gotOps, err := DecodeBatch(bf.Payload, lim, nil)
+	if err != nil || !gotOps[0].WantState || gotOps[1].WantState {
+		t.Fatalf("WantState through a batch: %+v err %v", gotOps, err)
+	}
+	of, _ := DecodeFrame(AppendOp(nil, ops[0]), lim)
+	if _, err := DecodeOp(of.Payload, lim); !errors.Is(err, ErrBadValue) {
+		t.Errorf("single op asking for state: err = %v, want ErrBadValue", err)
+	}
+	// The remaining flag bits are still reserved.
+	bad := AppendBatch(nil, ops[1:])
+	bad[HeaderLen+2] |= 0x04
+	bf, _ = DecodeFrame(bad, lim)
+	if _, err := DecodeBatch(bf.Payload, lim, nil); !errors.Is(err, ErrBadValue) {
+		t.Errorf("reserved flag bit: err = %v, want ErrBadValue", err)
+	}
+}
+
+func TestDecodeBatchStateResultBounds(t *testing.T) {
+	lim := DefaultLimits()
+	valid := AppendBatchStateResult(nil, 1, stateResults())
+	payload := func(mut func(p []byte) []byte) []byte {
+		return mut(append([]byte(nil), valid[HeaderLen:]...))
+	}
+	// Offsets into the payload: gen(8) count(2), then op 0 = code(1)
+	// pred(8) n(2) started(1)...
+	cases := []struct {
+		name string
+		p    []byte
+		want error
+	}{
+		{"short", payload(func(p []byte) []byte { return p[:9] }), ErrTruncated},
+		{"cut mid-state", payload(func(p []byte) []byte { return p[:40] }), ErrTruncated},
+		{"lying posterior count", payload(func(p []byte) []byte { p[19], p[20] = 0xFF, 0xFF; return p }), ErrTruncated},
+		{"lying op count", payload(func(p []byte) []byte { p[8] = 9; return p }), ErrTruncated},
+		{"non-canonical started", payload(func(p []byte) []byte { p[21] = 2; return p }), ErrBadValue},
+		{"trailing", payload(func(p []byte) []byte { return append(p, 0) }), ErrTrailingData},
+		{"too many ops", payload(func(p []byte) []byte { p[8], p[9] = 0xFF, 0xFF; return p }), ErrOversize},
+	}
+	for _, tc := range cases {
+		if _, _, err := DecodeBatchStateResult(tc.p, lim, nil); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }
@@ -245,5 +335,25 @@ func TestEncodeReuseNoAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("encode/decode cycle allocates %v times per op, want 0", allocs)
+	}
+
+	// The state-carrying result: a recycled result slice keeps each slot's
+	// posterior buffer, so the state rides for no allocation either.
+	res := stateResults()
+	buf = AppendBatchStateResult(buf[:0], 1, res)
+	var resBuf []OpResult
+	cycle := func() {
+		buf = AppendBatchStateResult(buf[:0], 1, res)
+		f, err := DecodeFrame(buf, lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resBuf, _, err = DecodeBatchStateResult(f.Payload, lim, resBuf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // the first pass sizes the slots
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("state result encode/decode cycle allocates %v times, want 0", allocs)
 	}
 }
