@@ -6,7 +6,8 @@
 //     the box, and watch the registry for new versions — each candidate must
 //     pass the promotion gate before the atomic swap.
 //   - trace mode (-trace): train in-process at startup (the original
-//     single-binary deployment).
+//     single-binary deployment). The trace is read, trained on and dropped;
+//     what serves is the same model store artifact mode loads.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown that drains in-flight calls.
 //
@@ -104,7 +105,6 @@ func main() {
 	var (
 		svc      *engine.Service
 		modelReg *registry.Registry
-		d        *trace.Dataset // nil in artifact mode: no raw trace on the box
 	)
 	if *modelDir != "" {
 		var err error
@@ -130,7 +130,7 @@ func main() {
 		if err != nil {
 			fatalf("opening trace: %v", err)
 		}
-		d, err = trace.ReadCSV(f)
+		d, err := trace.ReadCSV(f)
 		f.Close()
 		if err != nil {
 			fatalf("reading trace: %v", err)
@@ -262,11 +262,7 @@ func main() {
 		go svc.RunOnlineLoop(ctx)
 	}
 
-	// The exporter receives the engine of the snapshot being served, so a
-	// model swap can never pair a stale export with a new generation. In
-	// artifact mode there is no dataset: Export(nil) replays the artifact's
-	// own initial-dispatch index.
-	srv := httpapi.NewServer(svc, func(e *core.Engine) *core.ModelStore { return e.Export(d) })
+	srv := httpapi.NewServer(svc, (*core.Engine).Store)
 	srv.SetLogf(logf)
 	srv.SetMetrics(reg)
 	srv.SetTraceRequests(*traceReqs)

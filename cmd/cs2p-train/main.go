@@ -87,7 +87,7 @@ func main() {
 	if err != nil {
 		fatalf("training: %v", err)
 	}
-	store := eng.Export(train)
+	store := eng.Store()
 	maxSize, err := store.MaxModelSize()
 	if err != nil {
 		fatalf("sizing model store: %v", err)

@@ -99,8 +99,12 @@ func TrainContext(ctx context.Context, train *Dataset, cfg Config) (*Engine, err
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // LoadModelStore reads a serialized model store written by
-// (*ModelStore).Save.
+// (*ModelStore).Save — engine.Store() is what a trained engine ships.
 func LoadModelStore(r io.Reader) (*ModelStore, error) { return core.LoadModelStore(r) }
+
+// NewEngineFromStore boots an engine from a shipped model store; it predicts
+// bit-identically to the engine the store came from.
+func NewEngineFromStore(ms *ModelStore) (*Engine, error) { return core.NewEngineFromStore(ms) }
 
 // GenerateTrace synthesizes an iQiyi-like throughput dataset (the stand-in
 // for the paper's proprietary trace; see DESIGN.md).

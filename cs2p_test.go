@@ -66,7 +66,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Model store round trip.
-	store := engine.Export(train)
+	store := engine.Store()
 	var sbuf bytes.Buffer
 	if err := store.Save(&sbuf); err != nil {
 		t.Fatal(err)
@@ -75,9 +75,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := back.NewSessionPredictor(s.Features)
-	if math.IsNaN(sp.Predict()) {
-		t.Error("store predictor should predict")
+	booted, err := cs2p.NewEngineFromStore(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp := booted.NewSessionPredictor(s); sp.Predict() != engine.NewSessionPredictor(s).Predict() {
+		t.Error("an engine booted from the shipped store should predict as the one that trained it")
 	}
 	max, err := back.MaxModelSize()
 	if err != nil {

@@ -37,7 +37,7 @@ func Example() {
 
 	// Export and reload the deployable model store.
 	var buf bytes.Buffer
-	if err := engine.Export(train).Save(&buf); err != nil {
+	if err := engine.Store().Save(&buf); err != nil {
 		log.Fatal(err)
 	}
 	store, err := cs2p.LoadModelStore(&buf)

@@ -54,7 +54,7 @@ func main() {
 
 	// 4. Ship the models: the store is what the Prediction Engine sends
 	// to video servers or players (<5 KB per cluster).
-	store := engine.Export(train)
+	store := engine.Store()
 	maxSize, err := store.MaxModelSize()
 	if err != nil {
 		log.Fatal(err)

@@ -35,7 +35,7 @@ func main() {
 
 	// Serve it over HTTP on an ephemeral port.
 	svc := engine.NewService(eng, ecfg, video.Default())
-	srv := httpapi.NewServer(svc, func(e *core.Engine) *core.ModelStore { return e.Export(train) })
+	srv := httpapi.NewServer(svc, (*core.Engine).Store)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatalf("listen: %v", err)

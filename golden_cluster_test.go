@@ -55,7 +55,7 @@ func bootGoldenClusterVia(t *testing.T, transport http.RoundTripper) (*router.Ro
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Publish(eng.Export(train), core.TrainingMeta{
+	if _, err := reg.Publish(eng.Store(), core.TrainingMeta{
 		TrainedAtUnix: 1700000000,
 		TraceSessions: train.Len(),
 		Clusters:      eng.Clusters(),
@@ -74,7 +74,7 @@ func bootGoldenClusterVia(t *testing.T, transport http.RoundTripper) (*router.Ro
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httpapi.NewServer(svc, func(e *core.Engine) *core.ModelStore { return e.Export(nil) })
+		srv := httpapi.NewServer(svc, (*core.Engine).Store)
 		srv.SetLogf(func(string, ...any) {})
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)

@@ -48,7 +48,7 @@ func goldenReplay(t *testing.T, shards int) (string, []engine.SessionLog) {
 		t.Fatal(err)
 	}
 	svc := engine.NewServiceWithOptions(eng, ecfg, video.Default(), engine.ServiceOptions{Shards: shards})
-	srv := httpapi.NewServer(svc, func(e *core.Engine) *core.ModelStore { return e.Export(train) })
+	srv := httpapi.NewServer(svc, (*core.Engine).Store)
 	srv.SetLogf(func(string, ...any) {})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -238,7 +238,7 @@ func TestGoldenReplayWireParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := engine.NewServiceWithOptions(eng, ecfg, video.Default(), engine.ServiceOptions{Shards: 1})
-	srv := httpapi.NewServer(svc, func(e *core.Engine) *core.ModelStore { return e.Export(train) })
+	srv := httpapi.NewServer(svc, (*core.Engine).Store)
 	srv.SetLogf(func(string, ...any) {})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -330,7 +330,7 @@ func TestGoldenReplayArtifactBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Publish(eng.Export(train), core.TrainingMeta{
+	if _, err := reg.Publish(eng.Store(), core.TrainingMeta{
 		TrainedAtUnix: 1700000000,
 		TraceSessions: train.Len(),
 		Clusters:      eng.Clusters(),
@@ -347,7 +347,7 @@ func TestGoldenReplayArtifactBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httpapi.NewServer(svc, func(e *core.Engine) *core.ModelStore { return e.Export(nil) })
+	srv := httpapi.NewServer(svc, (*core.Engine).Store)
 	srv.SetLogf(func(string, ...any) {})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

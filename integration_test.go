@@ -60,7 +60,7 @@ func TestPipelineTraceTrainServePlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := eng.Export(loaded)
+	store := eng.Store()
 	var modelBuf bytes.Buffer
 	if err := store.Save(&modelBuf); err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestPipelineTraceTrainServePlay(t *testing.T) {
 
 	// 3. cs2p-server on a real socket.
 	svc := engine.NewService(eng, ecfg, video.Default())
-	srv := httpapi.NewServer(svc, func(*core.Engine) *core.ModelStore { return store })
+	srv := httpapi.NewServer(svc, (*core.Engine).Store)
 	srv.SetLogf(func(string, ...any) {})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

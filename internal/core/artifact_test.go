@@ -5,15 +5,18 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
 	"testing"
+
+	"cs2p/internal/trace"
 )
 
 // exportedModelJSON serializes the shared test engine's store once.
 func exportedModelJSON(t *testing.T) []byte {
 	t.Helper()
-	train, _, eng := env(t)
+	_, _, eng := env(t)
 	var buf bytes.Buffer
-	if err := eng.Export(train).Save(&buf); err != nil {
+	if err := eng.Store().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -117,10 +120,10 @@ func TestLoadArtifactTypedErrors(t *testing.T) {
 	})
 }
 
-// TestArtifactBootParity is the PR's core guarantee: an engine booted from a
-// saved artifact predicts bit-identically to the live engine that exported
-// it — routing, initial prediction (the windowed Eq. 6 aggregation), and the
-// full midstream replay.
+// TestArtifactBootParity is the save → LoadModelStore → boot round trip: an
+// engine booted from the file predicts bit-identically to the in-memory
+// engine that wrote it — routing, initial prediction (the windowed Eq. 6
+// aggregation), and the full midstream replay.
 func TestArtifactBootParity(t *testing.T) {
 	_, test, live := env(t)
 	ms, err := LoadModelStore(bytes.NewReader(exportedModelJSON(t)))
@@ -130,9 +133,6 @@ func TestArtifactBootParity(t *testing.T) {
 	booted, err := NewEngineFromStore(ms)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if booted.Clusterer() != nil {
-		t.Error("artifact-booted engine should have no live clusterer")
 	}
 	for _, s := range test.Sessions {
 		_, liveID := live.ModelFor(s)
@@ -156,9 +156,9 @@ func TestArtifactBootParity(t *testing.T) {
 	}
 }
 
-// TestExportStoreBackedEngine: re-exporting an artifact-booted engine returns
-// its backing store, so a chain of export/boot cycles is a fixed point.
-func TestExportStoreBackedEngine(t *testing.T) {
+// TestStoreOfBootedEngine: Store() of a booted engine is the store it booted
+// from, so a chain of save/boot cycles is a fixed point.
+func TestStoreOfBootedEngine(t *testing.T) {
 	ms, err := LoadModelStore(bytes.NewReader(exportedModelJSON(t)))
 	if err != nil {
 		t.Fatal(err)
@@ -167,32 +167,89 @@ func TestExportStoreBackedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := booted.Export(nil); got != ms {
-		t.Error("store-backed engine should export its backing store")
+	if got := booted.Store(); got != ms {
+		t.Error("booted engine should hand back the store it booted from")
 	}
 }
 
-// TestLegacyStoreWithoutInitialIndex: stores exported with a nil dataset (or
-// by older builds) carry no InitialIndex; the booted engine serves static
-// medians and routes via the Routes table, and still never panics.
-func TestLegacyStoreWithoutInitialIndex(t *testing.T) {
+// TestStoreWithoutIndex: a store without an initial index cannot route to
+// cluster models, so one that has any is refused with ErrNoIndex (the loader's
+// refusal is in TestLoadsParentWrittenStore); a global-only store is complete
+// without one and serves every session from the global artifact through the
+// ordinary routing path.
+func TestStoreWithoutIndex(t *testing.T) {
 	_, test, eng := env(t)
-	legacy := eng.Export(nil)
-	if legacy.Initial != nil {
-		t.Fatal("Export(nil) should omit the initial index")
+	t.Run("cluster models", func(t *testing.T) {
+		stripped := *eng.Store()
+		stripped.Initial = nil
+		if err := stripped.Validate(); !errors.Is(err, ErrNoIndex) {
+			t.Fatalf("Validate = %v, want ErrNoIndex", err)
+		}
+		if _, err := NewEngineFromStore(&stripped); !errors.Is(err, ErrNoIndex) {
+			t.Fatalf("NewEngineFromStore = %v, want ErrNoIndex", err)
+		}
+	})
+	t.Run("global only", func(t *testing.T) {
+		global := &ModelStore{FullFeatures: eng.Store().FullFeatures, Global: eng.Store().Global}
+		booted, err := NewEngineFromStore(global)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range test.Sessions[:10] {
+			p := booted.NewSessionPredictor(s)
+			if p.ClusterID() != GlobalClusterID || p.Filter().Model() != global.Global.Model {
+				t.Fatalf("session %s: served by %q, want the global artifact", s.ID, p.ClusterID())
+			}
+			if p.InitialPrediction() != global.Global.InitialMedian {
+				t.Fatalf("session %s: initial %v, want the global median %v", s.ID, p.InitialPrediction(), global.Global.InitialMedian)
+			}
+			if sm, id := global.Lookup(s.Features); id != GlobalClusterID || sm.Model != global.Global.Model {
+				t.Fatalf("session %s: Lookup gave %q", s.ID, id)
+			}
+		}
+	})
+}
+
+// TestLoadsParentWrittenStore: files written before the routes table was
+// dropped still carry a "routes" member. They must keep loading, and serve
+// exactly what the build that wrote them served (expectations computed by
+// that build on this file); the same file minus its index is refused.
+func TestLoadsParentWrittenStore(t *testing.T) {
+	load := func(name string) (*ModelStore, error) {
+		b, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return LoadModelStore(bytes.NewReader(b))
 	}
-	booted, err := NewEngineFromStore(legacy)
+	ms, err := load("store_written_by_parent.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range test.Sessions[:10] {
-		if p := booted.PredictInitial(s); math.IsNaN(p) {
-			t.Errorf("session %s: legacy store should predict via static medians", s.ID)
+	eng, err := NewEngineFromStore(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cluster = "ISP|hist:1h0m0s@ISP-00"
+	for _, c := range []struct {
+		start     int64
+		city, isp string
+		id        string
+		initial   float64
+	}{
+		{10000, "City-00", "ISP-00", cluster, 2.25},      // last hour's samples
+		{20000, "City-00", "ISP-00", cluster, 2.5},       // window empty: static median
+		{9000, "City-01", "ISP-01", GlobalClusterID, 3},  // cell chose the global rule
+		{10000, "City-09", "ISP-00", GlobalClusterID, 3}, // unseen cell
+	} {
+		p := eng.NewSessionPredictor(&trace.Session{StartUnix: c.start, Features: trace.Features{City: c.city, ISP: c.isp}})
+		if p.ClusterID() != c.id || p.InitialPrediction() != c.initial {
+			t.Errorf("%s/%s at %d: got (%q, %v), want (%q, %v)", c.city, c.isp, c.start, p.ClusterID(), p.InitialPrediction(), c.id, c.initial)
 		}
-		sm, _ := legacy.Lookup(s.Features)
-		if got := booted.PredictInitial(s); got != sm.InitialMedian && !math.IsNaN(sm.InitialMedian) {
-			t.Errorf("session %s: legacy initial %v, want static median %v", s.ID, got, sm.InitialMedian)
-		}
+	}
+
+	if _, err := load("store_models_without_index.json"); !errors.Is(err, ErrNoIndex) {
+		t.Fatalf("index-less file: LoadModelStore = %v, want ErrNoIndex", err)
 	}
 }
 

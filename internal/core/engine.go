@@ -20,7 +20,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -95,23 +94,32 @@ func DefaultConfig() Config {
 	}
 }
 
-// Engine is a trained CS2P Prediction Engine.
+// Engine is a trained CS2P Prediction Engine. The model store is all of it:
+// an engine Train returns and one NewEngineFromStore boots from a shipped
+// file run the same code over the same data. Read-only after construction,
+// so safe for concurrent use.
 type Engine struct {
-	cfg       Config
-	clusterer *cluster.Clusterer
-	models    map[string]*hmm.Model // cluster ID -> midstream model
-	medians   map[string]float64    // cluster ID -> fallback initial median
-	global    *hmm.Model
-	globalMed float64
-	warnings  []string
-	// src is non-nil on engines booted from a deployed artifact
-	// (NewEngineFromStore): routing and initial prediction replay the
-	// store's InitialIndex instead of a live clusterer.
-	src *storeRouter
+	store    *ModelStore
+	warnings []string
+}
+
+// NewEngineFromStore builds a serving engine from a deployed artifact — the
+// §5.3 path where a video server boots from shipped models with no training
+// data. The store must pass Validate (LoadModelStore already guarantees it).
+func NewEngineFromStore(ms *ModelStore) (*Engine, error) {
+	if ms == nil {
+		return nil, fmt.Errorf("core: nil model store")
+	}
+	if err := ms.Validate(); err != nil {
+		return nil, err
+	}
+	return &Engine{store: ms}, nil
 }
 
 // Train builds the engine: runs the clustering search, trains one HMM per
-// realized cluster, and fits the global fallback model.
+// realized cluster, fits the global fallback model, and indexes the training
+// set's initial throughputs under the chosen rules. The clusterer — and with
+// it every reference to train — is garbage once Train returns.
 func Train(train *trace.Dataset, cfg Config) (*Engine, error) {
 	return TrainContext(context.Background(), train, cfg)
 }
@@ -134,11 +142,6 @@ func TrainContext(ctx context.Context, train *trace.Dataset, cfg Config) (*Engin
 	if cfg.MinClusterSessions <= 0 {
 		cfg.MinClusterSessions = 10
 	}
-	e := &Engine{
-		cfg:     cfg,
-		models:  make(map[string]*hmm.Model),
-		medians: make(map[string]float64),
-	}
 	trainStart := time.Now()
 	ccfg := cfg.Cluster
 	if ccfg.Parallelism == 0 {
@@ -147,8 +150,8 @@ func TrainContext(ctx context.Context, train *trace.Dataset, cfg Config) (*Engin
 	if ccfg.Metrics == nil {
 		ccfg.Metrics = cfg.Metrics
 	}
-	e.clusterer = cluster.New(ccfg, train)
-	if err := e.clusterer.SelectCtx(ctx); err != nil {
+	clusterer := cluster.New(ccfg, train)
+	if err := clusterer.SelectCtx(ctx); err != nil {
 		return nil, fmt.Errorf("core: clustering rule search: %w", err)
 	}
 
@@ -156,7 +159,7 @@ func TrainContext(ctx context.Context, train *trace.Dataset, cfg Config) (*Engin
 	// cell fell back to the global rule are served by the global model.
 	byCluster := map[string][]*trace.Session{}
 	for _, s := range train.Sessions {
-		rule, id := e.clusterer.ClusterFor(s)
+		rule, id := clusterer.ClusterFor(s)
 		if rule.IsGlobal() {
 			continue
 		}
@@ -217,11 +220,17 @@ func TrainContext(ctx context.Context, train *trace.Dataset, cfg Config) (*Engin
 	if err != nil {
 		return nil, fmt.Errorf("core: training cluster models: %w", err)
 	}
+	ms := &ModelStore{
+		FullFeatures: NewFullFeatureList(cfg.Cluster.CandidateFeatures),
+		Models:       make(map[string]StoredModel),
+		Initial:      newInitialIndex(clusterer, train, cfg.MinClusterSessions),
+	}
+	var warnings []string
 	for i, id := range ids {
 		cm := results[i]
 		for _, w := range cm.warns {
 			cfg.logf("core: %s", w)
-			e.warnings = append(e.warnings, w)
+			warnings = append(warnings, w)
 		}
 		if cm.model == nil {
 			cfg.Metrics.Counter("cs2p_train_clusters_total",
@@ -230,8 +239,7 @@ func TrainContext(ctx context.Context, train *trace.Dataset, cfg Config) (*Engin
 		}
 		cfg.Metrics.Counter("cs2p_train_clusters_total",
 			"Clusters trained, by outcome.", obs.Labels{"result": "ok"}).Inc()
-		e.models[id] = cm.model
-		e.medians[id] = cm.median
+		ms.Models[id] = StoredModel{Model: cm.model, InitialMedian: cm.median}
 	}
 
 	// Global fallback model over a stride subsample of everything.
@@ -240,8 +248,12 @@ func TrainContext(ctx context.Context, train *trace.Dataset, cfg Config) (*Engin
 	if err != nil {
 		return nil, fmt.Errorf("core: training global model: %w", err)
 	}
-	e.global = g
-	e.globalMed = staticMedian(train.Sessions)
+	ms.Global = StoredModel{Model: g, InitialMedian: staticMedian(train.Sessions)}
+	e, err := NewEngineFromStore(ms)
+	if err != nil {
+		return nil, fmt.Errorf("core: trained model is not servable: %w", err)
+	}
+	e.warnings = warnings
 	cfg.Metrics.Histogram("cs2p_train_seconds",
 		"End-to-end offline training time (clustering + all HMM fits).",
 		obs.LatencyBuckets, nil).Observe(time.Since(trainStart).Seconds())
@@ -291,49 +303,34 @@ const GlobalClusterID = "global"
 // Name implements predict.Factory and predict.Initial.
 func (e *Engine) Name() string { return "CS2P" }
 
+// Store returns the engine's model — the store it was booted from, or the one
+// Train built. It is shared, not copied: treat it as read-only.
+func (e *Engine) Store() *ModelStore { return e.store }
+
+// Export returns Store(). Leftover: benchmark/ is frozen for this PR and
+// benchmark/benchmark_test.go still calls it with the training set; the next
+// benchmark PR deletes it.
+func (e *Engine) Export(*trace.Dataset) *ModelStore { return e.store }
+
 // Clusters returns the number of clusters with a dedicated HMM.
-func (e *Engine) Clusters() int { return len(e.models) }
+func (e *Engine) Clusters() int { return len(e.store.Models) }
 
 // GlobalModel returns the fallback HMM.
-func (e *Engine) GlobalModel() *hmm.Model { return e.global }
+func (e *Engine) GlobalModel() *hmm.Model { return e.store.Global.Model }
 
 // ModelFor returns the HMM and cluster ID a session maps to (the global
 // model when the session's cluster has none), for diagnostics and Figure 8.
 func (e *Engine) ModelFor(s *trace.Session) (*hmm.Model, string) {
-	if e.src != nil {
-		return e.src.modelFor(e, s)
-	}
-	rule, id := e.clusterer.ClusterFor(s)
-	if !rule.IsGlobal() {
-		if m, ok := e.models[id]; ok {
-			return m, id
-		}
-	}
-	return e.global, GlobalClusterID
+	_, sm, id := e.store.route(s)
+	return sm.Model, id
 }
-
-// Clusterer exposes the trained clustering stage (nil on engines booted from
-// a deployed artifact, which carry the routing table instead).
-func (e *Engine) Clusterer() *cluster.Clusterer { return e.clusterer }
 
 // PredictInitial implements predict.Initial: the median initial throughput
 // of Agg(M*, s) (Eq. 6), with fallbacks to the cluster's static median and
 // finally the global median when the windowed aggregation is too small.
 func (e *Engine) PredictInitial(s *trace.Session) float64 {
-	if e.src != nil {
-		return e.src.predictInitial(e, s)
-	}
-	rule, id := e.clusterer.ClusterFor(s)
-	agg := e.clusterer.Aggregate(rule, s)
-	if len(agg) >= e.cfg.MinClusterSessions {
-		if med := cluster.MedianInitial(agg); !math.IsNaN(med) {
-			return med
-		}
-	}
-	if med, ok := e.medians[id]; ok && !math.IsNaN(med) {
-		return med
-	}
-	return e.globalMed
+	rule, sm, _ := e.store.route(s)
+	return e.store.predictInitial(rule, sm, s)
 }
 
 // SessionPredictor runs Algorithm 1 for one video session: the initial epoch
@@ -351,12 +348,13 @@ func (e *Engine) NewSession(s *trace.Session) predict.Midstream {
 }
 
 // NewSessionPredictor is NewSession with the concrete type, exposing the
-// cluster ID and posterior for diagnostics.
+// cluster ID and posterior for diagnostics. The session's cell is resolved
+// once for both the model and the initial prediction.
 func (e *Engine) NewSessionPredictor(s *trace.Session) *SessionPredictor {
-	m, id := e.ModelFor(s)
+	rule, sm, id := e.store.route(s)
 	return &SessionPredictor{
-		filter:    hmm.NewFilter(m),
-		initial:   e.PredictInitial(s),
+		filter:    hmm.NewFilter(sm.Model),
+		initial:   e.store.predictInitial(rule, sm, s),
 		clusterID: id,
 	}
 }

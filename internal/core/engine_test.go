@@ -17,6 +17,7 @@ import (
 // tests (training is the expensive part).
 var testEnv struct {
 	train, test *trace.Dataset
+	cfg         Config
 	engine      *Engine
 }
 
@@ -36,7 +37,7 @@ func env(t *testing.T) (*trace.Dataset, *trace.Dataset, *Engine) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		testEnv.train, testEnv.test, testEnv.engine = train, test, eng
+		testEnv.train, testEnv.test, testEnv.cfg, testEnv.engine = train, test, ecfg, eng
 	}
 	return testEnv.train, testEnv.test, testEnv.engine
 }
@@ -145,9 +146,57 @@ func TestModelForFallsBackToGlobal(t *testing.T) {
 	}
 }
 
-func TestExportLookupRoundTrip(t *testing.T) {
+// TestIndexMatchesClusterer checks the index every engine serves from against
+// the §5.1 reference it was built from: a clusterer over the same training
+// set must give every session the same cluster and the same Eq. 6 initial
+// prediction. Training sessions are queried too — held-out ones all start
+// after the training set, so only a training session (whose own sample ties
+// its start time) exercises the strictly-before cut.
+func TestIndexMatchesClusterer(t *testing.T) {
 	train, test, eng := env(t)
-	ms := eng.Export(train)
+	c := cluster.New(testEnv.cfg.Cluster, train)
+	c.Select()
+	ms := eng.Store()
+	var windowed, static, global int
+	for _, s := range append(append([]*trace.Session(nil), train.Sessions...), test.Sessions...) {
+		rule, id := c.ClusterFor(s)
+		sm, hasModel := ms.Models[id]
+		if rule.IsGlobal() || !hasModel {
+			sm, id = ms.Global, GlobalClusterID
+			global++
+		}
+		want := sm.InitialMedian
+		if math.IsNaN(want) {
+			want = ms.Global.InitialMedian
+		}
+		agg := c.Aggregate(rule, s)
+		if med := cluster.MedianInitial(agg); len(agg) >= testEnv.cfg.MinClusterSessions && !math.IsNaN(med) {
+			want = med
+			if rule.Window.Kind != cluster.WindowAll {
+				windowed++
+			}
+		} else {
+			static++
+		}
+		p := eng.NewSessionPredictor(s)
+		if p.ClusterID() != id {
+			t.Fatalf("session %s: engine cluster %q, clusterer %q", s.ID, p.ClusterID(), id)
+		}
+		if got := p.InitialPrediction(); got != want {
+			t.Fatalf("session %s (rule %s): engine initial %v, clusterer %v", s.ID, rule, got, want)
+		}
+		if m, mid := eng.ModelFor(s); mid != id || m != sm.Model || eng.PredictInitial(s) != want {
+			t.Fatalf("session %s: ModelFor/PredictInitial disagree with NewSessionPredictor", s.ID)
+		}
+	}
+	if windowed == 0 || static == 0 || global == 0 {
+		t.Fatalf("vacuous: %d windowed aggregations, %d static fallbacks, %d global routes", windowed, static, global)
+	}
+}
+
+func TestExportLookupRoundTrip(t *testing.T) {
+	_, test, eng := env(t)
+	ms := eng.Store()
 	if len(ms.Models) != eng.Clusters() {
 		t.Errorf("store has %d models, engine %d", len(ms.Models), eng.Clusters())
 	}
@@ -159,21 +208,25 @@ func TestExportLookupRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.Models) != len(ms.Models) || len(loaded.Routes) != len(ms.Routes) {
+	if len(loaded.Models) != len(ms.Models) || len(loaded.Initial.Rules) != len(ms.Initial.Rules) {
 		t.Error("store round-trip lost entries")
 	}
-	// The store-based predictor must agree with the engine's model routing.
-	s := test.Sessions[0]
-	_, wantID := eng.ModelFor(s)
-	sm, gotID := loaded.Lookup(s.Features)
-	if gotID != wantID {
-		// Routing can differ only when the cell was unseen in train.
-		t.Logf("store routed %q, engine %q (acceptable for unseen cells)", gotID, wantID)
+	// What /v1/model hands a client is what the engine serves the session.
+	for _, s := range test.Sessions {
+		_, wantID := eng.ModelFor(s)
+		sm, gotID := loaded.Lookup(s.Features)
+		if gotID != wantID {
+			t.Fatalf("session %s: store routed %q, engine %q", s.ID, gotID, wantID)
+		}
+		if sm.Model == nil {
+			t.Fatal("lookup returned nil model")
+		}
 	}
-	if sm.Model == nil {
-		t.Fatal("lookup returned nil model")
+	booted, err := NewEngineFromStore(loaded)
+	if err != nil {
+		t.Fatal(err)
 	}
-	p := loaded.NewSessionPredictor(s.Features)
+	p := booted.NewSessionPredictor(test.Sessions[0])
 	if math.IsNaN(p.Predict()) {
 		t.Error("store predictor should predict")
 	}
@@ -184,8 +237,8 @@ func TestExportLookupRoundTrip(t *testing.T) {
 }
 
 func TestModelSizeBudget(t *testing.T) {
-	train, _, eng := env(t)
-	ms := eng.Export(train)
+	_, _, eng := env(t)
+	ms := eng.Store()
 	max, err := ms.MaxModelSize()
 	if err != nil {
 		t.Fatal(err)

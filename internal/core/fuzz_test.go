@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"testing"
 
 	"cs2p/internal/hmm"
@@ -21,7 +22,6 @@ func tinyStore(mean float64) *ModelStore {
 	}
 	return &ModelStore{
 		FullFeatures: []string{"isp"},
-		Routes:       map[string]string{},
 		Models:       map[string]StoredModel{},
 		Global:       StoredModel{Model: m, InitialMedian: mean},
 	}
@@ -41,6 +41,15 @@ func FuzzLoadModelStore(f *testing.F) {
 	flipped := append([]byte(nil), seed...)
 	flipped[len(flipped)/3] ^= 0x40 // bit flip
 	f.Add(flipped)
+	// A file written by the build before the routes table was dropped (must
+	// keep loading) and one with cluster models but no index (must not).
+	for _, name := range []string{"testdata/store_written_by_parent.json", "testdata/store_models_without_index.json"} {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	f.Add([]byte("{}"))
 	f.Add([]byte(`{"global":{"model":null}}`))
 	f.Add([]byte(`{"global":{"model":{"pi":[1],"trans":{"Rows":1,"Cols":1,"Data":[1]},"emit":[{"mu":0,"sigma":-1}]}}}`))

@@ -71,14 +71,13 @@ type OnlineLearner struct {
 	absorbed int // fresh sessions absorbed so far
 }
 
-// NewOnlineLearner builds a learner over a trained (or artifact-booted) base
-// engine.
+// NewOnlineLearner builds a learner over a base engine.
 func NewOnlineLearner(base *Engine, cfg OnlineConfig) (*OnlineLearner, error) {
-	if base == nil || base.global == nil {
+	if base == nil || base.store == nil {
 		return nil, fmt.Errorf("core: online learner needs a trained base engine")
 	}
 	cfg = cfg.withDefaults()
-	g, err := hmm.NewOnlineTrainer(base.global, cfg.HMM)
+	g, err := hmm.NewOnlineTrainer(base.GlobalModel(), cfg.HMM)
 	if err != nil {
 		return nil, fmt.Errorf("core: warm-starting global trainer: %w", err)
 	}
@@ -140,12 +139,8 @@ func (l *OnlineLearner) Absorb(fresh []*trace.Session) error {
 		}
 		tr, ok := l.trainers[id]
 		if !ok {
-			warm := l.base.models[id]
-			if warm == nil {
-				continue // routed to a cluster the incumbent has no model for
-			}
 			var err error
-			tr, err = hmm.NewOnlineTrainer(warm, l.cfg.HMM)
+			tr, err = hmm.NewOnlineTrainer(l.base.store.Models[id].Model, l.cfg.HMM)
 			if err != nil {
 				return fmt.Errorf("core: warm-starting cluster %q trainer: %w", id, err)
 			}
@@ -166,83 +161,48 @@ func (l *OnlineLearner) Absorb(fresh []*trace.Session) error {
 	return nil
 }
 
-// candidateModels assembles the updated per-cluster artifacts: incumbent
-// models overridden by every trainer that absorbed at least one batch, and
-// incumbent medians overridden once a cluster's running median has enough
-// samples.
-func (l *OnlineLearner) candidateModels() (models map[string]*hmm.Model, medians map[string]float64, global *hmm.Model, globalMed float64) {
-	models = make(map[string]*hmm.Model, len(l.base.models))
-	medians = make(map[string]float64, len(l.base.medians))
-	for id, m := range l.base.models {
-		models[id] = m
+// Candidate materializes the learner's current state as a deployable
+// candidate engine, for the promotion gate's holdout evaluation and (through
+// its Store) registry publication: incumbent models overridden by every
+// trainer that absorbed at least one batch, incumbent medians overridden once
+// a cluster's running median has enough samples. The incumbent's index is
+// carried over unchanged — cluster structure is not revised online, so the
+// windowed Eq. 6 aggregation ages until the next offline Train.
+func (l *OnlineLearner) Candidate() (*Engine, error) {
+	base := l.base.store
+	ms := &ModelStore{
+		FullFeatures: base.FullFeatures,
+		Models:       make(map[string]StoredModel, len(base.Models)),
+		Global:       base.Global,
+		Initial:      base.Initial,
 	}
-	for id, med := range l.base.medians {
-		medians[id] = med
-	}
-	for id, tr := range l.trainers {
-		if tr.Updates() > 0 {
-			models[id] = tr.Model().Clone()
+	for id, sm := range base.Models {
+		if tr := l.trainers[id]; tr != nil && tr.Updates() > 0 {
+			sm.Model = tr.Model().Clone()
 		}
-	}
-	for id, rm := range l.medians {
-		if rm.Count() >= l.cfg.MinMedianSamples {
-			if v := rm.Value(); !math.IsNaN(v) {
-				medians[id] = v
-			}
+		if rm := l.medians[id]; rm != nil {
+			sm.InitialMedian = freshMedian(rm, l.cfg.MinMedianSamples, sm.InitialMedian)
 		}
+		ms.Models[id] = sm
 	}
-	global = l.base.global
 	if l.global.Updates() > 0 {
-		global = l.global.Model().Clone()
+		ms.Global.Model = l.global.Model().Clone()
 	}
-	globalMed = l.base.globalMed
-	if l.globMed.Count() >= l.cfg.MinMedianSamples {
-		if v := l.globMed.Value(); !math.IsNaN(v) {
-			globalMed = v
-		}
+	ms.Global.InitialMedian = freshMedian(&l.globMed, l.cfg.MinMedianSamples, ms.Global.InitialMedian)
+	eng, err := NewEngineFromStore(ms)
+	if err != nil {
+		return nil, fmt.Errorf("core: materializing online candidate: %w", err)
 	}
-	return models, medians, global, globalMed
+	return eng, nil
 }
 
-// Candidate materializes the learner's current state as a deployable
-// candidate: a serving engine (for the promotion gate's holdout evaluation)
-// plus its exported model store (for registry publication). fresh is the
-// intake batch the candidate was trained on; for a clusterer-backed base it
-// also seeds the exported store's routing/initial index, so the published
-// artifact reflects the traffic that triggered the retrain.
-//
-// For an artifact-booted base the incumbent store's routing table and initial
-// index are carried over unchanged (only models and medians are refreshed) —
-// the windowed Eq. 6 aggregation ages until the next offline export.
-func (l *OnlineLearner) Candidate(fresh *trace.Dataset) (*Engine, *ModelStore, error) {
-	models, medians, global, globalMed := l.candidateModels()
-
-	if l.base.src != nil {
-		baseMS := l.base.src.ms
-		ms := &ModelStore{
-			FullFeatures: baseMS.FullFeatures,
-			Routes:       baseMS.Routes,
-			Models:       make(map[string]StoredModel, len(models)),
-			Global:       StoredModel{Model: global, InitialMedian: globalMed},
-			Initial:      baseMS.Initial,
+// freshMedian is the running median once it has minSamples, the incumbent's
+// static value before that.
+func freshMedian(rm *cluster.RunningMedian, minSamples int, incumbent float64) float64 {
+	if rm.Count() >= minSamples {
+		if v := rm.Value(); !math.IsNaN(v) {
+			return v
 		}
-		for id, m := range models {
-			ms.Models[id] = StoredModel{Model: m, InitialMedian: medians[id]}
-		}
-		eng, err := NewEngineFromStore(ms)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: materializing online candidate: %w", err)
-		}
-		return eng, ms, nil
 	}
-
-	eng := &Engine{
-		cfg:       l.base.cfg,
-		clusterer: l.base.clusterer,
-		models:    models,
-		medians:   medians,
-		global:    global,
-		globalMed: globalMed,
-	}
-	return eng, eng.Export(fresh), nil
+	return incumbent
 }

@@ -43,7 +43,7 @@ func TestOnlineLearnerTracksShift(t *testing.T) {
 	train, test, eng := env(t)
 
 	baseGlobalMu := eng.GlobalModel().Emit[0].Mu
-	baseGlobalMed := eng.globalMed
+	baseGlobalMed := eng.store.Global.InitialMedian
 
 	l, err := NewOnlineLearner(eng, DefaultOnlineConfig())
 	if err != nil {
@@ -64,29 +64,23 @@ func TestOnlineLearnerTracksShift(t *testing.T) {
 		t.Fatal("no sessions absorbed")
 	}
 
-	fresh := trace.NewDataset()
-	fresh.Sessions = shifted
-	fresh.EpochSeconds = train.EpochSeconds
-	cand, ms, err := l.Candidate(fresh)
+	cand, err := l.Candidate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms == nil {
-		t.Fatal("nil candidate store")
-	}
-	if err := ms.Validate(); err != nil {
+	if err := cand.Store().Validate(); err != nil {
 		t.Fatalf("candidate store invalid: %v", err)
 	}
 
 	// Base engine must be untouched by everything above.
-	if eng.GlobalModel().Emit[0].Mu != baseGlobalMu || eng.globalMed != baseGlobalMed {
+	if eng.GlobalModel().Emit[0].Mu != baseGlobalMu || eng.store.Global.InitialMedian != baseGlobalMed {
 		t.Fatal("online learner mutated the base engine")
 	}
 
 	// The candidate's global initial median must have moved toward the
 	// scaled regime; with a 4x shift it should clearly exceed the base.
-	if cand.globalMed <= baseGlobalMed*2 {
-		t.Fatalf("candidate global median %v did not track 4x shift from base %v", cand.globalMed, baseGlobalMed)
+	if cand.store.Global.InitialMedian <= baseGlobalMed*2 {
+		t.Fatalf("candidate global median %v did not track 4x shift from base %v", cand.store.Global.InitialMedian, baseGlobalMed)
 	}
 
 	// Midstream predictions on shifted sessions should beat the incumbent's.
@@ -125,49 +119,56 @@ func midstreamMedianAPE(e *Engine, sessions []*trace.Session) float64 {
 	return cp[n/2-1]*0.5 + cp[n/2]*0.5
 }
 
-// TestOnlineLearnerStoreBackedBase runs the artifact-booted path: the base is
-// NewEngineFromStore, and the candidate must carry the incumbent's routing
-// table and initial index over unchanged while refreshing models.
+// TestOnlineLearnerStoreBackedBase: whether the base was trained in this
+// process or booted from a shipped store, the candidate carries the
+// incumbent's index over unchanged (so it routes every session where the
+// incumbent did) while refreshing models and medians.
 func TestOnlineLearnerStoreBackedBase(t *testing.T) {
-	train, _, eng := env(t)
-	baseMS := eng.Export(train)
-	storeEng, err := NewEngineFromStore(baseMS)
+	train, test, eng := env(t)
+	booted, err := NewEngineFromStore(eng.Store())
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewOnlineLearner(storeEng, DefaultOnlineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	shifted := scaleSessions(train.Sessions[:200], 3, "store-shift")
-	if err := l.Absorb(shifted); err != nil {
-		t.Fatal(err)
-	}
-	cand, ms, err := l.Candidate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cand.src == nil {
-		t.Fatal("candidate from store-backed base is not store-backed")
-	}
-	if len(ms.Routes) != len(baseMS.Routes) {
-		t.Fatalf("candidate routes %d != base routes %d", len(ms.Routes), len(baseMS.Routes))
-	}
-	if ms.Initial != baseMS.Initial {
-		t.Fatal("candidate did not carry the incumbent initial index over")
-	}
-	if ms.Global.Model == baseMS.Global.Model {
-		t.Fatal("candidate global model aliases the incumbent")
-	}
-	if ms.Global.InitialMedian <= baseMS.Global.InitialMedian {
-		t.Fatalf("candidate global median %v did not move under 3x shift (base %v)", ms.Global.InitialMedian, baseMS.Global.InitialMedian)
+	for name, base := range map[string]*Engine{"trained": eng, "booted": booted} {
+		t.Run(name, func(t *testing.T) {
+			l, err := NewOnlineLearner(base, DefaultOnlineConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Absorb(scaleSessions(train.Sessions[:200], 3, "store-shift")); err != nil {
+				t.Fatal(err)
+			}
+			cand, err := l.Candidate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseMS, ms := base.Store(), cand.Store()
+			if ms.Initial != baseMS.Initial {
+				t.Fatal("candidate did not carry the incumbent initial index over")
+			}
+			if len(ms.Models) != len(baseMS.Models) {
+				t.Fatalf("candidate has %d cluster models, base %d", len(ms.Models), len(baseMS.Models))
+			}
+			for _, s := range test.Sessions {
+				_, want := base.ModelFor(s)
+				if _, got := cand.ModelFor(s); got != want {
+					t.Fatalf("session %s: candidate routes to %q, incumbent to %q", s.ID, got, want)
+				}
+			}
+			if ms.Global.Model == baseMS.Global.Model {
+				t.Fatal("candidate global model aliases the incumbent")
+			}
+			if ms.Global.InitialMedian <= baseMS.Global.InitialMedian {
+				t.Fatalf("candidate global median %v did not move under 3x shift (base %v)", ms.Global.InitialMedian, baseMS.Global.InitialMedian)
+			}
+		})
 	}
 }
 
 // TestOnlineLearnerEmptyAbsorb checks no-op behavior and that Candidate on an
 // idle learner reproduces the incumbent's parameters.
 func TestOnlineLearnerEmptyAbsorb(t *testing.T) {
-	train, _, eng := env(t)
+	_, _, eng := env(t)
 	l, err := NewOnlineLearner(eng, DefaultOnlineConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -181,11 +182,11 @@ func TestOnlineLearnerEmptyAbsorb(t *testing.T) {
 	if l.Absorbed() != 0 {
 		t.Fatalf("Absorbed() = %d, want 0", l.Absorbed())
 	}
-	cand, _, err := l.Candidate(train)
+	cand, err := l.Candidate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cand.globalMed != eng.globalMed {
+	if cand.store.Global.InitialMedian != eng.store.Global.InitialMedian {
 		t.Fatal("idle candidate changed the global median")
 	}
 	if cand.GlobalModel().Emit[0] != eng.GlobalModel().Emit[0] {

@@ -37,22 +37,23 @@ func modelsIdentical(t *testing.T, label string, a, b *hmm.Model) {
 
 func enginesIdentical(t *testing.T, seq, par *Engine) {
 	t.Helper()
-	if len(seq.models) != len(par.models) {
-		t.Fatalf("cluster model counts differ: %d vs %d", len(seq.models), len(par.models))
+	sms, pms := seq.Store(), par.Store()
+	if len(sms.Models) != len(pms.Models) {
+		t.Fatalf("cluster model counts differ: %d vs %d", len(sms.Models), len(pms.Models))
 	}
-	for id, m := range seq.models {
-		pm, ok := par.models[id]
+	for id, sm := range sms.Models {
+		pm, ok := pms.Models[id]
 		if !ok {
 			t.Fatalf("parallel engine missing cluster %q", id)
 		}
-		modelsIdentical(t, "cluster "+id, m, pm)
-		if seq.medians[id] != par.medians[id] {
-			t.Fatalf("cluster %q medians differ: %v vs %v", id, seq.medians[id], par.medians[id])
+		modelsIdentical(t, "cluster "+id, sm.Model, pm.Model)
+		if sm.InitialMedian != pm.InitialMedian {
+			t.Fatalf("cluster %q medians differ: %v vs %v", id, sm.InitialMedian, pm.InitialMedian)
 		}
 	}
-	modelsIdentical(t, "global", seq.global, par.global)
-	if seq.globalMed != par.globalMed {
-		t.Fatalf("global medians differ: %v vs %v", seq.globalMed, par.globalMed)
+	modelsIdentical(t, "global", sms.Global.Model, pms.Global.Model)
+	if sms.Global.InitialMedian != pms.Global.InitialMedian {
+		t.Fatalf("global medians differ: %v vs %v", sms.Global.InitialMedian, pms.Global.InitialMedian)
 	}
 	if len(seq.warnings) != len(par.warnings) {
 		t.Fatalf("warning counts differ: %v vs %v", seq.warnings, par.warnings)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -9,6 +10,7 @@ import (
 
 	"cs2p/internal/cluster"
 	"cs2p/internal/hmm"
+	"cs2p/internal/mathx"
 	"cs2p/internal/trace"
 )
 
@@ -41,12 +43,12 @@ type InitialSample struct {
 	InitialMbps float64 `json:"w"`
 }
 
-// InitialIndex captures the trained clusterer's observable behavior so an
-// artifact-booted engine routes sessions and predicts initial throughput
-// bit-identically to the engine that exported it: the winning rule per
-// full-feature cell, and — for every rule feature combination in use — the
-// training sessions' (start, initial-throughput) samples grouped by feature
-// value, sorted by start time (the windowed Agg(M*, s) of §5.1 needs both).
+// InitialIndex is the trained clustering as the serving path consumes it: the
+// winning rule per full-feature cell, and — for every rule feature combination
+// in use — the training sessions' (start, initial-throughput) samples grouped
+// by feature value, sorted by start time (the windowed Agg(M*, s) of §5.1
+// needs both). Train builds it once from the training set; every engine,
+// trained here or booted from a file, routes and predicts through it.
 type InitialIndex struct {
 	// MinSessions is the training config's MinClusterSessions threshold:
 	// aggregations below it fall back to the static cluster median.
@@ -58,66 +60,33 @@ type InitialIndex struct {
 	Groups map[string]map[string][]InitialSample `json:"groups"`
 }
 
-// ModelStore is the serializable output of engine training, sufficient to
-// route any new session to its model without the training dataset — this is
-// what the Prediction Engine ships to video servers or clients (§5.3).
+// ModelStore is the one form a trained model takes — in the engine that
+// serves it, in the registry, and on the wire to video servers or clients
+// (§5.3): the per-cluster artifacts plus the index that routes any new
+// session to one without the training dataset.
 type ModelStore struct {
-	// FullFeatures is the canonical feature list keying Routes.
+	// FullFeatures is the canonical feature list keying Initial.Rules.
 	FullFeatures []string `json:"full_features"`
-	// Routes maps a session's full-feature value key to its cluster ID.
-	Routes map[string]string `json:"routes"`
 	// Models holds the per-cluster artifacts.
 	Models map[string]StoredModel `json:"models"`
 	// Global is the fallback artifact.
 	Global StoredModel `json:"global"`
-	// Initial, when present, carries the initial-prediction index that lets
-	// NewEngineFromStore reproduce the exporting engine's windowed Eq. 6
-	// aggregation. Absent on legacy stores; static medians stand in.
+	// Initial routes sessions to Models. Only a global-only store (no
+	// Models) may omit it; Validate rejects any other store without one.
 	Initial *InitialIndex `json:"initial,omitempty"`
 }
 
-// Export builds the deployable store from a trained engine, including the
-// initial-prediction index (the live engine's windowed aggregation state),
-// so a server booted from the store predicts bit-identically. Store-backed
-// engines return their backing store unchanged.
-func (e *Engine) Export(train *trace.Dataset) *ModelStore {
-	if e.src != nil {
-		return e.src.ms
-	}
-	full := NewFullFeatureList(e.cfg.Cluster.CandidateFeatures)
-	ms := &ModelStore{
-		FullFeatures: full,
-		Routes:       make(map[string]string),
-		Models:       make(map[string]StoredModel),
-		Global:       StoredModel{Model: e.global, InitialMedian: e.globalMed},
-	}
-	for id, m := range e.models {
-		ms.Models[id] = StoredModel{Model: m, InitialMedian: e.medians[id]}
-	}
-	if train == nil {
-		return ms
-	}
-	for _, s := range train.Sessions {
-		cellKey := s.Features.Key(full)
-		if _, seen := ms.Routes[cellKey]; seen {
-			continue
-		}
-		_, id := e.clusterer.ClusterFor(s)
-		if _, ok := e.models[id]; ok {
-			ms.Routes[cellKey] = id
-		}
-	}
-	ms.Initial = e.buildInitialIndex(train)
-	return ms
-}
+// ErrNoIndex: the store has cluster models but no index to route sessions to
+// them.
+var ErrNoIndex = errors.New("core: model store has cluster models but no initial index")
 
-// buildInitialIndex snapshots the clusterer's per-cell rule choices and the
+// newInitialIndex snapshots the clusterer's per-cell rule choices and the
 // training sessions' (start, initial) samples for every rule combination in
 // use — the global rule always included, since unseen cells fall back to it.
-func (e *Engine) buildInitialIndex(train *trace.Dataset) *InitialIndex {
+func newInitialIndex(c *cluster.Clusterer, train *trace.Dataset, minSessions int) *InitialIndex {
 	idx := &InitialIndex{
-		MinSessions: e.cfg.MinClusterSessions,
-		Rules:       e.clusterer.Chosen(),
+		MinSessions: minSessions,
+		Rules:       c.Chosen(),
 		Groups:      make(map[string]map[string][]InitialSample),
 	}
 	combos := map[string][]string{"": nil} // global rule: empty combination
@@ -138,27 +107,14 @@ func (e *Engine) buildInitialIndex(train *trace.Dataset) *InitialIndex {
 	return idx
 }
 
-// NewFullFeatureList canonicalizes (sorts, dedups) a candidate feature list,
-// defaulting to trace.ClusterableFeatures. Mirrors the clustering package's
-// cell keying.
+// NewFullFeatureList canonicalizes (sorts, dedups) a candidate feature list
+// the way the clustering package keys cells, defaulting to
+// trace.ClusterableFeatures.
 func NewFullFeatureList(features []string) []string {
 	if len(features) == 0 {
 		features = trace.ClusterableFeatures
 	}
-	out := append([]string(nil), features...)
-	// insertion sort (short list) keeps this dependency-free
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	dedup := out[:0]
-	for i, f := range out {
-		if i == 0 || f != out[i-1] {
-			dedup = append(dedup, f)
-		}
-	}
-	return dedup
+	return cluster.NewFeatureSet(features, cluster.TimeWindow{}).Features
 }
 
 // Save writes the store as JSON.
@@ -168,8 +124,9 @@ func (ms *ModelStore) Save(w io.Writer) error {
 
 // LoadModelStore reads a store written by Save and validates it fully before
 // returning: every model structurally sound with finite parameters, the
-// initial index (when present) well-formed, and nothing after the JSON
-// document (fuzzing found json.Decoder silently accepts trailing garbage).
+// initial index well-formed, and nothing after the JSON document (fuzzing
+// found json.Decoder silently accepts trailing garbage). Members this build
+// does not know — the "routes" table older builds wrote — are ignored.
 // On any error the store is discarded whole — a caller never observes a
 // half-valid store.
 func LoadModelStore(r io.Reader) (*ModelStore, error) {
@@ -204,12 +161,13 @@ func (ms *ModelStore) Validate() error {
 			return fmt.Errorf("core: cluster %q: %w", id, err)
 		}
 	}
-	if ms.Initial != nil {
-		if err := ms.Initial.validate(); err != nil {
-			return err
+	if ms.Initial == nil {
+		if len(ms.Models) > 0 {
+			return ErrNoIndex
 		}
+		return nil
 	}
-	return nil
+	return ms.Initial.validate()
 }
 
 // validate checks the initial-prediction index: known window kinds,
@@ -250,31 +208,74 @@ func (idx *InitialIndex) validate() error {
 	return nil
 }
 
-// Lookup returns the stored model and cluster ID for a session's features,
-// falling back to the global artifact.
-func (ms *ModelStore) Lookup(f trace.Features) (StoredModel, string) {
-	cellKey := f.Key(ms.FullFeatures)
-	if id, ok := ms.Routes[cellKey]; ok {
-		if sm, ok := ms.Models[id]; ok {
-			return sm, id
-		}
+// noIndex stands in for the index a global-only store omits: no cell has a
+// rule and no group has samples, so every session takes the global fallbacks.
+var noIndex InitialIndex
+
+func (ms *ModelStore) index() *InitialIndex {
+	if ms.Initial == nil {
+		return &noIndex
 	}
-	return ms.Global, "global"
+	return ms.Initial
 }
 
-// NewSessionPredictor builds the Algorithm-1 predictor from the store — the
-// client-side deployment path of §5.3, no training data required.
-func (ms *ModelStore) NewSessionPredictor(f trace.Features) *SessionPredictor {
-	sm, id := ms.Lookup(f)
-	initial := sm.InitialMedian
-	if math.IsNaN(initial) {
-		initial = ms.Global.InitialMedian
+// route resolves a session's cell: the rule chosen for it at training time
+// (the global rule — FeatureSet's zero value — for unseen cells) and the
+// artifact that serves it, the cluster's own when it has one, the global
+// fallback otherwise.
+func (ms *ModelStore) route(s *trace.Session) (cluster.FeatureSet, StoredModel, string) {
+	rule := ms.index().Rules[s.Features.Key(ms.FullFeatures)]
+	if !rule.IsGlobal() {
+		id := cluster.ClusterID(rule, s)
+		if sm, ok := ms.Models[id]; ok {
+			return rule, sm, id
+		}
 	}
-	return &SessionPredictor{
-		filter:    hmm.NewFilter(sm.Model),
-		initial:   initial,
-		clusterID: id,
+	return rule, ms.Global, GlobalClusterID
+}
+
+// Lookup returns the stored model and cluster ID for a session's features,
+// falling back to the global artifact — what GET /v1/model hands a client.
+func (ms *ModelStore) Lookup(f trace.Features) (StoredModel, string) {
+	_, sm, id := ms.route(&trace.Session{Features: f})
+	return sm, id
+}
+
+// aggregate is Agg(M, s) of §5.1 over the stored samples: sessions matching
+// the rule's features, strictly before s, filtered by the rule's window.
+func (idx *InitialIndex) aggregate(rule cluster.FeatureSet, s *trace.Session) []InitialSample {
+	g := idx.Groups[rule.Key()][s.Features.Key(rule.Features)]
+	hi := sort.Search(len(g), func(i int) bool { return g[i].StartUnix >= s.StartUnix })
+	if rule.Window.Kind == cluster.WindowAll {
+		return g[:hi]
 	}
+	var out []InitialSample
+	for _, cand := range g[:hi] {
+		if rule.Window.Match(cand.StartUnix, s.StartUnix) {
+			out = append(out, cand)
+		}
+	}
+	return out
+}
+
+// predictInitial is Eq. 6 for a routed session: the median initial
+// throughput of Agg(M*, s) when the aggregation is large enough, else the
+// serving artifact's static median, else the global one.
+func (ms *ModelStore) predictInitial(rule cluster.FeatureSet, sm StoredModel, s *trace.Session) float64 {
+	idx := ms.index()
+	if agg := idx.aggregate(rule, s); len(agg) >= idx.MinSessions {
+		vals := make([]float64, 0, len(agg))
+		for _, a := range agg {
+			vals = append(vals, a.InitialMbps)
+		}
+		if med := mathx.Median(vals); !math.IsNaN(med) {
+			return med
+		}
+	}
+	if !math.IsNaN(sm.InitialMedian) {
+		return sm.InitialMedian
+	}
+	return ms.Global.InitialMedian
 }
 
 // MaxModelSize returns the largest per-cluster artifact in bytes (the

@@ -27,7 +27,6 @@ func lifecycleStore(mean float64) *core.ModelStore {
 	}
 	return &core.ModelStore{
 		FullFeatures: []string{"isp"},
-		Routes:       map[string]string{},
 		Models:       map[string]core.StoredModel{},
 		Global:       core.StoredModel{Model: m, InitialMedian: mean},
 	}

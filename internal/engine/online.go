@@ -105,6 +105,10 @@ func (s *Service) EnableOnline(opts OnlineOptions) error {
 		return fmt.Errorf("engine: EnableOnline requires SetMetrics first (drift reads the live APE histogram)")
 	}
 	opts = opts.withDefaults()
+	if opts.MinRetrainSessions > opts.IntakeCapacity {
+		return fmt.Errorf("engine: min retrain sessions %d exceed intake capacity %d: the ring could never hold enough to retrain",
+			opts.MinRetrainSessions, opts.IntakeCapacity)
+	}
 	sink, err := NewTraceSink(opts.IntakeCapacity, opts.EpochSeconds)
 	if err != nil {
 		return err
@@ -220,15 +224,12 @@ func (s *Service) OnlineRetrain() error {
 	}
 	defer func() { o.retrainOnce <- struct{}{} }()
 
-	data := o.sink.Snapshot()
-	s.m.intakeBuffered.Set(0)
-	if data == nil || data.Len() < o.opts.MinRetrainSessions {
-		n := 0
-		if data != nil {
-			n = data.Len()
-		}
+	// Checked before draining: a short ring keeps accumulating.
+	if n := o.sink.Len(); n < o.opts.MinRetrainSessions {
 		return fmt.Errorf("%w: %d buffered, need %d", ErrNotEnoughTraces, n, o.opts.MinRetrainSessions)
 	}
+	data := o.sink.Snapshot()
+	s.m.intakeBuffered.Set(0)
 
 	// Push-order split: train on the older slice, hold out the newest —
 	// the gate judges the candidate on traffic it has not absorbed.
@@ -253,7 +254,7 @@ func (s *Service) OnlineRetrain() error {
 		s.m.onlineRetrainFailed.Inc()
 		return fmt.Errorf("engine: online retrain: %w", err)
 	}
-	cand, ms, err := o.learner.Candidate(trainDS)
+	cand, err := o.learner.Candidate()
 	if err != nil {
 		s.m.onlineRetrainFailed.Inc()
 		return fmt.Errorf("engine: online retrain: %w", err)
@@ -277,7 +278,7 @@ func (s *Service) OnlineRetrain() error {
 			Clusters:      cand.Clusters(),
 			Holdout:       core.EvaluateHoldout(cand, holdout),
 		}
-		man, err := reg.Publish(ms, meta)
+		man, err := reg.Publish(cand.Store(), meta)
 		if err != nil {
 			s.m.onlineRetrainFailed.Inc()
 			return fmt.Errorf("engine: publishing online candidate: %w", err)

@@ -344,6 +344,10 @@ func TestIngestAccountingAndRetrainThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc, train, _ := onlineEnv(t, reg)
+	// A ring smaller than the threshold could never retrain: refused up front.
+	if err := svc.EnableOnline(OnlineOptions{IntakeCapacity: 20, MinRetrainSessions: 30}); err == nil {
+		t.Fatal("intake capacity below the retrain threshold accepted")
+	}
 
 	res, err := svc.Ingest(train.Sessions[:25])
 	if err != nil {
@@ -355,12 +359,31 @@ func TestIngestAccountingAndRetrainThreshold(t *testing.T) {
 	if svc.IntakeBuffered() != 25 {
 		t.Fatalf("IntakeBuffered = %d", svc.IntakeBuffered())
 	}
-	// Below MinRetrainSessions (30): the buffer is consumed but no
-	// candidate trains.
+	// Below MinRetrainSessions (30): no candidate trains and the buffer
+	// keeps accumulating.
 	if err := svc.OnlineRetrain(); !errors.Is(err, ErrNotEnoughTraces) {
 		t.Fatalf("want ErrNotEnoughTraces, got %v", err)
 	}
+	if svc.IntakeBuffered() != 25 {
+		t.Fatalf("short retrain attempt left %d of 25 sessions buffered", svc.IntakeBuffered())
+	}
+	// 25 more reach the threshold: a candidate trains on all 50 and is
+	// published for the gate (which may accept or reject it).
+	if _, err := svc.Ingest(train.Sessions[25:50]); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.OnlineRetrain(); err != nil && !errors.Is(err, ErrPromotionRejected) {
+		t.Fatalf("retrain over 25+25 sessions: %v", err)
+	}
+	art, err := reg.Latest()
+	if err != nil {
+		t.Fatalf("no candidate was published: %v", err)
+	}
+	if art.Manifest.TraceSessions+art.Manifest.Holdout.Sessions != 50 {
+		t.Fatalf("candidate trained on %d + held out %d sessions, want 50 in all",
+			art.Manifest.TraceSessions, art.Manifest.Holdout.Sessions)
+	}
 	if svc.IntakeBuffered() != 0 {
-		t.Fatal("retrain attempt did not drain the buffer")
+		t.Fatalf("retrain left %d sessions buffered", svc.IntakeBuffered())
 	}
 }

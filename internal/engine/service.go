@@ -321,8 +321,7 @@ type StartResponse struct {
 func (s *Service) StartSession(id string, f trace.Features, startUnix int64) StartResponse {
 	sess := &trace.Session{ID: id, StartUnix: startUnix, Features: f, Throughput: []float64{1}}
 	snap := s.snap.Load()
-	e := snap.engine
-	p := e.NewSessionPredictor(sess)
+	p := snap.engine.NewSessionPredictor(sess)
 	st := &sessionState{
 		pred:         p,
 		lastOneStep:  p.InitialPrediction(),
@@ -340,16 +339,11 @@ func (s *Service) StartSession(id string, f trace.Features, startUnix int64) Sta
 	} else {
 		s.m.clusterHit.Inc()
 	}
-	model, _ := e.ModelFor(sess)
-	rebuffer := 0.0
-	if model != nil {
-		rebuffer = EstimateRebuffer(s.spec, model, p.InitialPrediction(), 30, 1)
-	}
 	lvl := abr.InitialLevel(s.spec, p.InitialPrediction())
 	return StartResponse{
 		InitialPredictionMbps: p.InitialPrediction(),
 		ClusterID:             p.ClusterID(),
-		RebufferEstimateSec:   rebuffer,
+		RebufferEstimateSec:   EstimateRebuffer(s.spec, p.Filter().Model(), p.InitialPrediction(), 30, 1),
 		SuggestedInitialLevel: lvl,
 		SuggestedInitialKbps:  s.spec.BitratesKbps[lvl],
 	}

@@ -26,10 +26,9 @@ func init() {
 // what actually happened.
 func PilotDeployment(c *Context) Result {
 	r := Result{ID: "P1", Title: "Pilot deployment over HTTP (paper §7.5)"}
-	train, _ := c.Split()
 	eng := c.Engine()
 	svc := engine.NewService(eng, c.EngineConfig(), c.Spec)
-	srv := httpapi.NewServer(svc, func(e *core.Engine) *core.ModelStore { return e.Export(train) })
+	srv := httpapi.NewServer(svc, (*core.Engine).Store)
 	srv.SetLogf(func(string, ...any) {})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -25,7 +25,6 @@ func adminStore(mean float64) *core.ModelStore {
 	}
 	return &core.ModelStore{
 		FullFeatures: []string{"isp"},
-		Routes:       map[string]string{},
 		Models:       map[string]core.StoredModel{},
 		Global:       core.StoredModel{Model: m, InitialMedian: mean},
 	}
@@ -61,7 +60,7 @@ func artifactServer(t *testing.T) (*httptest.Server, *engine.Service, *registry.
 	if _, err := svc.InstallArtifact(v2); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(svc, func(e *core.Engine) *core.ModelStore { return e.Export(nil) })
+	srv := NewServer(svc, (*core.Engine).Store)
 	srv.SetLogf(func(string, ...any) {})
 	srv.SetAdmin(&engine.RegistryAdmin{Svc: svc, Reg: reg})
 	ts := httptest.NewServer(srv.Handler())
@@ -145,7 +144,7 @@ func TestAdminRollbackConflictWhenNoPrevious(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(svc, func(e *core.Engine) *core.ModelStore { return e.Export(nil) })
+	srv := NewServer(svc, (*core.Engine).Store)
 	srv.SetLogf(func(string, ...any) {})
 	srv.SetAdmin(&engine.RegistryAdmin{Svc: svc, Reg: reg})
 	ts := httptest.NewServer(srv.Handler())

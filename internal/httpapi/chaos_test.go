@@ -77,7 +77,7 @@ func chaosRun(t *testing.T, sessions []*trace.Session, fcfg faultinject.Config, 
 	var panics atomic.Int64
 	newServer := func() *Server {
 		svc := engine.NewService(envEngine, envCfg, spec)
-		srv := NewServer(svc, func(e *core.Engine) *core.ModelStore { return e.Export(envTrain) })
+		srv := NewServer(svc, (*core.Engine).Store)
 		srv.SetLogf(func(string, ...any) {})
 		return srv
 	}

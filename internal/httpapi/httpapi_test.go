@@ -47,7 +47,7 @@ func ensureEnv() {
 			panic(err)
 		}
 		svc := engine.NewService(eng, ecfg, video.Default())
-		envServer = NewServer(svc, func(e *core.Engine) *core.ModelStore { return e.Export(train) })
+		envServer = NewServer(svc, (*core.Engine).Store)
 		envServer.SetLogf(func(string, ...any) {})
 		envTest = test
 		envEngine = eng

@@ -20,7 +20,7 @@ func ingestServer(t *testing.T, capacity int) *httptest.Server {
 	svc := engine.NewService(envEngine, core.DefaultConfig(), video.Default())
 	svc.SetLogf(func(string, ...any) {})
 	svc.SetMetrics(obs.NewRegistry())
-	if err := svc.EnableOnline(engine.OnlineOptions{IntakeCapacity: capacity}); err != nil {
+	if err := svc.EnableOnline(engine.OnlineOptions{IntakeCapacity: capacity, MinRetrainSessions: capacity}); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(svc, nil)

@@ -25,7 +25,7 @@ func metricsServer(t testing.TB) (*httptest.Server, *obs.Registry) {
 	// GOMAXPROCS would default the store to a single shard.
 	svc := engine.NewServiceWithOptions(envEngine, envCfg, video.Default(), engine.ServiceOptions{Shards: 4})
 	svc.SetMetrics(reg)
-	srv := NewServer(svc, func(e *core.Engine) *core.ModelStore { return e.Export(envTrain) })
+	srv := NewServer(svc, (*core.Engine).Store)
 	srv.SetLogf(func(string, ...any) {})
 	srv.SetMetrics(reg)
 	return httptest.NewServer(srv.Handler()), reg

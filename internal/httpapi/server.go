@@ -29,7 +29,6 @@ import (
 	"math"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -227,9 +226,8 @@ type DrainControl interface {
 	Draining() bool
 }
 
-// ModelProvider exposes the model plane: an immutable snapshot whose
-// generation keys the /v1/model export cache, so a hot retrain invalidates
-// exactly the artifacts derived from the engine it replaced.
+// ModelProvider exposes the model plane: an immutable snapshot pairing the
+// serving engine with the version and generation /v1/model reports for it.
 type ModelProvider interface {
 	Snapshot() *engine.ModelSnapshot
 }
@@ -250,16 +248,8 @@ type Server struct {
 	// export path; nil when the backend has no model plane.
 	models ModelProvider
 	cfg    ServerConfig
-	// exportMu guards the lazily built model store for GET /v1/model. The
-	// cache is keyed by the snapshot generation so a hot retrain
-	// invalidates it (stale-model bug: the store used to be built once and
-	// served forever). Reading engine and generation from one pinned
-	// snapshot means the cache can never label a new engine's export with
-	// an old generation.
-	exportMu sync.Mutex
-	store    *core.ModelStore
-	storeGen uint64
-	exporter func(*core.Engine) *core.ModelStore
+	// serveModel enables GET /v1/model.
+	serveModel bool
 	// admin, when set, enables the /v1/admin endpoints (501 otherwise).
 	admin  ModelAdmin
 	logf   func(format string, args ...any)
@@ -293,14 +283,17 @@ type Server struct {
 	extra map[string]http.Handler
 }
 
-// NewServer builds the HTTP facade. exporter, if non-nil, supplies the
-// deployable model store served by GET /v1/model (built lazily on first
-// request and rebuilt after each retrain) from the engine of the snapshot
-// being served. When svc also implements ModelProvider (as *engine.Service
-// does), it feeds those snapshots; otherwise install one with
-// SetModelProvider or the export endpoint stays disabled.
+// NewServer builds the HTTP facade. A non-nil exporter enables GET /v1/model,
+// which answers from the store of the snapshot being served; pass
+// (*core.Engine).Store, or nil for a backend with no model to hand out (the
+// router). Leftover: an engine has exactly one store, so the parameter is an
+// on/off switch spelled as a function and is only tested against nil;
+// benchmark/ is frozen for this PR and calls NewServer(svc, nil), so the
+// signature stays until the next benchmark PR. When svc also implements
+// ModelProvider (as *engine.Service does), it feeds those snapshots;
+// otherwise install one with SetModelProvider or the endpoint stays disabled.
 func NewServer(svc SessionService, exporter func(*core.Engine) *core.ModelStore) *Server {
-	s := &Server{svc: svc, cfg: DefaultServerConfig(), exporter: exporter, logf: log.Printf, sm: newServerMetrics(nil), start: time.Now()}
+	s := &Server{svc: svc, cfg: DefaultServerConfig(), serveModel: exporter != nil, logf: log.Printf, sm: newServerMetrics(nil), start: time.Now()}
 	if mp, ok := svc.(ModelProvider); ok {
 		s.models = mp
 	}
@@ -674,22 +667,6 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// exportStore returns the cached model store for the pinned snapshot,
-// rebuilding it when the model generation has advanced past the cached copy
-// (hot retrain invalidation). Generation and engine come from one pinned
-// snapshot, so even if a retrain lands mid-call the cache holds an
-// internally consistent (generation, export) pair — the next request
-// observes the new generation and rebuilds.
-func (s *Server) exportStore(snap *engine.ModelSnapshot) *core.ModelStore {
-	s.exportMu.Lock()
-	defer s.exportMu.Unlock()
-	if s.store == nil || s.storeGen != snap.Generation() {
-		s.store = s.exporter(snap.Engine())
-		s.storeGen = snap.Generation()
-	}
-	return s.store
-}
-
 // modelETag derives the strong ETag for /v1/model from the snapshot: keyed
 // by artifact version when the model came from the registry (stable across
 // server restarts serving the same artifact — and after a rollback the old
@@ -717,10 +694,11 @@ func etagMatches(header, etag string) bool {
 // handleModel serves the per-cluster model for the requesting client's
 // features — the decentralized deployment path (§5.3). The response carries
 // a version-derived ETag; a client presenting it back via If-None-Match gets
-// 304 without the export being built or serialized, so model polling between
-// publishes costs a header exchange.
+// 304 without anything being serialized, so model polling between publishes
+// costs a header exchange. Engine, version and generation come from one
+// pinned snapshot, so a swap mid-request cannot mislabel the model.
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	if s.exporter == nil || s.models == nil {
+	if !s.serveModel || s.models == nil {
 		WriteJSON(w, http.StatusNotImplemented, ErrorBody{Error: "model export not enabled"})
 		return
 	}
@@ -731,7 +709,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	store := s.exportStore(snap)
 	q := r.URL.Query()
 	f := trace.Features{
 		ClientIP: q.Get("ip"),
@@ -741,7 +718,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		City:     q.Get("city"),
 		Server:   q.Get("server"),
 	}
-	sm, id := store.Lookup(f)
+	sm, id := snap.Engine().Store().Lookup(f)
 	WriteJSON(w, http.StatusOK, map[string]any{
 		"cluster_id":       id,
 		"model":            sm.Model,

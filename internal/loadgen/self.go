@@ -137,7 +137,7 @@ func StartSelf(opts SelfOptions) (*SelfTarget, error) {
 	for i := 0; i < replicas; i++ {
 		svc := engine.NewServiceWithOptions(eng, cfg, video.Default(),
 			engine.ServiceOptions{Shards: opts.Shards, MaxLogs: opts.MaxLogs})
-		srv := httpapi.NewServer(svc, func(e *core.Engine) *core.ModelStore { return e.Export(d) })
+		srv := httpapi.NewServer(svc, (*core.Engine).Store)
 		srv.SetLogf(func(string, ...any) {})
 		mux := http.NewServeMux()
 		if i == 0 {

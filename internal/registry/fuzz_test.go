@@ -3,6 +3,7 @@ package registry
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"testing"
 
 	"cs2p/internal/core"
@@ -30,6 +31,19 @@ func FuzzLoadArtifact(f *testing.F) {
 	flipped := append([]byte(nil), modelJSON...)
 	flipped[len(flipped)/3] ^= 0x08
 	f.Add(manifestJSON, flipped) // bit-flipped payload
+	// A payload written by the build before the routes table was dropped
+	// (must keep loading) and one with cluster models but no index (must not).
+	for _, name := range []string{"store_written_by_parent.json", "store_models_without_index.json"} {
+		b, err := os.ReadFile("../core/testdata/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		mj, err := json.Marshal(core.NewManifest(1, b, testMeta(42)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(mj, b)
+	}
 	f.Add([]byte("{}"), []byte("{}"))
 	f.Fuzz(func(t *testing.T, manifest, model []byte) {
 		a, err := core.LoadArtifact(manifest, model)

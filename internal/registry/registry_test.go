@@ -23,7 +23,6 @@ func testStore(mean float64) *core.ModelStore {
 	}
 	return &core.ModelStore{
 		FullFeatures: []string{"isp"},
-		Routes:       map[string]string{},
 		Models:       map[string]core.StoredModel{},
 		Global:       core.StoredModel{Model: m, InitialMedian: mean},
 	}

@@ -67,7 +67,7 @@ func ensureChaosEnv(t *testing.T) {
 			chaosErr = err
 			return
 		}
-		if _, err := reg.Publish(eng.Export(train), core.TrainingMeta{
+		if _, err := reg.Publish(eng.Store(), core.TrainingMeta{
 			TrainedAtUnix: 1700000000,
 			TraceSessions: train.Len(),
 			Clusters:      eng.Clusters(),
@@ -113,7 +113,7 @@ func newRealCluster(t *testing.T, size int, mut func(*Config)) *realCluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httpapi.NewServer(svc, func(e *core.Engine) *core.ModelStore { return e.Export(nil) })
+		srv := httpapi.NewServer(svc, (*core.Engine).Store)
 		srv.SetLogf(func(string, ...any) {})
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
@@ -459,7 +459,7 @@ func bootExtraChaosReplica(t *testing.T, c *realCluster) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httpapi.NewServer(svc, func(e *core.Engine) *core.ModelStore { return e.Export(nil) })
+	srv := httpapi.NewServer(svc, (*core.Engine).Store)
 	srv.SetLogf(func(string, ...any) {})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
