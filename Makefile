@@ -49,9 +49,13 @@ bench:
 # sharded session store at shards=1/4/16 (engine), plus the JSON-vs-binary
 # wire comparison through the full handler stack at batch sizes 1/16/64
 # (httpapi). Allocation-counted, rendered as test2json events for trend
-# tooling. See DESIGN.md §10 and §12.
+# tooling. See DESIGN.md §10 and §12. BenchmarkServiceConcurrent's traffic is
+# 1/16 session starts: while every start ran the rebuffer rollout that was
+# ~98% of it (23.7 us/op); with the forecast served from the per-cluster memo
+# it measures the sharded store (0.48 us/op). BenchmarkStartSession/{warm,cold}
+# times the start path alone, on the full video.
 bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkServiceConcurrent|BenchmarkWireServe' -benchmem -json ./internal/engine ./internal/httpapi > BENCH_serve.json
+	$(GO) test -run '^$$' -bench 'BenchmarkServiceConcurrent|BenchmarkStartSession|BenchmarkWireServe' -benchmem -json ./internal/engine ./internal/httpapi > BENCH_serve.json
 	@awk -F'"Output":"' 'NF>1 { s=$$2; sub(/"}$$/,"",s); if (s ~ /^Benchmark.*\\t$$/) { gsub(/\\t/,"",s); printf "%s", s } else if (s ~ /ns\/op/) { gsub(/\\t/,"  ",s); gsub(/\\n/,"",s); print s } }' BENCH_serve.json
 
 # Open-loop load run against in-process serving tiers: one direct-server

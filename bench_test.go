@@ -186,7 +186,7 @@ func BenchmarkClusterSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkMPCDecision measures one FastMPC receding-horizon decision.
+// BenchmarkMPCDecision measures one MPC receding-horizon decision.
 func BenchmarkMPCDecision(b *testing.B) {
 	spec := video.Default()
 	m := benchModel()

@@ -137,7 +137,8 @@ func DefaultVideo() VideoSpec { return video.Default() }
 // mu=mu_s=3000).
 func DefaultQoEWeights() QoEWeights { return qoe.DefaultWeights() }
 
-// MPC returns the FastMPC bitrate controller the paper pairs CS2P with.
+// MPC returns the MPC bitrate controller the paper pairs CS2P with (Yin et
+// al.'s receding-horizon search run online, not FastMPC's precomputed table).
 func MPC() Controller { return abr.MPC{} }
 
 // BufferBased returns the BB baseline controller.

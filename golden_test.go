@@ -14,6 +14,7 @@ import (
 
 	"cs2p/internal/core"
 	"cs2p/internal/engine"
+	"cs2p/internal/hmm"
 	"cs2p/internal/httpapi"
 	"cs2p/internal/registry"
 	"cs2p/internal/trace"
@@ -23,6 +24,27 @@ import (
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files instead of comparing")
+
+// trainGolden is the seeded tracegen -> train half of the golden pipeline:
+// the 300-session trace split 2:1 by time, and the engine trained on the
+// first part with the config every golden test serves it under.
+func trainGolden(t *testing.T) (d, train, test *trace.Dataset, ecfg core.Config, eng *core.Engine) {
+	t.Helper()
+	cfg := tracegen.SmallConfig()
+	cfg.Sessions = 300
+	d, _ = tracegen.Generate(cfg)
+	cut := d.Sessions[d.Len()*2/3].Start()
+	train, test = d.SplitByTime(cut)
+	ecfg = core.DefaultConfig()
+	ecfg.Cluster.MinGroupSize = 10
+	ecfg.HMM.NStates = 3
+	ecfg.HMM.MaxIters = 12
+	eng, err := core.Train(train, ecfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, train, test, ecfg, eng
+}
 
 // goldenReplay runs the seeded tracegen -> train -> serve -> player pipeline
 // end to end, with the session store split into the given number of shards,
@@ -34,19 +56,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files instead of c
 // invariance can also be asserted on the log plane.
 func goldenReplay(t *testing.T, shards int) (string, []engine.SessionLog) {
 	t.Helper()
-	cfg := tracegen.SmallConfig()
-	cfg.Sessions = 300
-	d, _ := tracegen.Generate(cfg)
-	cut := d.Sessions[d.Len()*2/3].Start()
-	train, test := d.SplitByTime(cut)
-	ecfg := core.DefaultConfig()
-	ecfg.Cluster.MinGroupSize = 10
-	ecfg.HMM.NStates = 3
-	ecfg.HMM.MaxIters = 12
-	eng, err := core.Train(train, ecfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, train, test, ecfg, eng := trainGolden(t)
 	svc := engine.NewServiceWithOptions(eng, ecfg, video.Default(), engine.ServiceOptions{Shards: shards})
 	srv := httpapi.NewServer(svc, (*core.Engine).Store)
 	srv.SetLogf(func(string, ...any) {})
@@ -224,19 +234,7 @@ func TestGoldenReplayWireParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wire parity replay trains a model; slow for -short")
 	}
-	cfg := tracegen.SmallConfig()
-	cfg.Sessions = 300
-	d, _ := tracegen.Generate(cfg)
-	cut := d.Sessions[d.Len()*2/3].Start()
-	train, test := d.SplitByTime(cut)
-	ecfg := core.DefaultConfig()
-	ecfg.Cluster.MinGroupSize = 10
-	ecfg.HMM.NStates = 3
-	ecfg.HMM.MaxIters = 12
-	eng, err := core.Train(train, ecfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, train, test, ecfg, eng := trainGolden(t)
 	svc := engine.NewServiceWithOptions(eng, ecfg, video.Default(), engine.ServiceOptions{Shards: 1})
 	srv := httpapi.NewServer(svc, (*core.Engine).Store)
 	srv.SetLogf(func(string, ...any) {})
@@ -312,19 +310,7 @@ func TestGoldenReplayArtifactBoot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("artifact-boot replay trains a model; slow for -short")
 	}
-	cfg := tracegen.SmallConfig()
-	cfg.Sessions = 300
-	d, _ := tracegen.Generate(cfg)
-	cut := d.Sessions[d.Len()*2/3].Start()
-	train, test := d.SplitByTime(cut)
-	ecfg := core.DefaultConfig()
-	ecfg.Cluster.MinGroupSize = 10
-	ecfg.HMM.NStates = 3
-	ecfg.HMM.MaxIters = 12
-	eng, err := core.Train(train, ecfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, train, test, ecfg, eng := trainGolden(t)
 	// Trainer side: publish the artifact and walk away.
 	reg, err := registry.Open(t.TempDir())
 	if err != nil {
@@ -392,5 +378,87 @@ func TestShardInvariance(t *testing.T) {
 				t.Errorf("logs at %d shards = %+v, want %+v", shards, norm, want)
 			}
 		})
+	}
+}
+
+// TestGoldenRebuffer pins the §7.5 start-of-session rebuffer forecast to the
+// last bit: one line per cluster model of the golden-replay training set
+// (global fallback last), rendered %.17g from a direct EstimateRebuffer call
+// with StartSession's arguments. The forecast is a function of (video spec,
+// cluster model) alone, so every session StartSession opens over HTTP — JSON
+// round-trips doubles exactly — must be answered with its cluster's line.
+// Under the default ladder the synthetic population plays stall-free (every
+// median is 0), so each line also carries the forecast under a 3x ladder the
+// population cannot sustain: that column moves if a single MPC decision in
+// any of the 30 rollouts does.
+// Regenerate with:
+//
+//	go test -run TestGoldenRebuffer -update .
+func TestGoldenRebuffer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("rebuffer golden trains a model; slow for -short")
+	}
+	_, _, test, ecfg, eng := trainGolden(t)
+	store := eng.Store()
+	ids := make([]string, 0, len(store.Models))
+	for id := range store.Models {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	models := make([]*hmm.Model, 0, len(ids)+1)
+	for _, id := range ids {
+		models = append(models, store.Models[id].Model)
+	}
+	ids, models = append(ids, core.GlobalClusterID), append(models, store.Global.Model)
+	x3 := video.Default()
+	for i := range x3.BitratesKbps {
+		x3.BitratesKbps[i] *= 3
+	}
+	want := make(map[string]float64, len(ids))
+	var b strings.Builder
+	for i, id := range ids {
+		want[id] = engine.EstimateRebuffer(video.Default(), models[i], 0, 30, 1)
+		fmt.Fprintf(&b, "cluster=%s rebuffer_estimate_sec=%.17g ladder_x3=%.17g\n",
+			id, want[id], engine.EstimateRebuffer(x3, models[i], 0, 30, 1))
+	}
+	got := b.String()
+
+	path := filepath.Join("testdata", "golden_rebuffer.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	if got != string(golden) {
+		t.Errorf("rebuffer forecasts diverged from %s (regenerate with -update if the change is intended)\ngot:\n%s\nwant:\n%s",
+			path, got, string(golden))
+	}
+
+	svc := engine.NewService(eng, ecfg, video.Default())
+	srv := httpapi.NewServer(svc, (*core.Engine).Store)
+	srv.SetLogf(func(string, ...any) {})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := httpapi.NewClient(ts.URL)
+	seen := make(map[string]bool)
+	for i, s := range test.Sessions {
+		start, err := client.StartSession(fmt.Sprintf("rebuf-%d", i), s.Features, s.StartUnix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, ok := want[start.ClusterID]; !ok || start.RebufferEstimateSec != w {
+			t.Errorf("session %d cluster %s: rebuffer_estimate_sec %.17g over HTTP, golden %.17g",
+				i, start.ClusterID, start.RebufferEstimateSec, w)
+		}
+		seen[start.ClusterID] = true
+	}
+	if len(seen) < 2 {
+		t.Errorf("test sessions reached only %d cluster models (%v); the HTTP check needs a cluster and the fallback", len(seen), seen)
 	}
 }

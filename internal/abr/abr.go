@@ -1,7 +1,8 @@
 // Package abr implements the bitrate-adaptation controllers the paper
-// evaluates (§5.3, §7.3): the FastMPC strategy of Yin et al. that CS2P
-// plugs into, the Rate-Based (RB) and Buffer-Based (BB) baselines, fixed
-// bitrate, and the offline-optimal dynamic program used to normalize QoE.
+// evaluates (§5.3, §7.3): the MPC strategy of Yin et al. that CS2P plugs
+// into (searched online, see MPC), the Rate-Based (RB) and Buffer-Based (BB)
+// baselines, fixed bitrate, and the offline-optimal dynamic program used to
+// normalize QoE.
 package abr
 
 import (
@@ -140,10 +141,15 @@ func InitialLevel(spec video.Spec, predictedMbps float64) int {
 	return spec.LevelForThroughput(predictedMbps)
 }
 
-// MPC is the FastMPC controller of Yin et al.: at every chunk it enumerates
-// bitrate plans over a lookahead horizon, simulates the buffer under the
-// predicted throughput, scores each plan with the QoE model, and commits only
-// the first decision (receding horizon).
+// MPC is online receding-horizon model-predictive control in the style of
+// Yin et al.: at every chunk it enumerates every bitrate plan over a lookahead
+// horizon, simulates the buffer under the predicted throughput, scores each
+// plan with the QoE model, and commits only the plan's first level. It is not
+// Yin et al.'s FastMPC, which looks decisions up in a table precomputed
+// offline; the search here runs per call, depth-first in ascending-level
+// lexicographic order under an admissible bound (a prefix is dropped once even
+// the top bitrate on every remaining chunk cannot beat the best plan so far).
+// Tie rule: the first plan in that order with a strictly higher score wins.
 type MPC struct {
 	// Horizon is the lookahead in chunks (the paper uses 5).
 	Horizon int
@@ -154,7 +160,23 @@ type MPC struct {
 // Name implements Controller.
 func (MPC) Name() string { return "MPC" }
 
-// ChooseLevel implements Controller.
+// mpcStackDim is the horizon and ladder size up to which ChooseLevel's
+// scratch lives on its stack frame (the paper's setup is 5 and 5); larger
+// searches run the same code on heap slices.
+const mpcStackDim = 8
+
+// mpcFrame is one depth of the search: the buffer, score and previous level
+// on entering it, the most a plan can still earn from there on (the top
+// bitrate on every remaining chunk), and the next level to try.
+type mpcFrame struct {
+	buf, score, bound float64
+	last, next        int
+}
+
+// ChooseLevel implements Controller. Everything a plan's score needs beyond
+// the running buffer is tabulated once per call — download seconds per
+// (depth, level), switch penalty per (from, to) — so the search itself is
+// adds and compares, and allocates nothing.
 func (m MPC) ChooseLevel(spec video.Spec, st State, pred Predictor) int {
 	h := m.Horizon
 	if h <= 0 {
@@ -170,52 +192,66 @@ func (m MPC) ChooseLevel(spec video.Spec, st State, pred Predictor) int {
 	if w == (qoe.Weights{}) {
 		w = qoe.DefaultWeights()
 	}
-	preds := make([]float64, h)
-	for i := range preds {
-		p := pred.PredictAhead(i + 1)
+	nl := spec.Levels()
+	var dlA, penA [mpcStackDim * mpcStackDim]float64
+	var frA [mpcStackDim + 1]mpcFrame
+	dl, pen, fr := dlA[:], penA[:], frA[:]
+	if h > mpcStackDim || nl > mpcStackDim {
+		dl, pen, fr = make([]float64, h*nl), make([]float64, nl*nl), make([]mpcFrame, h+1)
+	}
+	for d := 0; d < h; d++ {
+		p := pred.PredictAhead(d + 1)
 		if math.IsNaN(p) || p <= 0 {
 			p = 0.1 // pessimistic floor when no prediction exists
 		}
-		preds[i] = p
+		for lvl := 0; lvl < nl; lvl++ {
+			dl[d*nl+lvl] = spec.DownloadSeconds(lvl, p)
+		}
+	}
+	for from, a := range spec.BitratesKbps {
+		for to, b := range spec.BitratesKbps {
+			pen[from*nl+to] = w.Lambda * math.Abs(b-a)
+		}
+	}
+	for d := 0; d <= h; d++ {
+		fr[d].bound = float64(h-d) * spec.BitratesKbps[nl-1]
 	}
 	bestLevel, bestScore := 0, math.Inf(-1)
-	plan := make([]int, h)
-	var search func(depth int, buf float64, last int, score float64)
-	search = func(depth int, buf float64, last int, score float64) {
-		if score <= bestScore-float64(h-depth)*spec.BitratesKbps[spec.Levels()-1] {
-			// Even earning the max per-chunk quality for the rest
-			// cannot catch up; prune.
-			return
+	fr[0].buf, fr[0].last = st.BufferSeconds, st.LastLevel
+	for d := 0; d >= 0; {
+		f := &fr[d]
+		if f.next == nl {
+			d--
+			continue
 		}
-		if depth == h {
-			if score > bestScore {
-				bestScore = score
-				bestLevel = plan[0]
-			}
-			return
+		lvl := f.next
+		f.next++
+		nbuf, rebuf := f.buf, 0.0
+		if t := dl[d*nl+lvl]; t > nbuf {
+			rebuf = t - nbuf
+			nbuf = 0
+		} else {
+			nbuf -= t
 		}
-		for lvl := 0; lvl < spec.Levels(); lvl++ {
-			plan[depth] = lvl
-			dl := spec.DownloadSeconds(lvl, preds[depth])
-			nbuf := buf
-			rebuf := 0.0
-			if dl > nbuf {
-				rebuf = dl - nbuf
-				nbuf = 0
-			} else {
-				nbuf -= dl
-			}
-			nbuf += spec.ChunkSeconds
-			if nbuf > spec.BufferCapSeconds {
-				nbuf = spec.BufferCapSeconds
-			}
-			s := score + spec.BitratesKbps[lvl] - w.Mu*rebuf
-			if last >= 0 {
-				s -= w.Lambda * math.Abs(spec.BitratesKbps[lvl]-spec.BitratesKbps[last])
-			}
-			search(depth+1, nbuf, lvl, s)
+		nbuf += spec.ChunkSeconds
+		if nbuf > spec.BufferCapSeconds {
+			nbuf = spec.BufferCapSeconds
 		}
+		s := f.score + spec.BitratesKbps[lvl] - w.Mu*rebuf
+		if f.last >= 0 {
+			s -= pen[f.last*nl+lvl]
+		}
+		if s <= bestScore-fr[d+1].bound {
+			continue // the top bitrate on every remaining chunk cannot catch up
+		}
+		if d+1 == h {
+			if s > bestScore {
+				bestScore, bestLevel = s, fr[0].next-1
+			}
+			continue
+		}
+		d++
+		fr[d].buf, fr[d].score, fr[d].last, fr[d].next = nbuf, s, lvl, 0
 	}
-	search(0, st.BufferSeconds, st.LastLevel, 0)
 	return bestLevel
 }

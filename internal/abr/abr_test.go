@@ -2,6 +2,7 @@ package abr
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"cs2p/internal/qoe"
@@ -235,4 +236,298 @@ func TestOfflineOptimalEmpty(t *testing.T) {
 	if v, _ := (OfflineOptimal{}).Best(spec, nil); !math.IsNaN(v) {
 		t.Error("empty trace should give NaN")
 	}
+}
+
+// referenceChooseLevel is MPC.ChooseLevel as it stood before the table-driven
+// kernel, moved here verbatim: a closure recursing over plans, one
+// DownloadSeconds division per node. It is the oracle the kernel must agree
+// with on every input — same visit order, same prune, same arithmetic.
+func referenceChooseLevel(m MPC, spec video.Spec, st State, pred Predictor) int {
+	h := m.Horizon
+	if h <= 0 {
+		h = 5
+	}
+	if remaining := st.NumChunks - st.ChunkIndex; remaining < h {
+		h = remaining
+	}
+	if h <= 0 {
+		return 0
+	}
+	w := m.Weights
+	if w == (qoe.Weights{}) {
+		w = qoe.DefaultWeights()
+	}
+	preds := make([]float64, h)
+	for i := range preds {
+		p := pred.PredictAhead(i + 1)
+		if math.IsNaN(p) || p <= 0 {
+			p = 0.1 // pessimistic floor when no prediction exists
+		}
+		preds[i] = p
+	}
+	bestLevel, bestScore := 0, math.Inf(-1)
+	plan := make([]int, h)
+	var search func(depth int, buf float64, last int, score float64)
+	search = func(depth int, buf float64, last int, score float64) {
+		if score <= bestScore-float64(h-depth)*spec.BitratesKbps[spec.Levels()-1] {
+			// Even earning the max per-chunk quality for the rest
+			// cannot catch up; prune.
+			return
+		}
+		if depth == h {
+			if score > bestScore {
+				bestScore = score
+				bestLevel = plan[0]
+			}
+			return
+		}
+		for lvl := 0; lvl < spec.Levels(); lvl++ {
+			plan[depth] = lvl
+			dl := spec.DownloadSeconds(lvl, preds[depth])
+			nbuf := buf
+			rebuf := 0.0
+			if dl > nbuf {
+				rebuf = dl - nbuf
+				nbuf = 0
+			} else {
+				nbuf -= dl
+			}
+			nbuf += spec.ChunkSeconds
+			if nbuf > spec.BufferCapSeconds {
+				nbuf = spec.BufferCapSeconds
+			}
+			s := score + spec.BitratesKbps[lvl] - w.Mu*rebuf
+			if last >= 0 {
+				s -= w.Lambda * math.Abs(spec.BitratesKbps[lvl]-spec.BitratesKbps[last])
+			}
+			search(depth+1, nbuf, lvl, s)
+		}
+	}
+	search(0, st.BufferSeconds, st.LastLevel, 0)
+	return bestLevel
+}
+
+// seqPred answers PredictAhead(i) from a fixed list (the last entry repeats).
+type seqPred []float64
+
+func (s seqPred) PredictAhead(i int) float64 {
+	if i > len(s) {
+		i = len(s)
+	}
+	return s[i-1]
+}
+
+// mpcCase is one randomly drawn ChooseLevel input.
+type mpcCase struct {
+	m    MPC
+	spec video.Spec
+	st   State
+	pred Predictor // a seqPred, boxed once so the benchmark loop does not
+}
+
+// randomMPCCase draws an input the way playbacks produce them, plus the
+// edges: LastLevel -1, fewer chunks remaining than the horizon (and none),
+// NaN / zero / negative / infinite predictions, non-default weights and
+// ladders, and shapes past the stack scratch (9-10 levels, horizon 9).
+func randomMPCCase(r *rand.Rand) mpcCase {
+	c := mpcCase{spec: video.Default()}
+	switch r.Intn(10) {
+	case 0: // random ladder, up to the stack limit
+		c.spec.BitratesKbps = randomLadder(r, 1+r.Intn(mpcStackDim))
+		c.m.Horizon = 1 + r.Intn(4)
+		c.spec.ChunkSeconds = 1 + 9*r.Float64()
+		c.spec.BufferCapSeconds = 5 + 55*r.Float64()
+		c.spec.RequestOverheadSeconds = r.Float64()
+	case 1: // ladder past the stack limit: heap scratch
+		c.spec.BitratesKbps = randomLadder(r, mpcStackDim+1+r.Intn(2))
+		c.m.Horizon = 1 + r.Intn(3)
+	case 2: // horizon past the stack limit on a short ladder
+		c.spec.BitratesKbps = randomLadder(r, 2)
+		c.m.Horizon = mpcStackDim + 1
+	default:
+		c.m.Horizon = r.Intn(7) // 0 = the default 5
+	}
+	if r.Intn(4) == 0 {
+		c.m.Weights = qoe.Weights{Lambda: 3 * r.Float64(), Mu: 6000 * r.Float64(), MuS: 3000}
+	}
+	c.st = State{
+		NumChunks:     44,
+		ChunkIndex:    r.Intn(46),
+		LastLevel:     r.Intn(c.spec.Levels()+1) - 1,
+		BufferSeconds: c.spec.BufferCapSeconds * r.Float64(),
+	}
+	if r.Intn(8) == 0 {
+		c.st.BufferSeconds = 0
+	}
+	base := 0.2 + 6*r.Float64()
+	pred := make(seqPred, 1+r.Intn(9))
+	for i := range pred {
+		switch r.Intn(40) {
+		case 0:
+			pred[i] = math.NaN()
+		case 1:
+			pred[i] = 0
+		case 2:
+			pred[i] = -base
+		case 3:
+			pred[i] = math.Inf(1)
+		default:
+			pred[i] = base * (0.3 + 1.4*r.Float64())
+		}
+	}
+	c.pred = pred
+	return c
+}
+
+func randomLadder(r *rand.Rand, n int) []float64 {
+	l := make([]float64, n)
+	b := 100 + 400*r.Float64()
+	for i := range l {
+		l[i] = b
+		b *= 1.2 + r.Float64()
+	}
+	return l
+}
+
+// TestMPCKernelMatchesReference is the differential pin of the rewrite: the
+// table-driven search and the closure it replaced pick the same level on
+// 120k seeded random inputs.
+func TestMPCKernelMatchesReference(t *testing.T) {
+	n := 120000
+	if testing.Short() {
+		n = 5000
+	}
+	r := rand.New(rand.NewSource(20160822))
+	for i := 0; i < n; i++ {
+		c := randomMPCCase(r)
+		got := c.m.ChooseLevel(c.spec, c.st, c.pred)
+		want := referenceChooseLevel(c.m, c.spec, c.st, c.pred)
+		if got != want {
+			t.Fatalf("case %d: kernel chose %d, reference %d\nmpc=%+v\nspec=%+v\nstate=%+v\npred=%v",
+				i, got, want, c.m, c.spec, c.st, c.pred)
+		}
+	}
+}
+
+// TestMPCTieRule pins the tie rule on exact ties. With throughput so high
+// that nothing stalls, a plan's score is its bitrates minus lambda times its
+// switches — integers under an integer ladder and a dyadic lambda, so equal
+// scores are equal bits. (Plans with the same level multiset and the same
+// total switch distance tie this way: from last=600, [600,1000,1000,1000,600]
+// and [1000,1000,1000,600,600] both score 4200-800.) The winner must be the
+// first plan, in ascending-level lexicographic order, among those with the
+// maximal score — found here by unpruned enumeration.
+func TestMPCTieRule(t *testing.T) {
+	spec := video.Default()
+	fast := seqPred{1e9}
+	r := rand.New(rand.NewSource(7))
+	tiedFirstLevels := 0
+	for i := 0; i < 4000; i++ {
+		m := MPC{Horizon: 1 + r.Intn(5), Weights: qoe.Weights{Lambda: []float64{0.5, 1, 2, 3}[r.Intn(4)], Mu: 3000, MuS: 3000}}
+		st := State{NumChunks: 44, ChunkIndex: 1 + r.Intn(43), LastLevel: r.Intn(spec.Levels()+1) - 1, BufferSeconds: 1 + 29*r.Float64()}
+		h := m.Horizon
+		if rem := st.NumChunks - st.ChunkIndex; rem < h {
+			h = rem
+		}
+		best, bestFirst, firsts := math.Inf(-1), 0, map[int]bool{}
+		plan := make([]int, h)
+		var walk func(d int)
+		walk = func(d int) {
+			if d < h {
+				for plan[d] = 0; plan[d] < spec.Levels(); plan[d]++ {
+					walk(d + 1)
+				}
+				return
+			}
+			score, last := 0.0, st.LastLevel
+			for _, lvl := range plan {
+				score += spec.BitratesKbps[lvl]
+				if last >= 0 {
+					score -= m.Weights.Lambda * math.Abs(spec.BitratesKbps[lvl]-spec.BitratesKbps[last])
+				}
+				last = lvl
+			}
+			if score > best {
+				best, bestFirst, firsts = score, plan[0], map[int]bool{}
+			}
+			if score == best {
+				firsts[plan[0]] = true
+			}
+		}
+		walk(0)
+		if len(firsts) > 1 {
+			tiedFirstLevels++
+		}
+		if got := m.ChooseLevel(spec, st, fast); got != bestFirst {
+			t.Fatalf("case %d (%+v, %+v): chose %d, first best plan starts at %d (tied first levels %v)",
+				i, m, st, got, bestFirst, firsts)
+		}
+		if ref := referenceChooseLevel(m, spec, st, fast); ref != bestFirst {
+			t.Fatalf("case %d: reference chose %d, enumeration %d", i, ref, bestFirst)
+		}
+	}
+	if tiedFirstLevels < 100 {
+		t.Errorf("only %d of 4000 cases had best plans tied across first levels; the tie rule is barely exercised", tiedFirstLevels)
+	}
+}
+
+// TestMPCChooseLevelAllocs pins the kernel at zero allocations wherever its
+// scratch fits the stack frame: the paper's 5x5, and both limits at once.
+func TestMPCChooseLevelAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	wide := video.Default()
+	wide.BitratesKbps = randomLadder(r, mpcStackDim)
+	narrow := video.Default()
+	narrow.BitratesKbps = randomLadder(r, 2)
+	for _, tc := range []struct {
+		name string
+		m    MPC
+		spec video.Spec
+	}{
+		{"paper-5x5", MPC{}, video.Default()},
+		{"levels=8", MPC{Horizon: 3}, wide},
+		{"horizon=8", MPC{Horizon: mpcStackDim}, narrow},
+	} {
+		var pred Predictor = seqPred{2.1, 1.7, 2.6, 0.9, 3.3}
+		st := State{ChunkIndex: 3, NumChunks: 44, LastLevel: 1, BufferSeconds: 11}
+		if got := testing.AllocsPerRun(100, func() { sinkLevel = tc.m.ChooseLevel(tc.spec, st, pred) }); got != 0 {
+			t.Errorf("%s: %v allocs per ChooseLevel, want 0", tc.name, got)
+		}
+	}
+}
+
+var sinkLevel int
+
+// BenchmarkMPCChooseLevel times one decision at the paper's shape (5 levels,
+// horizon 5) over inputs drawn like a rollout's: the table-driven kernel, and
+// the closure it replaced for the before/after in one binary.
+func BenchmarkMPCChooseLevel(b *testing.B) {
+	r := rand.New(rand.NewSource(3))
+	cases := make([]mpcCase, 512)
+	for i := range cases {
+		base := 0.5 + 4*r.Float64()
+		pred := make(seqPred, 5)
+		for j := range pred {
+			pred[j] = base * (0.5 + r.Float64())
+		}
+		cases[i] = mpcCase{
+			spec: video.Default(),
+			st:   State{NumChunks: 44, ChunkIndex: 1 + r.Intn(38), LastLevel: r.Intn(5), BufferSeconds: 30 * r.Float64()},
+			pred: pred,
+		}
+	}
+	b.Run("table", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := &cases[i%len(cases)]
+			sinkLevel = c.m.ChooseLevel(c.spec, c.st, c.pred)
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := &cases[i%len(cases)]
+			sinkLevel = referenceChooseLevel(c.m, c.spec, c.st, c.pred)
+		}
+	})
 }

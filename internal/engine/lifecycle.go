@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"cs2p/internal/core"
 	"cs2p/internal/trace"
@@ -117,6 +118,7 @@ func artifactSnapshot(a *core.Artifact) (*ModelSnapshot, error) {
 		trainedAtUnix: a.Manifest.TrainedAtUnix,
 		holdout:       a.Manifest.Holdout,
 		hasHoldout:    a.Manifest.Holdout.Valid(),
+		forecasts:     new(sync.Map),
 	}, nil
 }
 

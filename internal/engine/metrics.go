@@ -36,6 +36,12 @@ type serviceMetrics struct {
 
 	lockWait *obs.Histogram
 
+	// Start path: rebuffer-forecast memo hits and cold fills (one per
+	// cluster model per generation), and what each fill cost.
+	forecastHit     *obs.Counter
+	forecastMiss    *obs.Counter
+	forecastSeconds *obs.Histogram
+
 	// Prediction-quality pipeline (the live analogue of Figures 9-11):
 	// per-epoch absolute percentage error split initial/midstream, the
 	// cluster-hit vs global-fallback rate, and the HMM posterior entropy.
@@ -104,6 +110,16 @@ func newServiceMetrics(reg *obs.Registry, shards int) serviceMetrics {
 
 		lockWait: reg.Histogram("cs2p_engine_session_lock_wait_seconds",
 			"Time spent waiting on a per-session filter lock (contention signal).",
+			obs.LatencyBuckets, nil),
+
+		forecastHit: reg.Counter("cs2p_engine_rebuffer_forecast_total",
+			"Session starts by how the rebuffer forecast was served: a memo hit or a cold fill (miss).",
+			obs.Labels{"result": "hit"}),
+		forecastMiss: reg.Counter("cs2p_engine_rebuffer_forecast_total",
+			"Session starts by how the rebuffer forecast was served: a memo hit or a cold fill (miss).",
+			obs.Labels{"result": "miss"}),
+		forecastSeconds: reg.Histogram("cs2p_engine_rebuffer_forecast_seconds",
+			"Duration of a cold rebuffer-forecast fill: the first start per cluster model after a boot or promotion.",
 			obs.LatencyBuckets, nil),
 
 		epochs: reg.Counter("cs2p_prediction_epochs_total",

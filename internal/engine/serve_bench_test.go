@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cs2p/internal/trace"
+	"cs2p/internal/video"
 )
 
 // BenchmarkServiceConcurrent drives a mixed StartSession/Observe/Predict
@@ -17,6 +18,11 @@ import (
 // per-shard locks all churn. On a multi-core machine the sharded runs
 // should clear >=1.5x the single-shard throughput; on one core the point of
 // the benchmark is the allocation count and the absence of regression.
+//
+// Every 16th op is a StartSession, which used to run the 30-future rebuffer
+// rollout per session: the mix then measured that rollout and little else.
+// With the forecast served from the per-cluster memo it measures what the
+// name says, the sharded store under churn.
 //
 // make bench-serve renders this into BENCH_serve.json.
 func BenchmarkServiceConcurrent(b *testing.B) {
@@ -50,6 +56,32 @@ func BenchmarkServiceConcurrent(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkStartSession times the session-start path on the paper's full
+// video. warm: one model generation, the cluster's forecast already filled —
+// route, build the filter, three loads; allocation-counted. cold: a fresh
+// snapshot (empty cells) before every start, so each pays the one forecast
+// rollout a cluster costs per generation.
+func BenchmarkStartSession(b *testing.B) {
+	trained, data := freshService(b, 1)
+	svc := NewService(trained.Engine(), trained.cfg, video.Default())
+	s := data.Sessions[0]
+	b.Run("warm", func(b *testing.B) {
+		svc.StartSession("bench", s.Features, s.StartUnix)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			svc.StartSession("bench", s.Features, s.StartUnix)
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			svc.InstallEngine(trained.Engine())
+			svc.StartSession("bench", s.Features, s.StartUnix)
+		}
+	})
 }
 
 // TestRetrainDuringLoad pins the lock-free model plane (run under -race):

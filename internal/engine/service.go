@@ -23,6 +23,7 @@ import (
 
 	"cs2p/internal/abr"
 	"cs2p/internal/core"
+	"cs2p/internal/hmm"
 	"cs2p/internal/mathx"
 	"cs2p/internal/obs"
 	"cs2p/internal/qoe"
@@ -61,6 +62,19 @@ type ModelSnapshot struct {
 	trainedAtUnix int64
 	holdout       core.HoldoutMetrics
 	hasHoldout    bool
+	// forecasts memoizes the §7.5 rebuffer forecast per cluster model
+	// (*hmm.Model → *forecastCell, global fallback included). It is the one
+	// part of a snapshot that fills in after install, and it sits behind a
+	// pointer so Rollback's copy of the struct shares the displaced
+	// generation's cells instead of copying their locks.
+	forecasts *sync.Map
+}
+
+// forecastCell is one cluster model's forecast: computed by the first start
+// that needs it, awaited by any start racing that one, a load ever after.
+type forecastCell struct {
+	once sync.Once
+	sec  float64
 }
 
 // Engine returns the snapshot's trained core engine.
@@ -165,7 +179,7 @@ func NewServiceWithOptions(e *core.Engine, cfg core.Config, spec video.Spec, opt
 		spec:  spec,
 		store: sessionstore.New[sessionState, SessionLog](opts.Shards, maxLogs),
 	}
-	s.snap.Store(&ModelSnapshot{engine: e})
+	s.snap.Store(&ModelSnapshot{engine: e, forecasts: new(sync.Map)})
 	return s
 }
 
@@ -283,6 +297,9 @@ func (s *Service) InstallEngine(e *core.Engine) uint64 {
 func (s *Service) installLocked(cand *ModelSnapshot) uint64 {
 	old := s.snap.Load()
 	cand.gen = old.gen + 1
+	if cand.forecasts == nil { // a new model; Rollback's candidate brings its own
+		cand.forecasts = new(sync.Map)
+	}
 	s.snap.Store(cand)
 	s.prev = old
 	s.m.modelGeneration.Set(float64(cand.gen))
@@ -316,8 +333,9 @@ type StartResponse struct {
 // prediction, the paper's initial-bitrate suggestion, and the §7.5
 // start-of-session rebuffer estimate. A duplicate ID resets the session.
 // The whole request is served from one pinned snapshot: a retrain landing
-// mid-call cannot hand it a filter from one generation and a rebuffer model
-// from another.
+// mid-call cannot hand it a filter from one generation and a rebuffer
+// forecast from another. Nothing is simulated per session: the start routes
+// the session, builds its filter, and loads its cluster's forecast.
 func (s *Service) StartSession(id string, f trace.Features, startUnix int64) StartResponse {
 	sess := &trace.Session{ID: id, StartUnix: startUnix, Features: f, Throughput: []float64{1}}
 	snap := s.snap.Load()
@@ -343,10 +361,41 @@ func (s *Service) StartSession(id string, f trace.Features, startUnix int64) Sta
 	return StartResponse{
 		InitialPredictionMbps: p.InitialPrediction(),
 		ClusterID:             p.ClusterID(),
-		RebufferEstimateSec:   EstimateRebuffer(s.spec, p.Filter().Model(), p.InitialPrediction(), 30, 1),
+		RebufferEstimateSec:   s.rebufferForecast(snap, p.Filter().Model()),
 		SuggestedInitialLevel: lvl,
 		SuggestedInitialKbps:  s.spec.BitratesKbps[lvl],
 	}
+}
+
+// estimateRebuffer is EstimateRebuffer behind a seam: the memo tests count
+// rollouts through it. Nothing outside tests assigns it.
+var estimateRebuffer = EstimateRebuffer
+
+// rebufferForecast returns the §7.5 forecast of one of snap's cluster
+// models. The forecast is a function of (video spec, model) alone, so it is
+// computed once per (generation, cluster) — one EstimateRebuffer rollout, on
+// the first start that asks, however many starts race for it — and a
+// promotion invalidates it by publishing a snapshot with empty cells.
+func (s *Service) rebufferForecast(snap *ModelSnapshot, model *hmm.Model) float64 {
+	c, ok := snap.forecasts.Load(model)
+	if !ok {
+		c, _ = snap.forecasts.LoadOrStore(model, new(forecastCell))
+	}
+	cell, hit := c.(*forecastCell), true
+	cell.once.Do(func() {
+		hit = false
+		start := time.Now()
+		cell.sec = estimateRebuffer(s.spec, model, 0, 30, 1)
+		s.m.forecastSeconds.Observe(time.Since(start).Seconds())
+	})
+	if s.m.enabled() {
+		if hit {
+			s.m.forecastHit.Inc()
+		} else {
+			s.m.forecastMiss.Inc()
+		}
+	}
+	return cell.sec
 }
 
 // ErrUnknownSession is returned for predictions on unregistered sessions.
@@ -547,6 +596,13 @@ func (s *Service) refreshShardGauges() {
 // session's cluster HMM, plays each through the MPC controller with a
 // perfect per-rollout oracle, and returns the median total stall time.
 // A nil model yields 0 (no forecast available).
+//
+// initialMbps is ignored (it stays in the signature for existing callers):
+// the oracle answers chunk 0 from the sampled future, as it does every later
+// chunk, so a session's own initial prediction never enters the rollout.
+// With the seed fixed the result is therefore a function of (spec, model)
+// alone — a per-cluster constant of a model generation, which is what lets
+// StartSession serve it from a per-cluster memo.
 func EstimateRebuffer(spec video.Spec, model interface {
 	Sample(r *rand.Rand, t int) ([]int, []float64)
 }, initialMbps float64, rollouts int, seed int64) float64 {
@@ -558,7 +614,7 @@ func EstimateRebuffer(spec video.Spec, model interface {
 	}
 	r := rand.New(rand.NewSource(seed))
 	n := spec.NumChunks()
-	var stalls []float64
+	stalls := make([]float64, 0, rollouts)
 	for i := 0; i < rollouts; i++ {
 		_, tput := model.Sample(r, n)
 		for j := range tput {
