@@ -102,14 +102,18 @@ cover:
 	{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
 # Short fuzz pass over the HTTP JSON decoders (session-state import
-# included), the binary wire decoders, and the model-artifact loaders (CI runs this; longer local runs: go test -fuzz
-# FuzzLoadArtifact -fuzztime 5m ./internal/registry).
+# included), the player routes' hand-written JSON codec against encoding/json,
+# the binary wire decoders, and the model-artifact loaders (CI runs this;
+# longer local runs: go test -fuzz FuzzLoadArtifact -fuzztime 5m ./internal/registry).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStartSession -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzObserve -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzIngest -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzBatchRequest -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzImportSession -fuzztime=10s ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz FuzzPredictDecode -fuzztime=10s ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz FuzzStartDecode -fuzztime=10s ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz FuzzAppendJSONFloat -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzLoadModelStore -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLoadArtifact -fuzztime=10s ./internal/registry

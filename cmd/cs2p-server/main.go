@@ -58,7 +58,7 @@ func main() {
 		gcEvery     = flag.Duration("session-gc", 10*time.Minute, "drop sessions idle longer than this")
 		par         = flag.Int("parallelism", 0, "training workers (0 = one per CPU, 1 = sequential)")
 		grace       = flag.Duration("shutdown-grace", 10*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
-		reqTimeout  = flag.Duration("request-timeout", 15*time.Second, "per-request handling timeout")
+		reqTimeout  = flag.Duration("request-timeout", 15*time.Second, "how long a request body may take to arrive (player routes, /v2) and a control-plane request to be handled")
 		maxBody     = flag.Int64("max-body", 1<<20, "request body size cap in bytes")
 		maxLogs     = flag.Int("max-logs", engine.DefaultMaxLogs, "session QoE logs retained (ring buffer)")
 		shards      = flag.Int("shards", 0, "session-store shards, rounded up to a power of two (0 = scale with GOMAXPROCS)")

@@ -128,13 +128,9 @@ type Artifact struct {
 // valid model store. Every failure is a typed error and leaves nothing
 // installed — corruption anywhere rejects the artifact whole.
 func LoadArtifact(manifestJSON, modelJSON []byte) (*Artifact, error) {
-	dec := json.NewDecoder(bytes.NewReader(manifestJSON))
 	var m Manifest
-	if err := dec.Decode(&m); err != nil {
+	if err := json.Unmarshal(manifestJSON, &m); err != nil { // refuses trailing data too
 		return nil, fmt.Errorf("%w: decoding: %v", ErrInvalidManifest, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after manifest", ErrInvalidManifest)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err

@@ -99,9 +99,12 @@ func TestLoadArtifactTypedErrors(t *testing.T) {
 		}
 	})
 	t.Run("manifest trailing data", func(t *testing.T) {
-		_, err := LoadArtifact(append(marshal(good), "{}"...), modelJSON)
-		if !errors.Is(err, ErrInvalidManifest) {
-			t.Errorf("want ErrInvalidManifest, got %v", err)
+		// "}" and "]" are what json.Decoder.More() took for the end of input.
+		for _, tail := range []string{"{}", "}", "]", " ]]]garbage"} {
+			_, err := LoadArtifact(append(marshal(good), tail...), modelJSON)
+			if !errors.Is(err, ErrInvalidManifest) {
+				t.Errorf("tail %q: want ErrInvalidManifest, got %v", tail, err)
+			}
 		}
 	})
 	t.Run("manifest not json", func(t *testing.T) {
@@ -255,11 +258,12 @@ func TestLoadsParentWrittenStore(t *testing.T) {
 
 func TestLoadModelStoreRejectsTrailingGarbage(t *testing.T) {
 	modelJSON := exportedModelJSON(t)
-	if _, err := LoadModelStore(bytes.NewReader(append(modelJSON, "garbage"...))); err == nil {
-		t.Error("trailing garbage after the JSON document should fail")
-	}
-	if _, err := LoadModelStore(bytes.NewReader(append(modelJSON, '{'))); err == nil {
-		t.Error("trailing JSON after the document should fail")
+	// "}" and "]" are what json.Decoder.More() took for the end of input.
+	for _, tail := range []string{"garbage", "{", "}", "]", " ]]]garbage"} {
+		doc := append(append([]byte(nil), modelJSON...), tail...)
+		if _, err := LoadModelStore(bytes.NewReader(doc)); err == nil {
+			t.Errorf("trailing %q after the JSON document should fail", tail)
+		}
 	}
 }
 

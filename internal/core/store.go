@@ -124,8 +124,9 @@ func (ms *ModelStore) Save(w io.Writer) error {
 
 // LoadModelStore reads a store written by Save and validates it fully before
 // returning: every model structurally sound with finite parameters, the
-// initial index well-formed, and nothing after the JSON document (fuzzing
-// found json.Decoder silently accepts trailing garbage). Members this build
+// initial index well-formed, and nothing after the JSON document (a Decoder
+// stops after the first value, and its More() takes a stray '}' or ']' for
+// the end of input, so the next token must be io.EOF). Members this build
 // does not know — the "routes" table older builds wrote — are ignored.
 // On any error the store is discarded whole — a caller never observes a
 // half-valid store.
@@ -135,7 +136,7 @@ func LoadModelStore(r io.Reader) (*ModelStore, error) {
 	if err := dec.Decode(&ms); err != nil {
 		return nil, fmt.Errorf("core: decoding model store: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("core: decoding model store: trailing data after JSON document")
 	}
 	if err := ms.Validate(); err != nil {

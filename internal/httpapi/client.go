@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,6 +57,7 @@ func Refused(err error) bool {
 // real HTTP round trip per chunk exactly like the Dash.js prototype (§6).
 type Client struct {
 	base string
+	u    *url.URL // base parsed once; nil when calls must parse base+path themselves
 	hc   *http.Client
 	// Model-download cache: per-feature-query ETag + payload, so re-fetches
 	// of an unchanged model revalidate to a 304 instead of re-downloading
@@ -123,10 +125,7 @@ func (c *Client) ModelFetchStats() ModelFetchStats {
 
 // NewClient targets a server base URL like "http://127.0.0.1:8642".
 func NewClient(base string) *Client {
-	return &Client{
-		base: base,
-		hc:   &http.Client{Timeout: 5 * time.Second},
-	}
+	return NewClientWith(base, &http.Client{Timeout: 5 * time.Second})
 }
 
 // NewClientWith targets base through a caller-supplied http.Client — the
@@ -135,7 +134,31 @@ func NewClientWith(base string, hc *http.Client) *Client {
 	if hc == nil {
 		return NewClient(base)
 	}
-	return &Client{base: base, hc: hc}
+	c := &Client{base: base, hc: hc}
+	if u, err := url.Parse(base); err == nil && u.RawPath == "" {
+		c.u = u
+	}
+	return c
+}
+
+// newRequest builds a request for base+path. Everything but the URL is
+// http.NewRequest's doing (method check, body, ContentLength, GetBody).
+func (c *Client) newRequest(ctx context.Context, method, path string, body []byte) (*http.Request, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	if c.u == nil || strings.ContainsAny(path, "%?#") {
+		return http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, "", rd)
+	if err != nil {
+		return nil, err
+	}
+	*req.URL = *c.u
+	req.URL.Path += path
+	req.Host = req.URL.Host
+	return req, nil
 }
 
 // SetTransport swaps the underlying round tripper (fault injection,
@@ -144,31 +167,41 @@ func (c *Client) SetTransport(rt http.RoundTripper) {
 	c.hc.Transport = rt
 }
 
-// post is the player-side JSON call: a POST with no deadline beyond the
-// http.Client's own timeout.
-func (c *Client) post(path string, req, resp any) error {
-	return c.doJSON(context.Background(), http.MethodPost, path, req, resp)
+// doJSON runs one JSON round trip through encoding/json. It takes a ctx
+// because the session-state transfer and drain calls happen inside a bounded
+// drain window.
+func (c *Client) doJSON(ctx context.Context, method, path string, req, resp any) error {
+	var body []byte
+	if req != nil {
+		var err error
+		if body, err = json.Marshal(req); err != nil {
+			return fmt.Errorf("httpapi client: encoding request: %w", err)
+		}
+	}
+	doc, err := c.do(ctx, method, path, body)
+	if err != nil || resp == nil || doc == nil {
+		return err
+	}
+	return unmarshalResponse(doc, resp)
 }
 
-// doJSON runs one JSON round trip: 204 → nil, non-2xx → *StatusError. It
-// takes a ctx because the session-state transfer and drain calls happen
-// inside a bounded drain window.
-func (c *Client) doJSON(ctx context.Context, method, path string, req, resp any) error {
-	return c.observed(path, func() error {
-		var body io.Reader
-		if req != nil {
-			b, err := json.Marshal(req)
-			if err != nil {
-				return fmt.Errorf("httpapi client: encoding request: %w", err)
-			}
-			body = bytes.NewReader(b)
-		}
-		hreq, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+func unmarshalResponse(doc []byte, resp any) error {
+	if err := json.Unmarshal(doc, resp); err != nil {
+		return fmt.Errorf("httpapi client: decoding response: %w", err)
+	}
+	return nil
+}
+
+// do runs one round trip with an encoded JSON body (nil for none) and
+// returns the reply's: 204 → nil, non-2xx → *StatusError.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) (doc []byte, err error) {
+	err = c.observed(path, func() error {
+		hreq, err := c.newRequest(ctx, method, path, body)
 		if err != nil {
 			return fmt.Errorf("httpapi client: building request: %w", err)
 		}
-		if req != nil {
-			hreq.Header.Set("Content-Type", "application/json")
+		if body != nil {
+			hreq.Header["Content-Type"] = jsonContentType
 		}
 		// Mint a request id so server-side traces and logs can be joined to
 		// this client call; the server echoes it back (and mints one itself
@@ -187,14 +220,12 @@ func (c *Client) doJSON(ctx context.Context, method, path string, req, resp any)
 			_ = json.NewDecoder(r.Body).Decode(&eb)
 			return &StatusError{Status: r.StatusCode, Path: method + " " + path, Msg: eb.Error}
 		}
-		if resp == nil {
-			return nil
-		}
-		if err := json.NewDecoder(r.Body).Decode(resp); err != nil {
-			return fmt.Errorf("httpapi client: decoding response: %w", err)
+		if doc, err = io.ReadAll(r.Body); err != nil {
+			return fmt.Errorf("httpapi client: reading response: %w", err)
 		}
 		return nil
 	})
+	return doc, err
 }
 
 // ExportSession pulls a live session's exact filter state from the replica —
@@ -249,7 +280,7 @@ func (c *Client) postWire(path string, frame []byte) (wire.Frame, error) {
 }
 
 func (c *Client) postWireOnce(path string, frame []byte) (wire.Frame, error) {
-	hreq, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(frame))
+	hreq, err := c.newRequest(context.Background(), http.MethodPost, path, frame)
 	if err != nil {
 		return wire.Frame{}, fmt.Errorf("httpapi client: building request: %w", err)
 	}
@@ -326,11 +357,32 @@ func (c *Client) BatchInto(ops []wire.Op, dst []wire.OpResult) ([]wire.OpResult,
 	return nil, 0, fmt.Errorf("httpapi client: POST /v2/batch: unexpected frame type 0x%02x", byte(f.Type))
 }
 
+// postCodec is the round trip of the two hand-coded routes: body is the
+// appended request and scan reads the reply; where the encoder declined (ok
+// false) encoding/json runs the whole call on request(), and where scan
+// declines it decodes the same reply bytes.
+func postCodec[T any](c *Client, path string, body []byte, ok bool, scan func([]byte) (T, bool), request func() any) (T, error) {
+	if !ok {
+		var resp T
+		err := c.doJSON(context.Background(), http.MethodPost, path, request(), &resp)
+		return resp, err
+	}
+	doc, err := c.do(context.Background(), http.MethodPost, path, body)
+	resp, ok := scan(doc)
+	if err == nil && !ok {
+		var v T
+		err = unmarshalResponse(doc, &v)
+		resp = v
+	}
+	return resp, err
+}
+
 // StartSession opens a session and returns the server's initial guidance.
 func (c *Client) StartSession(id string, f trace.Features, startUnix int64) (engine.StartResponse, error) {
-	var resp engine.StartResponse
-	err := c.post("/v1/session/start", StartRequest{SessionID: id, Features: f, StartUnix: startUnix}, &resp)
-	return resp, err
+	body, ok := appendStartRequest(make([]byte, 0, 384), id, f, startUnix)
+	return postCodec(c, "/v1/session/start", body, ok, scanStartResponse, func() any {
+		return StartRequest{SessionID: id, Features: f, StartUnix: startUnix}
+	})
 }
 
 // ObserveAndPredict reports the last epoch's throughput and fetches the
@@ -346,9 +398,7 @@ func (c *Client) ObserveAndPredict(id string, observedMbps float64, horizon int)
 			HasObserve:   true,
 		})
 	}
-	var resp PredictResponse
-	err := c.post("/v1/predict", PredictRequest{SessionID: id, ObservedMbps: &observedMbps, Horizon: horizon}, &resp)
-	return resp.PredictionMbps, err
+	return c.predictJSON(id, observedMbps, true, horizon)
 }
 
 // PredictAt queries the current prediction at a horizon without reporting a
@@ -357,14 +407,25 @@ func (c *Client) PredictAt(id string, horizon int) (float64, error) {
 	if c.wireBinary {
 		return c.wireOp("/v2/predict", wire.Op{SessionID: []byte(id), Horizon: clampHorizon(horizon)})
 	}
-	var resp PredictResponse
-	err := c.post("/v1/predict", PredictRequest{SessionID: id, Horizon: horizon}, &resp)
+	return c.predictJSON(id, 0, false, horizon)
+}
+
+// predictJSON is the POST /v1/predict round trip.
+func (c *Client) predictJSON(id string, observedMbps float64, hasObserve bool, horizon int) (float64, error) {
+	body, ok := appendPredictRequest(make([]byte, 0, 128), id, observedMbps, hasObserve, horizon)
+	resp, err := postCodec(c, "/v1/predict", body, ok, scanPredictResponse, func() any {
+		req := PredictRequest{SessionID: id, Horizon: horizon}
+		if v := observedMbps; hasObserve { // a copy: the parameter must not escape on the fast path
+			req.ObservedMbps = &v
+		}
+		return req
+	})
 	return resp.PredictionMbps, err
 }
 
 // Log submits the end-of-session QoE report.
 func (c *Client) Log(lg engine.SessionLog) error {
-	return c.post("/v1/log", lg, nil)
+	return c.doJSON(context.Background(), http.MethodPost, "/v1/log", lg, nil)
 }
 
 // BaseURL returns the server base URL the client targets.
@@ -394,7 +455,7 @@ func (c *Client) Healthz() error {
 func (c *Client) Readiness(ctx context.Context) (HealthzResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, healthzTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/healthz", nil)
+	req, err := c.newRequest(ctx, http.MethodGet, "/v1/healthz", nil)
 	if err != nil {
 		return HealthzResponse{}, fmt.Errorf("httpapi client: building request: %w", err)
 	}

@@ -246,6 +246,10 @@ func FuzzIngest(f *testing.F) {
 	})
 }
 
+// trailingClosers are tails json.Decoder.More() took for the end of input
+// (it answers false at '}' and ']'), so a body carrying one was accepted.
+var trailingClosers = []string{"}", "]", " ]]]garbage"}
+
 // FuzzStartSession fuzzes the POST /v1/session/start decoder and validators.
 // It found two real holes, both fixed and pinned by seeds here: trailing
 // data after the JSON document was silently accepted, and feature strings
@@ -254,6 +258,9 @@ func FuzzStartSession(f *testing.F) {
 	f.Add([]byte(`{"session_id":"fz","features":{"isp":"a","province":"b"},"start_unix":100}`))
 	f.Add([]byte(`{"session_id":"fz"}{"session_id":"fz2"}`)) // trailing document
 	f.Add([]byte(`{"session_id":"fz"}garbage`))              // trailing garbage
+	for _, tail := range trailingClosers {
+		f.Add([]byte(`{"session_id":"fz","start_unix":1}` + tail))
+	}
 	f.Add([]byte(`{"session_id":""}`))
 	f.Add([]byte(`{"session_id":"` + string(make([]byte, 300)) + `"}`))
 	f.Add([]byte(`{"session_id":"fz","features":{"city":"` + string(bytes.Repeat([]byte("x"), 4096)) + `"}}`))
@@ -290,6 +297,9 @@ func FuzzObserve(f *testing.F) {
 	f.Add([]byte(`{"session_id":"fz-obs","horizon":-3}`))
 	f.Add([]byte(`{"session_id":"nope","observed_mbps":1}`))
 	f.Add([]byte(`{"session_id":"fz-obs","observed_mbps":2} extra`))
+	for _, tail := range trailingClosers {
+		f.Add([]byte(`{"session_id":"fz-obs","observed_mbps":1}` + tail))
+	}
 	f.Add([]byte(`{"session_id":"fz-obs","observed_mbps":null,"horizon":2}`))
 	f.Add([]byte(`{`))
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -234,6 +234,10 @@ func (w *statusWriter) reset(rw http.ResponseWriter) {
 	w.wrote = false
 }
 
+// Unwrap lets http.ResponseController (and boundBodyRead) reach the
+// connection's writer.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 func (w *statusWriter) WriteHeader(code int) {
 	if !w.wrote {
 		w.code = code

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"net/http"
 	"runtime/debug"
+	"time"
 )
 
 // recoverMiddleware converts handler panics into 500 responses instead of
@@ -39,4 +40,28 @@ func (s *Server) limitBodyMiddleware(next http.Handler) http.Handler {
 		}
 		next.ServeHTTP(w, r)
 	})
+}
+
+// boundBodyRead arms the connection's read deadline at RequestTimeout from
+// now for a request dispatched outside TimeoutHandler, or (arm false, the
+// body in) lifts it so that net/http's background read cannot cancel a slow
+// upstream call; the server resets it between requests either way. This is
+// http.ResponseController.SetReadDeadline minus its error, a fmt.Errorf, for
+// writers with no connection (tests, the benchmark's handler loops).
+func (s *Server) boundBodyRead(w http.ResponseWriter, arm bool) {
+	for s.cfg.RequestTimeout > 0 {
+		switch v := w.(type) {
+		case interface{ SetReadDeadline(time.Time) error }:
+			var deadline time.Time
+			if arm {
+				deadline = time.Now().Add(s.cfg.RequestTimeout)
+			}
+			_ = v.SetReadDeadline(deadline) // fails only on a connection already closed
+			return
+		case interface{ Unwrap() http.ResponseWriter }:
+			w = v.Unwrap()
+		default:
+			return
+		}
+	}
 }

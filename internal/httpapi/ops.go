@@ -31,7 +31,7 @@ type BatchService interface {
 
 // opScratch is one request's reusable working set.
 type opScratch struct {
-	body []byte               // raw frame read buffer, or the JSON op's session id (op ids alias it)
+	body []byte               // the request body as read (op ids alias it)
 	out  []byte               // response encode buffer
 	wops []wire.Op            // decoded /v2/batch ops
 	wres []wire.OpResult      // /v2/batch results to encode

@@ -15,9 +15,10 @@
 //	GET  /v1/healthz
 //
 // The handler stack is hardened for unattended operation: panics are
-// recovered into 500s, request bodies are size-capped, slow requests are
-// timed out, inputs are validated before they can corrupt session state,
-// and Run drains in-flight requests on shutdown.
+// recovered into 500s, request bodies are size-capped and must arrive within
+// the request timeout, control-plane handlers are timed out, inputs are
+// validated before they can corrupt session state, and Run drains in-flight
+// requests on shutdown.
 package httpapi
 
 import (
@@ -25,9 +26,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -127,8 +130,9 @@ type HealthReporter interface {
 type ServerConfig struct {
 	// MaxBodyBytes caps request bodies (413 beyond it).
 	MaxBodyBytes int64
-	// RequestTimeout bounds one request's handling time (503 beyond it).
-	// 0 disables the timeout middleware.
+	// RequestTimeout bounds how long a request's body may take to arrive on
+	// the data path (the connection is dropped beyond it) and a control-plane
+	// request's whole handling (503 beyond it). 0 disables both.
 	RequestTimeout time.Duration
 	// MaxHorizon rejects absurd prediction horizons with 400. The paper
 	// evaluates horizons up to 10; anything beyond a full video is a bug
@@ -317,8 +321,8 @@ func NewServer(svc SessionService, exporter func(*core.Engine) *core.ModelStore)
 
 // Handle registers an extra route on the server's mux (call before
 // Handler). The pattern uses net/http's enhanced syntax ("POST /v1/x"). The
-// handler runs inside the full hardening stack — body limit, timeout,
-// recovery, metrics — exactly like the built-in routes.
+// handler runs inside the control plane's hardening stack — body limit,
+// timeout, recovery, metrics — exactly like the built-in routes there.
 func (s *Server) Handle(pattern string, h http.Handler) {
 	if s.extra == nil {
 		s.extra = make(map[string]http.Handler)
@@ -392,11 +396,22 @@ func (s *Server) SetConfig(cfg ServerConfig) {
 // absorbed — the chaos harness asserts it stays zero.
 func (s *Server) PanicCount() int64 { return s.panics.Load() }
 
-// Handler returns the hardened route mux: recovery wraps timeout wraps
-// body-limit wraps routes, so a panic anywhere becomes a 500, a stuck
-// handler becomes a 503, and an oversized body becomes a 413.
+// Handler returns the hardened stack. Recovery and request metrics wrap
+// everything. Under them a front dispatcher matches the per-session data
+// path by exact method and path — POST /v1/session/start, /v1/predict,
+// /v1/log, and every /v2 route — and serves it on the connection's own
+// goroutine from pooled scratch, under a read deadline of RequestTimeout.
+// All else (the control plane; other methods on those paths, so 405s are the
+// mux's) passes TimeoutHandler, MaxBytesReader and the ServeMux. The player
+// routes left that stack because it was most of their cost: 39% of server
+// CPU ran in TimeoutHandler's per-request goroutine, 16% of it growing that
+// goroutine's fresh stack under encoding/json on every request, 6% matching
+// mux patterns, 4% in the engine — and its 503 went to a client that had
+// stalled its own body and was not reading.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
+	// The first three are registered for their 405s: the front dispatcher
+	// below takes their POSTs before the mux sees them.
 	mux.HandleFunc("POST /v1/session/start", s.handleStart)
 	mux.HandleFunc("POST /v1/predict", s.handlePredict)
 	mux.HandleFunc("POST /v1/log", s.handleLog)
@@ -424,52 +439,77 @@ func (s *Server) Handler() http.Handler {
 	if s.cfg.RequestTimeout > 0 {
 		h = http.TimeoutHandler(h, s.cfg.RequestTimeout, `{"error":"request timed out"}`)
 	}
-	// The /v2 binary routes dispatch ahead of TimeoutHandler and the
-	// body-limit wrapper: the frame header's declared length is a tighter
-	// body bound than MaxBytesReader, and TimeoutHandler's per-request
-	// goroutine plus buffered response writer are most of the JSON path's
-	// per-request allocation bill. Recovery and the metrics middleware still
-	// wrap both stacks.
-	jsonStack := h
+	controlPlane := h
+	player := map[string]http.HandlerFunc{"/v1/predict": s.handlePredict, "/v1/session/start": s.handleStart, "/v1/log": s.handleLog}
+	binary := http.HandlerFunc(s.handleWire)
 	h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v2/") {
-			s.handleWire(w, r)
-			return
+		lane := binary
+		if !strings.HasPrefix(r.URL.Path, "/v2/") {
+			if lane = player[r.URL.Path]; lane == nil || r.Method != http.MethodPost {
+				controlPlane.ServeHTTP(w, r)
+				return
+			}
 		}
-		jsonStack.ServeHTTP(w, r)
+		s.boundBodyRead(w, true)
+		lane(w, r)
 	})
 	return s.observeMiddleware(s.recoverMiddleware(h))
 }
 
-// decodeJSON reads a JSON request body, mapping oversized bodies to 413 and
-// malformed payloads to 400. It reports whether decoding succeeded. The body
-// must be exactly one JSON document: fuzzing found that json.Decoder stops
-// after the first value, silently accepting `{"session_id":"a"}garbage`.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	err := dec.Decode(v)
-	if err == nil && dec.More() {
-		err = errors.New("trailing data after JSON document")
-	}
+// decodeJSON reads a request body and decodes it as exactly one JSON document
+// of v's shape, answering 413 or 400 otherwise; it reports whether it did.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	sc := opScratchPool.Get().(*opScratch)
+	defer opScratchPool.Put(sc)
+	return s.readBody(w, r, sc) && unmarshalJSON(w, sc.body, v)
+}
+
+// unmarshalJSON is json.Unmarshal or a 400. Not a Decoder: that stops after
+// the first value, and its More() reads a stray '}' or ']' as the end of
+// input, which let `{"session_id":"a"}}` through.
+func unmarshalJSON(w http.ResponseWriter, body []byte, v any) bool {
+	err := json.Unmarshal(body, v)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorBody{Error: "request body too large"})
-			return false
-		}
 		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "malformed JSON: " + err.Error()})
-		return false
 	}
-	return true
+	return err == nil
+}
+
+// readBody reads the whole request body into sc.body, at most MaxBodyBytes
+// of it (the control plane's MaxBytesReader enforces the same cap first), and
+// lifts the data path's read deadline. On failure it has answered — 413, or
+// 400 for a body that ended early or stalled — and leaves the deadline armed:
+// net/http drains what is left of the body after the handler, and that read
+// needs the bound too.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, sc *opScratch) bool {
+	b, err := sc.body[:0], error(nil)
+	for err == nil && int64(len(b)) <= s.cfg.MaxBodyBytes {
+		var n int
+		b = slices.Grow(b, 512)
+		n, err = r.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+	}
+	sc.body = b
+	if err == io.EOF && int64(len(b)) <= s.cfg.MaxBodyBytes {
+		s.boundBodyRead(w, false)
+		return true
+	}
+	if tooLarge := new(*http.MaxBytesError); int64(len(b)) > s.cfg.MaxBodyBytes || errors.As(err, tooLarge) {
+		w.Header().Set("Connection", "close") // as MaxBytesReader: the unread rest is not a request
+		WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorBody{Error: "request body too large"})
+	} else {
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "reading request body: " + err.Error()})
+	}
+	return false
 }
 
 // validSessionID rejects empty or absurdly long session identifiers.
-func (s *Server) validSessionID(w http.ResponseWriter, id string) bool {
-	if id == "" {
+func (s *Server) validSessionID(w http.ResponseWriter, idLen int) bool {
+	if idLen == 0 {
 		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "session_id required"})
 		return false
 	}
-	if len(id) > s.cfg.MaxSessionIDLen {
+	if idLen > s.cfg.MaxSessionIDLen {
 		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("session_id exceeds %d bytes", s.cfg.MaxSessionIDLen)})
 		return false
 	}
@@ -490,12 +530,21 @@ func (s *Server) validFeatures(w http.ResponseWriter, f trace.Features) bool {
 
 func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 	tr := obs.TraceFrom(r.Context())
-	var req StartRequest
-	if !decodeJSON(w, r, &req) {
+	sc := opScratchPool.Get().(*opScratch)
+	defer opScratchPool.Put(sc)
+	if !s.readBody(w, r, sc) {
 		return
 	}
+	req, ok := scanStartRequest(sc.body)
+	if !ok {
+		var declined StartRequest // its own variable: req must not escape on the scanned path
+		if !unmarshalJSON(w, sc.body, &declined) {
+			return
+		}
+		req = declined
+	}
 	tr.Mark("decode")
-	if !s.validSessionID(w, req.SessionID) {
+	if !s.validSessionID(w, len(req.SessionID)) {
 		return
 	}
 	if !s.validFeatures(w, req.Features) {
@@ -514,7 +563,11 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 		resp = s.svc.StartSession(req.SessionID, req.Features, req.StartUnix)
 	}
 	tr.Mark("start")
-	WriteJSON(w, http.StatusOK, resp)
+	if sc.out, ok = appendStartResponse(sc.out[:0], resp); !ok {
+		WriteJSON(w, http.StatusOK, resp)
+		return
+	}
+	writeJSONDoc(w, sc.out)
 }
 
 // backendStatus maps a backend error onto an HTTP status: lost sessions are
@@ -539,20 +592,25 @@ func backendStatus(err error, fallback int) int {
 // mapping — is the code the binary routes run.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	tr := obs.TraceFrom(r.Context())
-	var req PredictRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	tr.Mark("decode")
-	if !s.validSessionID(w, req.SessionID) {
-		return
-	}
 	sc := opScratchPool.Get().(*opScratch)
 	defer opScratchPool.Put(sc)
-	sc.body = append(sc.body[:0], req.SessionID...)
-	op := engine.BatchOp{SessionID: sc.body, Horizon: req.Horizon}
-	if req.ObservedMbps != nil {
-		op.ObservedMbps, op.HasObserve = *req.ObservedMbps, true
+	if !s.readBody(w, r, sc) {
+		return
+	}
+	op, ok := scanPredictRequest(sc.body)
+	if !ok {
+		var req PredictRequest
+		if !unmarshalJSON(w, sc.body, &req) {
+			return
+		}
+		op = engine.BatchOp{SessionID: []byte(req.SessionID), Horizon: req.Horizon}
+		if req.ObservedMbps != nil {
+			op.ObservedMbps, op.HasObserve = *req.ObservedMbps, true
+		}
+	}
+	tr.Mark("decode")
+	if !s.validSessionID(w, len(op.SessionID)) {
+		return
 	}
 	pred, status, msg := s.serveOne(sc, op)
 	tr.Mark("predict")
@@ -560,7 +618,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, status, ErrorBody{Error: msg})
 		return
 	}
-	WriteJSON(w, http.StatusOK, PredictResponse{PredictionMbps: pred})
+	if sc.out, ok = appendPredictResponse(sc.out[:0], pred); !ok {
+		WriteJSON(w, http.StatusOK, PredictResponse{PredictionMbps: pred})
+		return
+	}
+	writeJSONDoc(w, sc.out)
 }
 
 // handleIngest accepts a batch of externally collected completed sessions
@@ -576,7 +638,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req IngestRequest
-	if !decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Sessions) == 0 {
@@ -589,7 +651,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	batch := make([]*trace.Session, 0, len(req.Sessions))
 	for i, in := range req.Sessions {
-		if !s.validSessionID(w, in.SessionID) || !s.validFeatures(w, in.Features) {
+		if !s.validSessionID(w, len(in.SessionID)) || !s.validFeatures(w, in.Features) {
 			return
 		}
 		if len(in.ThroughputMbps) == 0 {
@@ -657,10 +719,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 	var lg engine.SessionLog
-	if !decodeJSON(w, r, &lg) {
+	if !s.decodeJSON(w, r, &lg) {
 		return
 	}
-	if !s.validSessionID(w, lg.SessionID) {
+	if !s.validSessionID(w, len(lg.SessionID)) {
 		return
 	}
 	s.svc.EndSession(lg)
@@ -769,9 +831,20 @@ func (s *Server) handleAdminRollback(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]any{"active_version": v})
 }
 
+// jsonContentType is the Content-Type value of every JSON reply, shared:
+// a header value is read, never written through.
+var jsonContentType = []string{"application/json"}
+
+// writeJSONDoc answers 200 with an already encoded document.
+func writeJSONDoc(w http.ResponseWriter, doc []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(doc)
+}
+
 // WriteJSON answers with status and v as a JSON document.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		// Too late for a status change; nothing useful to do.

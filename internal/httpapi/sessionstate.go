@@ -27,7 +27,7 @@ func (s *Server) handleSessionStateGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	if !s.validSessionID(w, id) {
+	if !s.validSessionID(w, len(id)) {
 		return
 	}
 	st, err := s.sessionState.ExportSession(id)
@@ -50,11 +50,11 @@ func (s *Server) handleSessionStatePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	if !s.validSessionID(w, id) {
+	if !s.validSessionID(w, len(id)) {
 		return
 	}
 	var st engine.SessionState
-	if !decodeJSON(w, r, &st) {
+	if !s.decodeJSON(w, r, &st) {
 		return
 	}
 	if st.SessionID == "" {
@@ -116,7 +116,7 @@ func (s *Server) handleSessionStateDelete(w http.ResponseWriter, r *http.Request
 		return
 	}
 	id := r.PathValue("id")
-	if !s.validSessionID(w, id) {
+	if !s.validSessionID(w, len(id)) {
 		return
 	}
 	if !s.sessionState.ForgetSession(id) {
@@ -134,7 +134,7 @@ func (s *Server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DrainRequest
-	if !decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	s.drain.SetDraining(req.Draining)

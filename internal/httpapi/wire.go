@@ -1,17 +1,15 @@
-// The /v2 routes: the binary wire protocol's server side. JSON v1 stays the
-// compatibility surface; v2 is the steady-state fast lane for the per-chunk
-// observe/predict round trip and its batched CDN-edge variant. Session
-// lifecycle (start, end-of-session log) deliberately stays on v1 — it runs
+// The /v2 routes: the binary wire protocol's server side, the fast lane for
+// the per-chunk observe/predict round trip and its batched CDN-edge variant.
+// Session lifecycle (start, end-of-session log) stays on JSON v1 — it runs
 // once per playback, not once per chunk.
 //
-// The v2 handlers bypass http.TimeoutHandler and MaxBytesReader: the frame
-// header's declared length (bounds-checked by wire.PeekHeader before any
-// payload is buffered) is a tighter body cap than the JSON stack's, and the
-// handlers block on nothing but per-session mutexes. Recovery and metrics
-// middleware still wrap them. The whole request is served from pooled
-// scratch: body buffer, decoded ops, engine batch slices, and the response
-// encode buffer are all reused across requests. These handlers are codecs
-// only; the op pipeline they feed is in ops.go.
+// Like the three JSON player routes, /v2 is dispatched ahead of
+// http.TimeoutHandler and MaxBytesReader (Server.Handler) and served from
+// pooled scratch under the dispatcher's read deadline; recovery and metrics
+// still wrap it. Its body cap is tighter than theirs: the frame header's
+// declared length is bounds-checked by wire.PeekHeader before any payload is
+// buffered. These handlers are codecs only; the op pipeline they feed is in
+// ops.go.
 package httpapi
 
 import (
@@ -90,6 +88,7 @@ func (s *Server) handleWire(w http.ResponseWriter, r *http.Request) {
 		s.writeWireError(w, sc, status, err.Error())
 		return
 	}
+	s.boundBodyRead(w, false)
 	switch r.URL.Path {
 	case "/v2/observe":
 		s.handleWireOp(w, sc, frame, lim, true)

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"cs2p/internal/engine"
@@ -407,4 +408,57 @@ var frozenFrames = []string{
 	"/v2/observe < c52b01051300000094010f00756e6b6e6f776e2073657373696f6e",
 	"/v2/batch > c52b0103220000000200010100000000000000f43f0200733100040000000000000000000400676f6e65",
 	"/v2/batch < c52b01041c00000007000000000000000200000000000000000240010000000000000000",
+}
+
+// TestPlayerRouteAllocFloors pins the JSON player routes the way
+// TestWireSingleOpAllocFloor pins the binary one: steady-state allocations
+// per request through the full handler stack with metrics attached. Predict
+// allocates nothing of its own (the floor leaves 2 for the runtime's
+// benefit). Start pays for what the session keeps — its id and six feature
+// strings — and 3 for a cluster id encoding/json has to escape, on top of the
+// engine's own session objects: 33 under this package's test model
+// (history-window clusters), ~10 under the benchmark's, which is where the
+// handler's total is <= 20. Log is encoding/json's
+// Unmarshal, bounded by what the route cost behind TimeoutHandler here (23).
+func TestPlayerRouteAllocFloors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation floors are not exact under the race detector")
+	}
+	ensureEnv()
+	reg := obs.NewRegistry()
+	svc := engine.NewService(envEngine, envCfg, video.Default())
+	svc.SetMetrics(reg)
+	srv := NewServer(svc, nil)
+	srv.SetLogf(func(string, ...any) {})
+	srv.SetMetrics(reg)
+	h := srv.Handler()
+	s := envTest.Sessions[0]
+	svc.StartSession("alloc", s.Features, s.StartUnix)
+	startBody, _ := appendStartRequest(nil, "alloc-start", s.Features, s.StartUnix)
+	engineStart := testing.AllocsPerRun(100, func() { svc.StartSession("alloc-start", s.Features, s.StartUnix) })
+
+	for _, tc := range []struct {
+		path, body string
+		max        float64
+	}{
+		{"/v1/predict", `{"session_id":"alloc","observed_mbps":2.5,"horizon":1}`, 2},
+		{"/v1/session/start", string(startBody), engineStart + 10},
+		{"/v1/log", `{"session_id":"alloc-log","qoe":1.5,"avg_bitrate_kbps":1000,"rebuffer_seconds":0.5,"startup_seconds":1,"strategy":"mpc"}`, 23},
+	} {
+		br := strings.NewReader(tc.body)
+		req := httptest.NewRequest(http.MethodPost, tc.path, br)
+		req.Header.Set("Content-Type", "application/json")
+		body := io.NopCloser(br)
+		w := &benchWriter{h: make(http.Header, 4)}
+		run := func() {
+			br.Reset(tc.body)
+			req.Body = body
+			w.buf = w.buf[:0]
+			h.ServeHTTP(w, req)
+		}
+		run() // warm pools and lazily built metric handles
+		if allocs := testing.AllocsPerRun(300, run); allocs > tc.max {
+			t.Errorf("POST %s allocates %v per request, want <= %v", tc.path, allocs, tc.max)
+		}
+	}
 }

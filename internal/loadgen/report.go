@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"time"
 )
@@ -179,7 +180,7 @@ func ParseReport(b []byte) (Report, error) {
 	if err := dec.Decode(&r); err != nil {
 		return Report{}, fmt.Errorf("loadgen: parsing report: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF { // More() would take a stray '}' for the end
 		return Report{}, fmt.Errorf("loadgen: parsing report: trailing data after document")
 	}
 	if r.SchemaVersion != ReportSchemaVersion {

@@ -100,6 +100,8 @@ func TestParseReportRejectsCorruption(t *testing.T) {
 		{"empty", []byte("")},
 		{"not json", []byte("schema_version: 1\n")},
 		{"trailing data", append(append([]byte{}, valid...), []byte("{}")...)},
+		{"trailing brace", append(append([]byte{}, valid...), '}')},
+		{"trailing bracket", append(append([]byte{}, valid...), []byte(" ]]]garbage")...)},
 		{"unknown field", corrupt(`"schema_version"`, `"schema_verzion"`)},
 		{"future schema version", corrupt(`"schema_version": 1`, `"schema_version": 2`)},
 		{"no runs", []byte(`{"schema_version": 1, "generated_by": "x", "runs": []}` + "\n")},

@@ -3,6 +3,7 @@ package router
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 
 	"cs2p/internal/httpapi"
@@ -75,15 +76,15 @@ func (rt *Router) handleListReplicas(w http.ResponseWriter, _ *http.Request) {
 // malformed).
 func (rt *Router) handleAdminReplicas(w http.ResponseWriter, r *http.Request) {
 	var req ReplicaAdminRequest
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(r.Body) // capped by the server's MaxBytesReader
+	if err == nil {
+		err = json.Unmarshal(body, &req) // one document: refuses trailing data
+	}
+	if err != nil {
 		httpapi.WriteJSON(w, http.StatusBadRequest, httpapi.ErrorBody{Error: "malformed JSON: " + err.Error()})
 		return
 	}
-	var (
-		drain *DrainResult
-		err   error
-	)
+	var drain *DrainResult
 	switch req.Action {
 	case "add":
 		var name string

@@ -562,6 +562,9 @@ func TestRouterAdminReplicasHTTP(t *testing.T) {
 	if code, _ := post(`not json`); code != http.StatusBadRequest {
 		t.Fatalf("malformed JSON -> %d, want 400", code)
 	}
+	if code, _ := post(`{"action":"remove","replica":"` + c.names[0] + `"}}`); code != http.StatusBadRequest || len(c.rt.Replicas()) != 3 {
+		t.Fatalf("trailing data -> %d with %d members, want 400 and nothing removed", code, len(c.rt.Replicas()))
+	}
 
 	extra := c.addStub(1)
 	code, out := post(`{"action":"add","replica":"` + extra + `"}`)
