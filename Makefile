@@ -3,13 +3,13 @@
 # and its consumers, plus the serving stack and the fault-injection suite).
 
 GO ?= go
-RACE_PKGS := ./internal/parallel ./internal/core ./internal/hmm ./internal/cluster ./internal/engine ./internal/httpapi ./internal/faultinject ./internal/obs ./internal/sessionstore ./internal/registry ./internal/wire ./internal/router ./internal/loadgen
+RACE_PKGS := ./internal/parallel ./internal/core ./internal/hmm ./internal/cluster ./internal/engine ./internal/httpapi ./internal/faultinject ./internal/obs ./internal/sessionstore ./internal/registry ./internal/wire ./internal/router
 
 # COVER_FLOOR is the minimum total statement coverage `make cover` accepts.
 # The seed measured 85.3%; the floor leaves one point of slack for noise.
 COVER_FLOOR := 84.0
 
-.PHONY: check vet build test race chaos cluster-chaos bench bench-serve bench-load benchmark cover fuzz publish-demo
+.PHONY: check vet build test race chaos cluster-chaos bench benchmark cover fuzz publish-demo
 
 check: vet build test race
 
@@ -41,48 +41,15 @@ cluster-chaos:
 	$(GO) test -race -run 'TestClusterChaos|TestClusterModel|TestClusterRouterRestart|TestRouterConcurrentFailover|TestRouterFailoverBeyondOldWindow' -v ./internal/router
 	$(GO) test -race -run 'TestGoldenReplayClusterParity|TestGoldenReplayDrainParity|TestGoldenReplayKillParity' -v .
 
-# Microbenchmarks of the training hot paths (allocation-counted).
+# Microbenchmarks, allocation-counted, printed to the terminal: the training
+# hot paths, then the serving path — the sharded session store under mixed
+# traffic at shards=1/4/16 and the start path alone (engine), and the
+# JSON-vs-binary grid through the handler stack at batch sizes 1/16/64
+# (httpapi). Nothing here is a gate or a record: the performance contract is
+# `make benchmark`.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkHMMTrain$$|BenchmarkEngineTrain|BenchmarkClusterSelect' -benchmem .
-
-# Serving-path benchmarks: mixed start/observe/predict traffic through the
-# sharded session store at shards=1/4/16 (engine), plus the JSON-vs-binary
-# wire comparison through the full handler stack at batch sizes 1/16/64
-# (httpapi). Allocation-counted, rendered as test2json events for trend
-# tooling. See DESIGN.md §10 and §12. BenchmarkServiceConcurrent's traffic is
-# 1/16 session starts: while every start ran the rebuffer rollout that was
-# ~98% of it (23.7 us/op); with the forecast served from the per-cluster memo
-# it measures the sharded store (0.48 us/op). BenchmarkStartSession/{warm,cold}
-# times the start path alone, on the full video.
-bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkServiceConcurrent|BenchmarkStartSession|BenchmarkWireServe' -benchmem -json ./internal/engine ./internal/httpapi > BENCH_serve.json
-	@awk -F'"Output":"' 'NF>1 { s=$$2; sub(/"}$$/,"",s); if (s ~ /^Benchmark.*\\t$$/) { gsub(/\\t/,"",s); printf "%s", s } else if (s ~ /ns\/op/) { gsub(/\\t/,"  ",s); gsub(/\\n/,"",s); print s } }' BENCH_serve.json
-
-# Open-loop load run against in-process serving tiers: one direct-server
-# scenario and one 3-replica router-fronted scenario, each with a burst
-# arrival profile, a short soak, and a capacity search, written to
-# BENCH_load.json (schema-versioned; loadgen.ParseReport validates it).
-# Latency is intended-start-to-completion, so coordinated omission cannot
-# hide tail degradation. The run is gated against the committed
-# BENCH_baseline.json: capacity more than 10% below baseline fails the
-# build (refresh the baseline deliberately with `make bench-baseline`).
-# See DESIGN.md §14.
-bench-load:
-	$(GO) run ./cmd/cs2p-loadgen -self -mode burst -rps 10 -burst-rps 120 \
-		-burst-every 2s -burst-len 500ms -duration 10s -chunk-interval 50ms \
-		-max-chunks 6 -capacity -trial 3s -bisect 2 -soak 5s -soak-rps 20 \
-		-baseline BENCH_baseline.json -max-regression 0.10 \
-		-out BENCH_load.json
-	@echo "wrote BENCH_load.json"
-
-# Re-measure and overwrite the committed capacity baseline (same shape as
-# bench-load, no gate). Commit the result when a capacity change is intended.
-bench-baseline:
-	$(GO) run ./cmd/cs2p-loadgen -self -mode burst -rps 10 -burst-rps 120 \
-		-burst-every 2s -burst-len 500ms -duration 10s -chunk-interval 50ms \
-		-max-chunks 6 -capacity -trial 3s -bisect 2 -soak 5s -soak-rps 20 \
-		-out BENCH_baseline.json
-	@echo "wrote BENCH_baseline.json"
+	$(GO) test -run '^$$' -bench 'BenchmarkServiceConcurrent|BenchmarkStartSession|BenchmarkWireServe' -benchmem ./internal/engine ./internal/httpapi
 
 # The repo's declared benchmark (BENCHMARK.json): four workloads against the
 # spawned cs2p-train/cs2p-server/cs2p-router binaries on one pinned core,

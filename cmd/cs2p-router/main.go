@@ -22,11 +22,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -92,19 +90,9 @@ func main() {
 	go rt.RunHealthChecker(ctx)
 
 	if *debugAddr != "" {
-		dsrv := &http.Server{Addr: *debugAddr, Handler: obs.DebugMux(reg)}
-		go func() {
-			logger.Printf("debug server (pprof, metrics) listening on %s", *debugAddr)
-			if err := dsrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Printf("debug server: %v", err)
-			}
-		}()
-		go func() {
-			<-ctx.Done()
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = dsrv.Shutdown(sctx)
-		}()
+		if _, err := obs.ServeDebug(ctx, *debugAddr, reg, logger.Printf); err != nil {
+			logger.Printf("debug server: %v", err)
+		}
 	}
 
 	if err := rt.Run(ctx, *addr, *grace); err != nil {

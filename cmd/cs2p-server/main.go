@@ -31,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -73,14 +72,8 @@ func main() {
 		drainWindow = flag.Duration("drain-on-shutdown", 0, "on the first SIGINT/SIGTERM, report draining on /v1/healthz for up to this long (letting a router hand sessions off warm) before shutting down; 0 shuts down immediately")
 	)
 	flag.Parse()
-	if *tracePath == "" && *modelDir == "" {
-		fatalf("one of -trace or -model-dir is required")
-	}
-	if *tracePath != "" && *modelDir != "" {
-		fatalf("-trace and -model-dir are mutually exclusive")
-	}
-	if *onlineEvery > 0 && !*ingest {
-		fatalf("-online-retrain requires -ingest (the controller drains the intake ring)")
+	if err := checkFlags(*tracePath, *modelDir, *ingest, *onlineEvery, *gcEvery); err != nil {
+		fatalf("%v", err)
 	}
 
 	// One logger feeds training diagnostics, GC/reload events, and the
@@ -89,9 +82,7 @@ func main() {
 	logf := logger.Printf
 
 	// One registry spans training, the engine, the HTTP layer, and the Go
-	// runtime, so a single /metrics scrape shows the whole serving stack —
-	// including the heap/goroutine gauges the load harness's soak mode
-	// brackets its leak checks with.
+	// runtime, so a single /metrics scrape shows the whole serving stack.
 	reg := obs.NewRegistry()
 	obs.RegisterRuntimeMetrics(reg)
 
@@ -278,25 +269,31 @@ func main() {
 	// The debug listener carries pprof and is meant for a private interface;
 	// it is separate from the public API port on purpose.
 	if *debugAddr != "" {
-		dsrv := &http.Server{Addr: *debugAddr, Handler: obs.DebugMux(reg)}
-		go func() {
-			logf("debug server (pprof, metrics) listening on %s", *debugAddr)
-			if err := dsrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logf("debug server: %v", err)
-			}
-		}()
-		go func() {
-			<-ctx.Done()
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = dsrv.Shutdown(sctx)
-		}()
+		if _, err := obs.ServeDebug(ctx, *debugAddr, reg, logf); err != nil {
+			logf("debug server: %v", err)
+		}
 	}
 
 	if err := srv.Run(ctx, *addr, *grace); err != nil {
 		fatalf("%v", err)
 	}
 	logf("shutdown complete")
+}
+
+// checkFlags rejects flag combinations the server cannot run with, before
+// any model is loaded or trained.
+func checkFlags(tracePath, modelDir string, ingest bool, onlineEvery, gcEvery time.Duration) error {
+	switch {
+	case tracePath == "" && modelDir == "":
+		return errors.New("one of -trace or -model-dir is required")
+	case tracePath != "" && modelDir != "":
+		return errors.New("-trace and -model-dir are mutually exclusive")
+	case onlineEvery > 0 && !ingest:
+		return errors.New("-online-retrain requires -ingest (the controller drains the intake ring)")
+	case gcEvery <= 0:
+		return fmt.Errorf("-session-gc must be positive, got %v (it is both the GC cadence and the idle cutoff)", gcEvery)
+	}
+	return nil
 }
 
 func fatalf(format string, args ...any) {

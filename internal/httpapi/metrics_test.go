@@ -16,19 +16,21 @@ import (
 )
 
 // metricsServer builds a server + engine service sharing one registry, on
-// top of the harness's trained engine.
-func metricsServer(t testing.TB) (*httptest.Server, *obs.Registry) {
+// top of the harness's trained engine. maxLogs caps the QoE-log ring (0 =
+// the engine's default).
+func metricsServer(t testing.TB, maxLogs int) (*httptest.Server, *engine.Service) {
 	t.Helper()
 	ensureEnv()
 	reg := obs.NewRegistry()
 	// Shards pinned to 4 so the per-shard series show up even where
 	// GOMAXPROCS would default the store to a single shard.
-	svc := engine.NewServiceWithOptions(envEngine, envCfg, video.Default(), engine.ServiceOptions{Shards: 4})
+	svc := engine.NewServiceWithOptions(envEngine, envCfg, video.Default(),
+		engine.ServiceOptions{Shards: 4, MaxLogs: maxLogs})
 	svc.SetMetrics(reg)
 	srv := NewServer(svc, (*core.Engine).Store)
 	srv.SetLogf(func(string, ...any) {})
 	srv.SetMetrics(reg)
-	return httptest.NewServer(srv.Handler()), reg
+	return httptest.NewServer(srv.Handler()), svc
 }
 
 // TestMetricsEndpointScrape drives real traffic through the instrumented
@@ -36,7 +38,7 @@ func metricsServer(t testing.TB) (*httptest.Server, *obs.Registry) {
 // output must parse as strict Prometheus text and carry the request-layer,
 // engine, and prediction-quality series the dashboards are built on.
 func TestMetricsEndpointScrape(t *testing.T) {
-	ts, _ := metricsServer(t)
+	ts, _ := metricsServer(t, 0)
 	defer ts.Close()
 	c := NewClient(ts.URL)
 
@@ -214,13 +216,85 @@ func TestMetricsEndpointScrape(t *testing.T) {
 	}
 }
 
+// TestSessionChurnAccounting churns whole sessions (start, two observes, QoE
+// log) over HTTP against a small log ring and checks the leak invariants from
+// /metrics scrapes taken before and after: the active-session gauge is back at
+// its baseline, every start has its end, and the log-eviction counter accounts
+// exactly for the logs pushed minus the logs the ring retained.
+func TestSessionChurnAccounting(t *testing.T) {
+	const sessions, maxLogs = 30, 8
+	ts, svc := metricsServer(t, maxLogs)
+	defer ts.Close()
+	c := NewClient(ts.URL)
+
+	scrape := func() map[string]float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		samples, err := obs.ParseText(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		for _, name := range []string{
+			"cs2p_engine_sessions_active",
+			"cs2p_engine_sessions_started_total",
+			"cs2p_engine_sessions_ended_total",
+			"cs2p_engine_log_evictions_total",
+		} {
+			v, ok := obs.SampleValue(samples, name)
+			if !ok {
+				t.Fatalf("scrape is missing %s", name)
+			}
+			out[name] = v
+		}
+		return out
+	}
+
+	before := scrape()
+	for i := 0; i < sessions; i++ {
+		s := envTest.Sessions[i%len(envTest.Sessions)]
+		id := fmt.Sprintf("churn-%d", i)
+		if _, err := c.StartSession(id, s.Features, s.StartUnix); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range s.Throughput[:2] {
+			if _, err := c.ObserveAndPredict(id, w, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Log(engine.SessionLog{SessionID: id, QoE: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := scrape()
+	delta := func(name string) float64 { return after[name] - before[name] }
+
+	if got, base := after["cs2p_engine_sessions_active"], before["cs2p_engine_sessions_active"]; got != base {
+		t.Errorf("active sessions %v after the churn, want the baseline %v", got, base)
+	}
+	if started, ended := delta("cs2p_engine_sessions_started_total"), delta("cs2p_engine_sessions_ended_total"); started != sessions || ended != sessions {
+		t.Errorf("started %v, ended %v; want %d each", started, ended, sessions)
+	}
+	retained := len(svc.Logs())
+	if retained > maxLogs {
+		t.Errorf("log ring holds %d, above its cap %d", retained, maxLogs)
+	}
+	if got, want := delta("cs2p_engine_log_evictions_total"), float64(sessions-retained); got != want {
+		t.Errorf("log evictions %v, want ended (%d) - retained (%d) = %v", got, sessions, retained, want)
+	}
+}
+
 // TestRequestIDPropagation checks the trace header contract: a client-sent
 // id is always echoed back, but the server only MINTS ids when request
 // tracing is on — with tracing off a minted id joins nothing and its
 // allocation is pure hot-path overhead (the metrics-overhead benchmark
 // floor depends on this).
 func TestRequestIDPropagation(t *testing.T) {
-	ts, _ := metricsServer(t)
+	ts, _ := metricsServer(t, 0)
 	defer ts.Close()
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/healthz", nil)
 	req.Header.Set(obs.RequestIDHeader, "my-trace-id")

@@ -268,10 +268,10 @@ func TestWireSingleOpAllocFloor(t *testing.T) {
 	}
 }
 
-// BenchmarkWireServe is the json-vs-binary × single-vs-batch serve grid the
-// perf gate tracks in BENCH_serve.json. Requests are driven straight into
-// the handler stack with reusable writers and seekable bodies, so the
-// numbers isolate the serve path from httptest and the TCP stack.
+// BenchmarkWireServe is the json-vs-binary × single-vs-batch serve grid
+// (`make bench` runs it). Requests are driven straight into the handler
+// stack with reusable writers and seekable bodies, so the numbers isolate
+// the serve path from httptest and the TCP stack.
 func BenchmarkWireServe(b *testing.B) {
 	ensureEnv()
 	newStack := func(b *testing.B) (http.Handler, *engine.Service) {

@@ -118,21 +118,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count.Add(1)
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the recorded
-// distribution by linear interpolation inside the bucket the target rank
-// falls in — the HDR-style readout the load harness uses for p50/p99/p999.
-// Accuracy is bounded by the bucket ladder's growth factor (FineLatencyBuckets
-// keeps it within ~±12%); samples past the last bound report that bound
-// (the estimate saturates rather than inventing a tail). Returns 0 on an
-// empty or nil histogram. Safe to call concurrently with Observe; the
-// answer is approximate across an in-flight update, like any scrape.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	return QuantileFromCounts(h.bounds, h.Counts(), q)
-}
-
 // Bounds returns the histogram's upper bucket bounds (shared, not copied —
 // bounds are immutable after registration). Nil on a nil histogram.
 func (h *Histogram) Bounds() []float64 {
@@ -158,11 +143,14 @@ func (h *Histogram) Counts() []uint64 {
 	return out
 }
 
-// QuantileFromCounts is Histogram.Quantile over an externally held bucket
-// snapshot: counts must have len(bounds)+1 entries (overflow last), as
+// QuantileFromCounts estimates the q-quantile (0 ≤ q ≤ 1, clamped) of a
+// bucket snapshot by linear interpolation inside the bucket the target rank
+// falls in. counts must have len(bounds)+1 entries (overflow last), as
 // returned by Histogram.Counts — or a difference of two such snapshots, which
 // is how the drift detector computes the median APE of a sliding window.
-// Returns 0 when the counts are empty.
+// Accuracy is bounded by the ladder's growth factor; samples past the last
+// bound report that bound (the estimate saturates rather than inventing a
+// tail). Returns 0 when the counts are empty.
 func QuantileFromCounts(bounds []float64, counts []uint64, q float64) float64 {
 	var total uint64
 	for _, c := range counts {
@@ -239,10 +227,6 @@ var (
 	ErrorBuckets = ExpBuckets(0.001, 2, 15)
 	// EntropyBuckets covers posterior entropies in bits.
 	EntropyBuckets = ExpBuckets(0.01, 2, 11)
-	// FineLatencyBuckets is the load harness's high-resolution ladder:
-	// 100µs to ~50s at 25% growth, so Quantile keeps p999 estimates within
-	// ~±12% instead of the 3x-growth ladder's ±3x.
-	FineLatencyBuckets = ExpBuckets(100e-6, 1.25, 60)
 )
 
 // metricKind discriminates family types.

@@ -2,11 +2,15 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNilRegistryAndInstrumentsAreNoops(t *testing.T) {
@@ -180,6 +184,61 @@ func TestDebugMuxRoutes(t *testing.T) {
 		if rec.Code != 200 {
 			t.Errorf("GET %s = %d, want 200", path, rec.Code)
 		}
+	}
+}
+
+// TestServeDebugLifecycle binds the -debug-addr listener on an ephemeral
+// port, scrapes it, and checks that cancelling the context closes the port.
+func TestServeDebugLifecycle(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("d_total", "", nil).Inc()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var logged []string
+	var mu sync.Mutex
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, format)
+	}
+	addr, err := ServeDebug(ctx, "127.0.0.1:0", r, logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ServeDebug(ctx, addr.String(), r, logf); err == nil {
+		t.Error("second ServeDebug on a bound port returned no error")
+	}
+
+	resp, err := http.Get("http://" + addr.String() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ParseText(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := SampleValue(samples, "d_total"); !ok || v != 1 {
+		t.Errorf("d_total over the debug listener = %v, %v; want 1", v, ok)
+	}
+
+	cancel()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c, err := net.DialTimeout("tcp", addr.String(), time.Second)
+		if err != nil {
+			break
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("debug port still accepting 5s after cancel")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logged) != 1 || !strings.Contains(logged[0], "listening") {
+		t.Errorf("logged %q, want the one listening line and no serve error", logged)
 	}
 }
 

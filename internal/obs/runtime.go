@@ -6,10 +6,10 @@ import (
 )
 
 // RegisterRuntimeMetrics binds scrape-time gauges for the Go runtime's
-// memory and goroutine state. They exist for the load harness's soak mode:
-// a sustained-churn run scrapes them before and after and asserts the
-// process is flat — heap back near baseline after the churn drains,
-// goroutine count not creeping. Scrape-time (GaugeFunc) rather than pushed,
+// memory and goroutine state, so a scrape before and after sustained churn
+// shows whether the process is flat — heap back near baseline once the churn
+// drains, goroutine count not creeping (the benchmark's server.heap_mb and
+// server.gc_per_s read them). Scrape-time (GaugeFunc) rather than pushed,
 // because the values drift continuously and a pushed gauge would freeze
 // between events.
 //
