@@ -9,9 +9,12 @@ RACE_PKGS := ./internal/parallel ./internal/core ./internal/hmm ./internal/clust
 # The seed measured 85.3%; the floor leaves one point of slack for noise.
 COVER_FLOOR := 84.0
 
-.PHONY: check vet build test race chaos cluster-chaos bench benchmark cover fuzz publish-demo
+.PHONY: check fmt vet build test race chaos cluster-chaos bench benchmark cover fuzz publish-demo
 
-check: vet build test race
+check: fmt vet build test race
+
+fmt:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt would rewrite:"; gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -22,7 +22,7 @@
 // session handoff, DESIGN.md §16), GET /v1/healthz; with -ingest also
 // POST /v1/ingest (DESIGN.md §15). The per-chunk op is also served over
 // the binary protocol at POST /v2/observe, /v2/predict, /v2/batch
-// (DESIGN.md §12).
+// (DESIGN.md §10.2).
 package main
 
 import (

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cs2p/internal/trace"
+	"cs2p/internal/wire"
 )
 
 // TestServeBatchMatchesSingleOps pins batch/single parity: the same op
@@ -47,7 +48,7 @@ func TestServeBatchMatchesSingleOps(t *testing.T) {
 	for i, op := range ops {
 		id := string(op.SessionID)
 		if op.HasObserve && (math.IsInf(op.ObservedMbps, 0) || math.IsNaN(op.ObservedMbps) || op.ObservedMbps < 0) {
-			want[i] = BatchResult{Code: BatchInvalid}
+			want[i] = BatchResult{Code: wire.OpInvalid}
 			continue
 		}
 		var (
@@ -60,10 +61,10 @@ func TestServeBatchMatchesSingleOps(t *testing.T) {
 			pred, err = svcA.Predict(id, op.Horizon)
 		}
 		if err != nil {
-			want[i] = BatchResult{Code: BatchUnknownSession}
+			want[i] = BatchResult{Code: wire.OpUnknownSession}
 			continue
 		}
-		want[i] = BatchResult{PredictionMbps: pred, Code: BatchOK}
+		want[i] = BatchResult{PredictionMbps: pred, Code: wire.OpOK}
 	}
 
 	res := make([]BatchResult, len(ops))
@@ -113,7 +114,7 @@ func TestServeBatchConcurrent(t *testing.T) {
 				}
 				svc.ServeBatch(ops, res)
 				for i, r := range res {
-					if r.Code != BatchOK {
+					if r.Code != wire.OpOK {
 						t.Errorf("worker %d batch %d op %d: code %d", w, b, i, r.Code)
 						return
 					}
@@ -176,7 +177,7 @@ func TestServeBatchStateMatchesExport(t *testing.T) {
 	res := make([]BatchResult, 1)
 	for _, w := range s.Throughput[:6] {
 		svc.ServeBatch([]BatchOp{{SessionID: []byte("st-1"), ObservedMbps: w, Horizon: 2, HasObserve: true, WantState: true}}, res)
-		if res[0].Code != BatchOK {
+		if res[0].Code != wire.OpOK {
 			t.Fatalf("code %d", res[0].Code)
 		}
 		exp, err := svc.ExportSession("st-1")

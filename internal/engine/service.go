@@ -120,7 +120,7 @@ type Service struct {
 	policy *PromotionPolicy
 	cfg    core.Config
 	spec   video.Spec
-	store  sessionstore.Store[sessionState, SessionLog]
+	store  *sessionstore.Sharded[sessionState, SessionLog]
 	logf   atomic.Pointer[func(format string, args ...any)]
 	m      serviceMetrics
 	// online, when set by EnableOnline, carries the serving→training loop:

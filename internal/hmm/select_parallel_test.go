@@ -46,9 +46,9 @@ func TestRelImprovement(t *testing.T) {
 	cases := []struct {
 		prev, cur, want float64
 	}{
-		{-100, -90, 0.1},     // 10% likelihood improvement
-		{0.5, 0.4, -0.1},     // |prev| < 1 normalizes by 1
-		{-0.5, -0.6, -0.1},   // same, negative domain
+		{-100, -90, 0.1},               // 10% likelihood improvement
+		{0.5, 0.4, -0.1},               // |prev| < 1 normalizes by 1
+		{-0.5, -0.6, -0.1},             // same, negative domain
 		{math.Inf(1), 2, math.Inf(-1)}, // first candidate always wins
 	}
 	for _, c := range cases {

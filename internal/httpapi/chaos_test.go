@@ -48,7 +48,7 @@ type restartHook struct {
 	hooks map[int]func()
 }
 
-func (r *restartHook) Predict() float64          { return r.inner.Predict() }
+func (r *restartHook) Predict() float64           { return r.inner.Predict() }
 func (r *restartHook) PredictAhead(k int) float64 { return r.inner.PredictAhead(k) }
 func (r *restartHook) Observe(w float64) {
 	if fn, ok := r.hooks[r.n]; ok {

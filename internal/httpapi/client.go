@@ -69,39 +69,6 @@ type Client struct {
 	// wireBinary routes the per-chunk predict round trip over the /v2
 	// binary protocol instead of JSON v1.
 	wireBinary bool
-	// observe, when set, is called after every HTTP round trip (JSON and
-	// binary alike) — the load harness's stamping hook.
-	observe func(CallObservation)
-}
-
-// CallObservation is one completed HTTP round trip as seen by the client:
-// which route, when it was issued, how long the wire took, and the error it
-// resolved to (nil on success, *StatusError on a non-2xx reply). The load
-// harness stamps each observation against its open-loop intended schedule;
-// Duration alone is the closed-loop ("service time") view that coordinated
-// omission produces, which is exactly why the harness records both.
-type CallObservation struct {
-	Path     string
-	Start    time.Time
-	Duration time.Duration
-	Err      error
-}
-
-// SetCallObserver installs fn as the per-round-trip hook (nil removes it).
-// Not synchronized against in-flight calls: set it before the client serves
-// traffic. fn runs on the calling goroutine and must be cheap and
-// concurrency-safe — one client is typically shared by many sessions.
-func (c *Client) SetCallObserver(fn func(CallObservation)) { c.observe = fn }
-
-// observed wraps one round trip with the observer hook.
-func (c *Client) observed(path string, call func() error) error {
-	if c.observe == nil {
-		return call()
-	}
-	start := time.Now()
-	err := call()
-	c.observe(CallObservation{Path: path, Start: start, Duration: time.Since(start), Err: err})
-	return err
 }
 
 // cachedModel is one validated /v1/model payload with the ETag it arrived
@@ -141,30 +108,61 @@ func NewClientWith(base string, hc *http.Client) *Client {
 	return c
 }
 
-// newRequest builds a request for base+path. Everything but the URL is
-// http.NewRequest's doing (method check, body, ContentLength, GetBody).
-func (c *Client) newRequest(ctx context.Context, method, path string, body []byte) (*http.Request, error) {
+// hdr is one request header. val is assigned, not copied, so a constant one
+// (jsonContentType, wireContentType) is shared between calls.
+type hdr struct {
+	key string
+	val []string
+}
+
+// maxReplyBytes caps what the client buffers of any reply. The largest
+// legitimate one — a full state-carrying batch result, or a model — is far
+// below it.
+const maxReplyBytes = 8 << 20
+
+// roundTrip is every call the client makes: the one place a request is built
+// (everything but the URL is http.NewRequest's doing: method check, body,
+// ContentLength, GetBody), sent, and its reply read whole under
+// maxReplyBytes, and the one wording of a failure to do so — an error with no
+// HTTP status, which callers treat as the request never having landed
+// deterministically. What a status means is the caller's classification.
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, headers ...hdr) (status int, h http.Header, reply []byte, err error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
+	var req *http.Request
 	if c.u == nil || strings.ContainsAny(path, "%?#") {
-		return http.NewRequestWithContext(ctx, method, c.base+path, rd)
+		req, err = http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	} else if req, err = http.NewRequestWithContext(ctx, method, "", rd); err == nil {
+		*req.URL = *c.u
+		req.URL.Path += path
+		req.Host = req.URL.Host
 	}
-	req, err := http.NewRequestWithContext(ctx, method, "", rd)
 	if err != nil {
-		return nil, err
+		return 0, nil, nil, fmt.Errorf("httpapi client: building request: %w", err)
 	}
-	*req.URL = *c.u
-	req.URL.Path += path
-	req.Host = req.URL.Host
-	return req, nil
+	for _, hd := range headers {
+		req.Header[hd.key] = hd.val
+	}
+	r, err := c.hc.Do(req)
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("httpapi client: %s %s: %w", method, path, err)
+	}
+	defer r.Body.Close()
+	// Not io.LimitReader: it would cost every per-chunk call an allocation.
+	if reply, err = readCapped(r.Body, nil, maxReplyBytes); err != nil {
+		return 0, nil, nil, fmt.Errorf("httpapi client: %s %s: reading response: %w", method, path, err)
+	}
+	return r.StatusCode, r.Header, reply, nil
 }
 
-// SetTransport swaps the underlying round tripper (fault injection,
-// instrumentation). A nil rt restores the default transport.
-func (c *Client) SetTransport(rt http.RoundTripper) {
-	c.hc.Transport = rt
+// jsonStatusError is a JSON route's non-success reply as a *StatusError
+// carrying the ErrorBody message, if the body has one.
+func jsonStatusError(call string, status int, reply []byte) error {
+	var eb ErrorBody
+	_ = json.Unmarshal(reply, &eb)
+	return &StatusError{Status: status, Path: call, Msg: eb.Error}
 }
 
 // doJSON runs one JSON round trip through encoding/json. It takes a ctx
@@ -179,7 +177,7 @@ func (c *Client) doJSON(ctx context.Context, method, path string, req, resp any)
 		}
 	}
 	doc, err := c.do(ctx, method, path, body)
-	if err != nil || resp == nil || doc == nil {
+	if err != nil || resp == nil {
 		return err
 	}
 	return unmarshalResponse(doc, resp)
@@ -193,39 +191,38 @@ func unmarshalResponse(doc []byte, resp any) error {
 }
 
 // do runs one round trip with an encoded JSON body (nil for none) and
-// returns the reply's: 204 → nil, non-2xx → *StatusError.
-func (c *Client) do(ctx context.Context, method, path string, body []byte) (doc []byte, err error) {
-	err = c.observed(path, func() error {
-		hreq, err := c.newRequest(ctx, method, path, body)
-		if err != nil {
-			return fmt.Errorf("httpapi client: building request: %w", err)
-		}
-		if body != nil {
-			hreq.Header["Content-Type"] = jsonContentType
-		}
-		// Mint a request id so server-side traces and logs can be joined to
-		// this client call; the server echoes it back (and mints one itself
-		// for clients that don't send it).
-		hreq.Header.Set(obs.RequestIDHeader, obs.NewRequestID())
-		r, err := c.hc.Do(hreq)
-		if err != nil {
-			return fmt.Errorf("httpapi client: %s %s: %w", method, path, err)
-		}
-		defer r.Body.Close()
-		if r.StatusCode == http.StatusNoContent {
-			return nil
-		}
-		if r.StatusCode/100 != 2 {
-			var eb ErrorBody
-			_ = json.NewDecoder(r.Body).Decode(&eb)
-			return &StatusError{Status: r.StatusCode, Path: method + " " + path, Msg: eb.Error}
-		}
-		if doc, err = io.ReadAll(r.Body); err != nil {
-			return fmt.Errorf("httpapi client: reading response: %w", err)
-		}
-		return nil
-	})
-	return doc, err
+// returns the reply's, or a *StatusError for a non-2xx. It mints a request
+// id so server-side traces and logs can be joined to this client call; the
+// server echoes it back (and mints one itself for clients that don't send it).
+func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+	headers := []hdr{{obs.RequestIDHeader, []string{obs.NewRequestID()}}, {"Content-Type", jsonContentType}}
+	if body == nil {
+		headers = headers[:1]
+	}
+	status, _, doc, err := c.roundTrip(ctx, method, path, body, headers...)
+	switch {
+	case err != nil:
+		return nil, err
+	case status/100 != 2:
+		return nil, jsonStatusError(method+" "+path, status, doc)
+	}
+	return doc, nil
+}
+
+// Get issues GET path (query included), conditional on ifNoneMatch when it
+// is not empty, and returns the reply as it came — what a proxy relays. Any
+// status but 200 and 304 comes with a *StatusError beside it, so a caller
+// classifies it like every other call's.
+func (c *Client) Get(ctx context.Context, path, ifNoneMatch string) (status int, h http.Header, reply []byte, err error) {
+	var headers []hdr
+	if ifNoneMatch != "" {
+		headers = []hdr{{"If-None-Match", []string{ifNoneMatch}}}
+	}
+	status, h, reply, err = c.roundTrip(ctx, http.MethodGet, path, nil, headers...)
+	if err == nil && status != http.StatusOK && status != http.StatusNotModified {
+		err = jsonStatusError("GET "+path, status, reply)
+	}
+	return status, h, reply, err
 }
 
 // ExportSession pulls a live session's exact filter state from the replica —
@@ -263,73 +260,26 @@ func (c *Client) SetDraining(ctx context.Context, on bool) error {
 // unquantized); only the framing changes.
 func (c *Client) SetWireBinary(on bool) { c.wireBinary = on }
 
-// WireBinary reports whether the binary /v2 round trip is enabled.
-func (c *Client) WireBinary() bool { return c.wireBinary }
-
 // postWire posts one binary frame and decodes the response frame. A
 // MsgError response (or an undecodable body) becomes a *StatusError, so
 // callers and the resilient ladder see the same error taxonomy as JSON v1.
 func (c *Client) postWire(path string, frame []byte) (wire.Frame, error) {
-	var f wire.Frame
-	err := c.observed(path, func() error {
-		var werr error
-		f, werr = c.postWireOnce(path, frame)
-		return werr
-	})
-	return f, err
-}
-
-func (c *Client) postWireOnce(path string, frame []byte) (wire.Frame, error) {
-	hreq, err := c.newRequest(context.Background(), http.MethodPost, path, frame)
+	status, _, body, err := c.roundTrip(context.Background(), http.MethodPost, path, frame, hdr{"Content-Type", wireContentType})
 	if err != nil {
-		return wire.Frame{}, fmt.Errorf("httpapi client: building request: %w", err)
+		return wire.Frame{}, err
 	}
-	hreq.Header.Set("Content-Type", wire.ContentType)
-	r, err := c.hc.Do(hreq)
+	f, err := wire.DecodeFrame(body, wire.Limits{MaxFrameBytes: len(body) + wire.HeaderLen})
 	if err != nil {
-		return wire.Frame{}, fmt.Errorf("httpapi client: POST %s: %w", path, err)
-	}
-	defer r.Body.Close()
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		return wire.Frame{}, fmt.Errorf("httpapi client: reading response: %w", err)
-	}
-	f, derr := wire.DecodeFrame(body, wire.Limits{MaxFrameBytes: len(body) + wire.HeaderLen})
-	if derr != nil {
-		return wire.Frame{}, &StatusError{Status: r.StatusCode, Path: "POST " + path, Msg: "undecodable wire response: " + derr.Error()}
+		return wire.Frame{}, &StatusError{Status: status, Path: "POST " + path, Msg: "undecodable wire response: " + err.Error()}
 	}
 	if f.Type == wire.MsgError {
-		status, msg, _ := wire.DecodeError(f.Payload)
-		if status == 0 {
-			status = r.StatusCode
+		code, msg, _ := wire.DecodeError(f.Payload)
+		if code != 0 {
+			status = code
 		}
 		return wire.Frame{}, &StatusError{Status: status, Path: "POST " + path, Msg: string(msg)}
 	}
 	return f, nil
-}
-
-// wireOp runs one single-op binary round trip.
-func (c *Client) wireOp(path string, op wire.Op) (float64, error) {
-	f, err := c.postWire(path, wire.AppendOp(nil, op))
-	if err != nil {
-		return 0, err
-	}
-	if f.Type != wire.MsgPrediction {
-		return 0, fmt.Errorf("httpapi client: POST %s: unexpected frame type 0x%02x", path, byte(f.Type))
-	}
-	return wire.DecodePrediction(f.Payload)
-}
-
-// clampHorizon narrows an int horizon to the wire field width; the server
-// rejects anything beyond its MaxHorizon long before this bound matters.
-func clampHorizon(h int) uint16 {
-	if h < 0 {
-		return 0
-	}
-	if h > math.MaxUint16 {
-		return math.MaxUint16
-	}
-	return uint16(h)
 }
 
 // Batch posts interleaved observe/predict ops to /v2/batch (always binary)
@@ -390,28 +340,32 @@ func (c *Client) StartSession(id string, f trace.Features, startUnix int64) (eng
 // observation into the session filter twice, so the resilient layer never
 // blind-retries it.
 func (c *Client) ObserveAndPredict(id string, observedMbps float64, horizon int) (float64, error) {
-	if c.wireBinary {
-		return c.wireOp("/v2/observe", wire.Op{
-			SessionID:    []byte(id),
-			ObservedMbps: observedMbps,
-			Horizon:      clampHorizon(horizon),
-			HasObserve:   true,
-		})
-	}
-	return c.predictJSON(id, observedMbps, true, horizon)
+	return c.predict(id, observedMbps, true, horizon)
 }
 
 // PredictAt queries the current prediction at a horizon without reporting a
 // new observation. Idempotent (no session state changes).
 func (c *Client) PredictAt(id string, horizon int) (float64, error) {
-	if c.wireBinary {
-		return c.wireOp("/v2/predict", wire.Op{SessionID: []byte(id), Horizon: clampHorizon(horizon)})
-	}
-	return c.predictJSON(id, 0, false, horizon)
+	return c.predict(id, 0, false, horizon)
 }
 
-// predictJSON is the POST /v1/predict round trip.
-func (c *Client) predictJSON(id string, observedMbps float64, hasObserve bool, horizon int) (float64, error) {
+// predict is the per-chunk round trip under the client's encoding: one MsgOp
+// frame to /v2/observe or /v2/predict, or POST /v1/predict.
+func (c *Client) predict(id string, observedMbps float64, hasObserve bool, horizon int) (float64, error) {
+	if c.wireBinary {
+		path := "/v2/predict"
+		if hasObserve {
+			path = "/v2/observe"
+		}
+		f, err := c.postWire(path, wire.AppendOp(nil, wire.Op{SessionID: []byte(id), ObservedMbps: observedMbps, Horizon: horizon, HasObserve: hasObserve}))
+		if err != nil {
+			return 0, err
+		}
+		if f.Type != wire.MsgPrediction {
+			return 0, fmt.Errorf("httpapi client: POST %s: unexpected frame type 0x%02x", path, byte(f.Type))
+		}
+		return wire.DecodePrediction(f.Payload)
+	}
 	body, ok := appendPredictRequest(make([]byte, 0, 128), id, observedMbps, hasObserve, horizon)
 	resp, err := postCodec(c, "/v1/predict", body, ok, scanPredictResponse, func() any {
 		req := PredictRequest{SessionID: id, Horizon: horizon}
@@ -428,17 +382,8 @@ func (c *Client) Log(lg engine.SessionLog) error {
 	return c.doJSON(context.Background(), http.MethodPost, "/v1/log", lg, nil)
 }
 
-// BaseURL returns the server base URL the client targets.
-func (c *Client) BaseURL() string { return c.base }
-
-// HTTPClient returns the underlying http.Client (the router's model-export
-// proxy reuses it so fault injection and timeouts apply to proxied calls).
-func (c *Client) HTTPClient() *http.Client { return c.hc }
-
-// healthzTimeout bounds one readiness probe. The old Healthz issued a raw
-// Get with no deadline, so a hung replica (accepting connections, never
-// answering) blocked the caller indefinitely — exactly the failure a health
-// check exists to detect.
+// healthzTimeout bounds one readiness probe: a hung replica (accepting
+// connections, never answering) is exactly the failure a probe must detect.
 const healthzTimeout = 3 * time.Second
 
 // Healthz checks server liveness and readiness, with a bounded deadline.
@@ -455,19 +400,14 @@ func (c *Client) Healthz() error {
 func (c *Client) Readiness(ctx context.Context) (HealthzResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, healthzTimeout)
 	defer cancel()
-	req, err := c.newRequest(ctx, http.MethodGet, "/v1/healthz", nil)
+	status, _, reply, err := c.roundTrip(ctx, http.MethodGet, "/v1/healthz", nil)
 	if err != nil {
-		return HealthzResponse{}, fmt.Errorf("httpapi client: building request: %w", err)
+		return HealthzResponse{}, err
 	}
-	r, err := c.hc.Do(req)
-	if err != nil {
-		return HealthzResponse{}, fmt.Errorf("httpapi client: GET /v1/healthz: %w", err)
-	}
-	defer r.Body.Close()
 	var hr HealthzResponse
-	_ = json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&hr)
-	if r.StatusCode != http.StatusOK {
-		return hr, &StatusError{Status: r.StatusCode, Path: "GET /v1/healthz", Msg: hr.Status}
+	_ = json.Unmarshal(reply, &hr)
+	if status != http.StatusOK {
+		return hr, &StatusError{Status: status, Path: "GET /v1/healthz", Msg: hr.Status}
 	}
 	if hr.Status == "" {
 		hr.Status = HealthzOK

@@ -16,6 +16,7 @@ import (
 
 	"cs2p/internal/engine"
 	"cs2p/internal/trace"
+	"cs2p/internal/wire"
 )
 
 // jsonScan is a cursor over one JSON document.
@@ -129,7 +130,7 @@ func scanInt[T int | int64](s *jsonScan, key []byte, name string, dst *T) bool {
 
 // scanPredictRequest decodes a PredictRequest straight into the op it
 // describes; the session id aliases b.
-func scanPredictRequest(b []byte) (op engine.BatchOp, ok bool) {
+func scanPredictRequest(b []byte) (op wire.Op, ok bool) {
 	s := jsonScan{b: b}
 	ok = s.document(func(key []byte) bool {
 		switch string(key) {

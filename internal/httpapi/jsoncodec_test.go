@@ -15,6 +15,7 @@ import (
 	"cs2p/internal/engine"
 	"cs2p/internal/obs"
 	"cs2p/internal/trace"
+	"cs2p/internal/wire"
 )
 
 // decodeSeeds are the shapes where a hand-written scanner and encoding/json
@@ -219,7 +220,7 @@ func (b parityBackend) ServeBatch(ops []engine.BatchOp, res []engine.BatchResult
 	gen := b.fixedBackend.ServeBatch(ops, res)
 	for i := range ops {
 		if ops[i].Malformed() { // the BatchService contract serveOps relies on
-			res[i] = engine.BatchResult{Code: engine.BatchInvalid}
+			res[i] = engine.BatchResult{Code: wire.OpInvalid}
 		}
 	}
 	return gen

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -48,29 +49,16 @@ func (c *Client) FetchLocalPredictor(f trace.Features) (*LocalPredictor, error) 
 	c.modelMu.Lock()
 	cached, haveCached := c.modelCache[key]
 	c.modelMu.Unlock()
-	req, err := http.NewRequest(http.MethodGet, c.base+"/v1/model?"+key, nil)
-	if err != nil {
-		return nil, fmt.Errorf("httpapi client: building model request: %w", err)
-	}
-	if haveCached {
-		req.Header.Set("If-None-Match", cached.etag)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("httpapi client: fetching model: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotModified && haveCached {
+	status, h, reply, err := c.Get(context.Background(), "/v1/model?"+key, cached.etag)
+	if status == http.StatusNotModified && haveCached {
 		c.notMod.Add(1)
 		return localPredictorFrom(cached.resp), nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		var eb ErrorBody
-		_ = json.NewDecoder(resp.Body).Decode(&eb)
-		return nil, fmt.Errorf("httpapi client: fetching model: status %d: %s", resp.StatusCode, eb.Error)
+	if err != nil {
+		return nil, err
 	}
 	var mr modelResponse
-	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
+	if err := json.Unmarshal(reply, &mr); err != nil {
 		return nil, fmt.Errorf("httpapi client: decoding model: %w", err)
 	}
 	if mr.Model == nil {
@@ -80,7 +68,7 @@ func (c *Client) FetchLocalPredictor(f trace.Features) (*LocalPredictor, error) 
 		return nil, fmt.Errorf("httpapi client: invalid model from server: %w", err)
 	}
 	c.downloads.Add(1)
-	if etag := resp.Header.Get("ETag"); etag != "" {
+	if etag := h.Get("ETag"); etag != "" {
 		c.modelMu.Lock()
 		if c.modelCache == nil {
 			c.modelCache = make(map[string]cachedModel)

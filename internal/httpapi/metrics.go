@@ -3,6 +3,7 @@ package httpapi
 import (
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -41,16 +42,27 @@ type routeStats struct {
 	codes   map[int]*obs.Counter
 }
 
-// wireFormats maps each serving route to the encoding it carries; the
-// control-plane routes (model export, admin, metrics) are deliberately
-// absent — the wire counters compare the two encodings of the same workload.
-var wireFormats = map[string]string{
-	"/v1/session/start": "json",
-	"/v1/predict":       "json",
-	"/v1/log":           "json",
-	"/v2/observe":       "binary",
-	"/v2/predict":       "binary",
-	"/v2/batch":         "binary",
+// routes is the served route set, each with the encoding it carries: "json"
+// or "binary" for the per-session serving routes — the wire counters compare
+// the two encodings of the same workload — and "" for the control plane. Any
+// other path is labelled "other" (normalizeRoute), so a URL-scanning client
+// cannot mint unbounded label values.
+var routes = map[string]string{
+	"/v1/session/start":      "json",
+	"/v1/predict":            "json",
+	"/v1/log":                "json",
+	"/v2/observe":            "binary",
+	"/v2/predict":            "binary",
+	"/v2/batch":              "binary",
+	"/v1/ingest":             "",
+	"/v1/model":              "",
+	"/v1/session/{id}/state": "",
+	"/v1/admin/models":       "",
+	"/v1/admin/rollback":     "",
+	"/v1/admin/drain":        "",
+	"/v1/admin/replicas":     "",
+	"/v1/healthz":            "",
+	"/metrics":               "",
 }
 
 // batchOpsBuckets spans 1..MaxBatchOps in powers of two.
@@ -75,10 +87,13 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Response body bytes written across all routes.", nil),
 		batchOps: reg.Histogram("cs2p_http_batch_ops",
 			"Ops per /v2/batch request.", batchOpsBuckets, nil),
-		wireReq: make(map[string]*obs.Counter, len(wireFormats)),
+		wireReq: make(map[string]*obs.Counter),
 		byRoute: make(map[string]*routeStats),
 	}
-	for route, format := range wireFormats {
+	for route, format := range routes {
+		if format == "" {
+			continue
+		}
 		m.wireReq[route] = reg.Counter("cs2p_http_wire_requests_total",
 			"Serving-path requests by payload encoding and route.",
 			obs.Labels{"format": format, "route": route})
@@ -130,14 +145,6 @@ func (m *serverMetrics) request(route string, code int, dur time.Duration, bytes
 	}
 	c.Inc()
 	rs.latency.Observe(dur.Seconds())
-}
-
-// batch records one batch request's op count; inert without a registry.
-func (m *serverMetrics) batch(ops int) {
-	if m == nil || m.reg == nil {
-		return
-	}
-	m.batchOps.Observe(float64(ops))
 }
 
 // clientMetrics mirrors ResilienceStats onto a registry so a fleet of
@@ -192,25 +199,15 @@ func (m *clientMetrics) breakerTransition(from, to BreakerState) {
 		obs.Labels{"from": from.String(), "to": to.String()}).Inc()
 }
 
-// knownRoutes is the served route set; anything else becomes "other" so a
-// URL-scanning client cannot mint unbounded label values.
-var knownRoutes = map[string]string{
-	"/v1/session/start":  "/v1/session/start",
-	"/v1/predict":        "/v1/predict",
-	"/v1/log":            "/v1/log",
-	"/v1/model":          "/v1/model",
-	"/v1/admin/models":   "/v1/admin/models",
-	"/v1/admin/rollback": "/v1/admin/rollback",
-	"/v1/healthz":        "/v1/healthz",
-	"/v2/observe":        "/v2/observe",
-	"/v2/predict":        "/v2/predict",
-	"/v2/batch":          "/v2/batch",
-	"/metrics":           "/metrics",
-}
-
+// normalizeRoute is the route label of a request path: the path itself when
+// it is in routes, the state-transfer pattern for any session's state (the
+// id must not become a label), else "other".
 func normalizeRoute(path string) string {
-	if r, ok := knownRoutes[path]; ok {
-		return r
+	if _, ok := routes[path]; ok {
+		return path
+	}
+	if strings.HasPrefix(path, "/v1/session/") && strings.HasSuffix(path, "/state") && strings.Count(path, "/") == 4 {
+		return "/v1/session/{id}/state"
 	}
 	return "other"
 }
@@ -262,15 +259,25 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // no request id and allocates no Trace: ids nobody will join against and
 // stage timings nobody will log are pure hot-path overhead, measured at
 // roughly a third of the middleware's allocation bill. SetTraceRequests(true)
-// switches every request onto the traced slow path.
+// has every request assigned an id, a Trace threaded through its context for
+// per-stage marks, and the structured summary logged on completion.
 func (s *Server) observeMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		route := normalizeRoute(r.URL.Path)
-		if s.traceRequests {
-			s.serveTraced(next, w, r, route)
-			return
+		rid := r.Header.Get(obs.RequestIDHeader)
+		if len(rid) > 64 {
+			rid = ""
 		}
-		if rid := r.Header.Get(obs.RequestIDHeader); rid != "" && len(rid) <= 64 {
+		var tr *obs.Trace
+		traced := r
+		if s.traceRequests {
+			if rid == "" {
+				rid = obs.NewRequestID()
+			}
+			tr = obs.NewTrace(rid)
+			traced = r.WithContext(obs.WithTrace(r.Context(), tr))
+		}
+		if rid != "" {
 			w.Header().Set(obs.RequestIDHeader, rid)
 		}
 		sw := statusWriterPool.Get().(*statusWriter)
@@ -279,40 +286,13 @@ func (s *Server) observeMiddleware(next http.Handler) http.Handler {
 		s.sm.inFlight.Add(1)
 		defer func() {
 			s.sm.inFlight.Add(-1)
-			bytesIn := 0
-			if r.ContentLength > 0 {
-				bytesIn = int(r.ContentLength)
+			s.sm.request(route, sw.code, time.Since(start), int(max(r.ContentLength, 0)), sw.bytes)
+			if tr != nil {
+				s.logf("httpapi: %s %s status=%d %s", r.Method, route, sw.code, tr.Summary())
 			}
-			s.sm.request(route, sw.code, time.Since(start), bytesIn, sw.bytes)
 			sw.ResponseWriter = nil
 			statusWriterPool.Put(sw)
 		}()
-		next.ServeHTTP(sw, r)
+		next.ServeHTTP(sw, traced)
 	})
-}
-
-// serveTraced is the request path with tracing on: assign/propagate the
-// request id, thread a Trace through the context for per-stage marks, and
-// log the structured summary on completion.
-func (s *Server) serveTraced(next http.Handler, w http.ResponseWriter, r *http.Request, route string) {
-	rid := r.Header.Get(obs.RequestIDHeader)
-	if rid == "" || len(rid) > 64 {
-		rid = obs.NewRequestID()
-	}
-	w.Header().Set(obs.RequestIDHeader, rid)
-	tr := obs.NewTrace(rid)
-	r = r.WithContext(obs.WithTrace(r.Context(), tr))
-	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-	start := time.Now()
-	s.sm.inFlight.Add(1)
-	defer func() {
-		s.sm.inFlight.Add(-1)
-		bytesIn := 0
-		if r.ContentLength > 0 {
-			bytesIn = int(r.ContentLength)
-		}
-		s.sm.request(route, sw.code, time.Since(start), bytesIn, sw.bytes)
-		s.logf("httpapi: %s %s status=%d %s", r.Method, route, sw.code, tr.Summary())
-	}()
-	next.ServeHTTP(sw, r)
 }

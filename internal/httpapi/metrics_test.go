@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -396,4 +397,79 @@ func BenchmarkPredictRoundTrip(b *testing.B) {
 	}
 	b.Run("metrics=off", func(b *testing.B) { run(b, false) })
 	b.Run("metrics=on", func(b *testing.B) { run(b, true) })
+}
+
+// TestRouteLabelsCoverServedRoutes: every route the server (or a router on
+// the same stack) serves is its own `route` label on a scrape — intake's 429s
+// and every handoff call can be told apart — while a session id never becomes
+// a label value and unserved paths stay "other".
+func TestRouteLabelsCoverServedRoutes(t *testing.T) {
+	ensureEnv()
+	reg := obs.NewRegistry()
+	srv := NewServer(engine.NewService(envEngine, envCfg, video.Default()), nil)
+	srv.SetLogf(func(string, ...any) {})
+	srv.SetMetrics(reg)
+	srv.Handle("GET /v1/admin/replicas", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {}))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL)
+
+	ctx := context.Background()
+	s := envTest.Sessions[0]
+	for _, id := range []string{"lbl-1", "lbl-2"} {
+		if _, err := c.StartSession(id, s.Features, s.StartUnix); err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.ExportSession(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ImportSession(ctx, st); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ForgetSession(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SetDraining(ctx, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/ingest", "/v1/admin/replicas", "/v1/session/a/b/state", "/v1/nowhere"} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		if path == "/v1/ingest" {
+			req, _ = http.NewRequest(http.MethodPost, ts.URL+path, strings.NewReader("{}"))
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	samples, err := obs.ParseText(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]float64{
+		`cs2p_http_requests_total{code="400",route="/v1/ingest"}`:             1, // no sessions in the body
+		`cs2p_http_requests_total{code="204",route="/v1/admin/drain"}`:        1,
+		`cs2p_http_requests_total{code="200",route="/v1/admin/replicas"}`:     1,
+		`cs2p_http_requests_total{code="200",route="/v1/session/{id}/state"}`: 2,
+		`cs2p_http_requests_total{code="204",route="/v1/session/{id}/state"}`: 4,
+		`cs2p_http_requests_total{code="404",route="other"}`:                  2,
+	} {
+		if got, _ := obs.SampleValue(samples, key); got != want {
+			t.Errorf("%s = %v, want %v", key, got, want)
+		}
+	}
+	for _, sm := range samples {
+		if strings.Contains(sm.Key(), "lbl-") {
+			t.Errorf("a session id is a label value: %s", sm.Key())
+		}
+	}
 }

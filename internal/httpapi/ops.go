@@ -2,9 +2,9 @@
 // epoch's throughput, get the next prediction in-band (§6, Algorithm 1) —
 // served once under three codecs. POST /v1/predict (JSON), /v2/observe and
 // /v2/predict (binary single op) and /v2/batch each decode into pooled
-// []engine.BatchOp scratch and hand it to serveOps; everything after the
-// decode — the range checks, the backend call, the result-code → HTTP-status
-// mapping — exists exactly once, here.
+// []wire.Op scratch and hand it to serveOps; everything after the decode —
+// the range checks, the backend call, the result-code → HTTP-status mapping —
+// exists exactly once, here.
 package httpapi
 
 import (
@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"sync"
 
-	"cs2p/internal/engine"
 	"cs2p/internal/wire"
 )
 
@@ -22,21 +21,19 @@ import (
 // snapshot, with byte-keyed session ids so decoded frames need no string
 // conversions, and per-op result codes instead of errors. It returns the
 // model generation the batch was served under. A backend must answer
-// engine.BatchInvalid, without side effects, for an op that is
-// engine.BatchOp.Malformed — serveOps relies on that to reject out-of-range
-// ops in place. *engine.Service and *router.Router implement it.
+// wire.OpInvalid, without side effects, for an op that is Malformed —
+// serveOps relies on that to reject out-of-range ops in place.
+// *engine.Service and *router.Router implement it.
 type BatchService interface {
-	ServeBatch(ops []engine.BatchOp, res []engine.BatchResult) uint64
+	ServeBatch(ops []wire.Op, res []wire.OpResult) uint64
 }
 
 // opScratch is one request's reusable working set.
 type opScratch struct {
-	body []byte               // the request body as read (op ids alias it)
-	out  []byte               // response encode buffer
-	wops []wire.Op            // decoded /v2/batch ops
-	wres []wire.OpResult      // /v2/batch results to encode
-	ops  []engine.BatchOp     // the ops handed to the backend
-	res  []engine.BatchResult // the backend's answers, index-aligned with ops
+	body []byte          // the request body as read (op ids alias it)
+	out  []byte          // response encode buffer
+	ops  []wire.Op       // the decoded ops, handed to the backend
+	res  []wire.OpResult // the backend's answers, index-aligned with ops
 }
 
 var opScratchPool = sync.Pool{New: func() any { return &opScratch{} }}
@@ -44,7 +41,7 @@ var opScratchPool = sync.Pool{New: func() any { return &opScratch{} }}
 // validOp is the pipeline's one range check: a NaN/Inf/negative observation
 // would permanently corrupt the session's HMM posterior, an implausible one
 // distorts it, and a huge horizon burns CPU in the k-step transition loop.
-func (s *Server) validOp(op *engine.BatchOp) bool {
+func (s *Server) validOp(op *wire.Op) bool {
 	if op.Horizon < 0 || op.Horizon > s.cfg.MaxHorizon {
 		return false
 	}
@@ -57,15 +54,15 @@ func (s *Server) validOp(op *engine.BatchOp) bool {
 // index-aligned results in sc.res, and returns the generation the set was
 // served under. An op that fails validOp is replaced by a poisoned one (a
 // NaN observation) rather than tracked in a side list: the backend answers
-// BatchInvalid for exactly that index with no session side effects.
+// OpInvalid for exactly that index with no session side effects.
 func (s *Server) serveOps(sc *opScratch) uint64 {
 	for i := range sc.ops {
 		if !s.validOp(&sc.ops[i]) {
-			sc.ops[i] = engine.BatchOp{SessionID: sc.ops[i].SessionID, ObservedMbps: math.NaN(), HasObserve: true}
+			sc.ops[i] = wire.Op{SessionID: sc.ops[i].SessionID, ObservedMbps: math.NaN(), HasObserve: true}
 		}
 	}
 	if cap(sc.res) < len(sc.ops) {
-		sc.res = make([]engine.BatchResult, len(sc.ops))
+		sc.res = make([]wire.OpResult, len(sc.ops))
 	}
 	sc.res = sc.res[:len(sc.ops)]
 	return s.svc.ServeBatch(sc.ops, sc.res)
@@ -74,17 +71,17 @@ func (s *Server) serveOps(sc *opScratch) uint64 {
 // serveOne serves a single-op request (JSON or binary) and returns the
 // prediction with the HTTP status its result code maps to and, for
 // failures, the message.
-func (s *Server) serveOne(sc *opScratch, op engine.BatchOp) (pred float64, status int, msg string) {
+func (s *Server) serveOne(sc *opScratch, op wire.Op) (pred float64, status int, msg string) {
 	sc.ops = append(sc.ops[:0], op)
 	s.serveOps(sc)
 	switch res := sc.res[0]; res.Code {
-	case engine.BatchOK:
+	case wire.OpOK:
 		return res.PredictionMbps, http.StatusOK, ""
-	case engine.BatchUnknownSession:
+	case wire.OpUnknownSession:
 		return 0, http.StatusNotFound, "unknown session"
-	case engine.BatchInvalid:
+	case wire.OpInvalid:
 		return 0, http.StatusBadRequest, fmt.Sprintf("observed_mbps must be finite and in [0, %g], horizon in [0, %d]", s.cfg.MaxObservedMbps, s.cfg.MaxHorizon)
-	case engine.BatchUnavailable:
+	case wire.OpUnavailable:
 		return 0, http.StatusBadGateway, "no usable replica"
 	default:
 		return 0, http.StatusInternalServerError, fmt.Sprintf("backend answered unknown result code %d", res.Code)

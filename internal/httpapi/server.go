@@ -39,6 +39,7 @@ import (
 	"cs2p/internal/engine"
 	"cs2p/internal/obs"
 	"cs2p/internal/trace"
+	"cs2p/internal/wire"
 )
 
 // StartRequest opens a session.
@@ -475,6 +476,31 @@ func unmarshalJSON(w http.ResponseWriter, body []byte, v any) bool {
 	return err == nil
 }
 
+// errTooLarge is readCapped giving up.
+var errTooLarge = errors.New("body too large")
+
+// readCapped is io.ReadAll into buf[:0] that gives up, with errTooLarge, once
+// more than max bytes have arrived. Both ends use it: the server on request
+// bodies, the client on replies.
+func readCapped(r io.Reader, buf []byte, max int64) ([]byte, error) {
+	b, err := buf[:0], error(nil)
+	for err == nil && int64(len(b)) <= max {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 512)
+		}
+		var n int
+		n, err = r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+	}
+	switch {
+	case int64(len(b)) > max:
+		return b, errTooLarge
+	case err == io.EOF:
+		return b, nil
+	}
+	return b, err
+}
+
 // readBody reads the whole request body into sc.body, at most MaxBodyBytes
 // of it (the control plane's MaxBytesReader enforces the same cap first), and
 // lifts the data path's read deadline. On failure it has answered — 413, or
@@ -482,19 +508,12 @@ func unmarshalJSON(w http.ResponseWriter, body []byte, v any) bool {
 // net/http drains what is left of the body after the handler, and that read
 // needs the bound too.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, sc *opScratch) bool {
-	b, err := sc.body[:0], error(nil)
-	for err == nil && int64(len(b)) <= s.cfg.MaxBodyBytes {
-		var n int
-		b = slices.Grow(b, 512)
-		n, err = r.Body.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-	}
-	sc.body = b
-	if err == io.EOF && int64(len(b)) <= s.cfg.MaxBodyBytes {
+	var err error
+	if sc.body, err = readCapped(r.Body, sc.body, s.cfg.MaxBodyBytes); err == nil {
 		s.boundBodyRead(w, false)
 		return true
 	}
-	if tooLarge := new(*http.MaxBytesError); int64(len(b)) > s.cfg.MaxBodyBytes || errors.As(err, tooLarge) {
+	if tooLarge := new(*http.MaxBytesError); err == errTooLarge || errors.As(err, tooLarge) {
 		w.Header().Set("Connection", "close") // as MaxBytesReader: the unread rest is not a request
 		WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorBody{Error: "request body too large"})
 	} else {
@@ -603,7 +622,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if !unmarshalJSON(w, sc.body, &req) {
 			return
 		}
-		op = engine.BatchOp{SessionID: []byte(req.SessionID), Horizon: req.Horizon}
+		op = wire.Op{SessionID: []byte(req.SessionID), Horizon: req.Horizon}
 		if req.ObservedMbps != nil {
 			op.ObservedMbps, op.HasObserve = *req.ObservedMbps, true
 		}
@@ -831,9 +850,13 @@ func (s *Server) handleAdminRollback(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]any{"active_version": v})
 }
 
-// jsonContentType is the Content-Type value of every JSON reply, shared:
-// a header value is read, never written through.
-var jsonContentType = []string{"application/json"}
+// jsonContentType and wireContentType are the Content-Type values of every
+// JSON and binary message either end sends, shared: a header value is read,
+// never written through.
+var (
+	jsonContentType = []string{"application/json"}
+	wireContentType = []string{wire.ContentType}
+)
 
 // writeJSONDoc answers 200 with an already encoded document.
 func writeJSONDoc(w http.ResponseWriter, doc []byte) {

@@ -34,7 +34,7 @@ func TestPredictInputValidation(t *testing.T) {
 		{"negative observation", `{"session_id":"valid","observed_mbps":-1}`, 400},
 		{"absurd observation", `{"session_id":"valid","observed_mbps":1e9}`, 400},
 		{"infinite observation", `{"session_id":"valid","observed_mbps":1e999}`, 400}, // overflows float64 -> malformed
-		{"NaN observation", `{"session_id":"valid","observed_mbps":NaN}`, 400},       // not valid JSON
+		{"NaN observation", `{"session_id":"valid","observed_mbps":NaN}`, 400},        // not valid JSON
 		{"negative horizon", `{"session_id":"valid","horizon":-2}`, 400},
 		{"absurd horizon", `{"session_id":"valid","horizon":100000}`, 400},
 		{"huge session id", `{"session_id":"` + strings.Repeat("x", 4096) + `"}`, 400},

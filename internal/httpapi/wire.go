@@ -17,7 +17,6 @@ import (
 	"io"
 	"net/http"
 
-	"cs2p/internal/engine"
 	"cs2p/internal/wire"
 )
 
@@ -81,11 +80,7 @@ func (s *Server) handleWire(w http.ResponseWriter, r *http.Request) {
 	lim := s.wireLimits()
 	frame, err := readWireFrame(r, sc, lim)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, wire.ErrOversize) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeWireError(w, sc, status, err.Error())
+		s.writeWireDecodeError(w, sc, err)
 		return
 	}
 	s.boundBodyRead(w, false)
@@ -119,38 +114,13 @@ func (s *Server) handleWireOp(w http.ResponseWriter, sc *opScratch, f wire.Frame
 		s.writeWireError(w, sc, http.StatusBadRequest, "op observe flag does not match route")
 		return
 	}
-	pred, status, msg := s.serveOne(sc, batchOp(op))
+	pred, status, msg := s.serveOne(sc, op)
 	if status != http.StatusOK {
 		s.writeWireError(w, sc, status, msg)
 		return
 	}
 	sc.out = wire.AppendPrediction(sc.out[:0], pred)
 	s.writeWire(w, http.StatusOK, sc.out)
-}
-
-// batchOp translates a decoded wire op; the session id keeps aliasing the
-// frame buffer.
-func batchOp(op wire.Op) engine.BatchOp {
-	return engine.BatchOp{
-		SessionID:    op.SessionID,
-		ObservedMbps: op.ObservedMbps,
-		Horizon:      int(op.Horizon),
-		HasObserve:   op.HasObserve,
-		WantState:    op.WantState,
-	}
-}
-
-// WireOp is what a backend that forwards ops upstream over the binary
-// protocol (the router) sends for op. An observation asks for the state it
-// leaves behind: what the forwarder recreates the session from if need be.
-func WireOp(op engine.BatchOp) wire.Op {
-	return wire.Op{
-		SessionID:    op.SessionID,
-		ObservedMbps: op.ObservedMbps,
-		Horizon:      clampHorizon(op.Horizon),
-		HasObserve:   op.HasObserve,
-		WantState:    op.HasObserve,
-	}
 }
 
 // handleWireBatch serves /v2/batch: MsgBatch in, MsgBatchResult out
@@ -164,40 +134,26 @@ func (s *Server) handleWireBatch(w http.ResponseWriter, sc *opScratch, f wire.Fr
 		return
 	}
 	var err error
-	sc.wops, err = wire.DecodeBatch(f.Payload, lim, sc.wops[:0])
+	sc.ops, err = wire.DecodeBatch(f.Payload, lim, sc.ops[:0])
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, wire.ErrOversize) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeWireError(w, sc, status, err.Error())
+		s.writeWireDecodeError(w, sc, err)
 		return
 	}
-	s.sm.batch(len(sc.wops))
-	sc.ops = sc.ops[:0]
+	s.sm.batchOps.Observe(float64(len(sc.ops))) // inert (a nil handle) without a registry
 	wantState := false
-	for _, op := range sc.wops {
-		sc.ops = append(sc.ops, batchOp(op))
-		wantState = wantState || op.WantState
+	for i := range sc.ops {
+		wantState = wantState || sc.ops[i].WantState
 	}
-	gen := s.serveOps(sc)
-	sc.wres = sc.wres[:0]
-	for i := range sc.res {
-		// Engine result codes and state deliberately mirror the wire's, so
-		// the translation is a copy.
-		r := &sc.res[i]
-		sc.wres = append(sc.wres, wire.OpResult{PredictionMbps: r.PredictionMbps, Code: r.Code, State: wire.State(r.State)})
-	}
-	if wantState {
-		sc.out = wire.AppendBatchStateResult(sc.out[:0], gen, sc.wres)
+	if gen := s.serveOps(sc); wantState {
+		sc.out = wire.AppendBatchStateResult(sc.out[:0], gen, sc.res)
 	} else {
-		sc.out = wire.AppendBatchResult(sc.out[:0], gen, sc.wres)
+		sc.out = wire.AppendBatchResult(sc.out[:0], gen, sc.res)
 	}
 	s.writeWire(w, http.StatusOK, sc.out)
 }
 
 func (s *Server) writeWire(w http.ResponseWriter, status int, frame []byte) {
-	w.Header().Set("Content-Type", wire.ContentType)
+	w.Header()["Content-Type"] = wireContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(frame)
 }
@@ -207,4 +163,14 @@ func (s *Server) writeWire(w http.ResponseWriter, status int, frame []byte) {
 func (s *Server) writeWireError(w http.ResponseWriter, sc *opScratch, status int, msg string) {
 	sc.out = wire.AppendError(sc.out[:0], status, msg)
 	s.writeWire(w, status, sc.out)
+}
+
+// writeWireDecodeError answers a frame that would not decode: 413 when a
+// declared length exceeds a limit, else 400.
+func (s *Server) writeWireDecodeError(w http.ResponseWriter, sc *opScratch, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, wire.ErrOversize) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.writeWireError(w, sc, status, err.Error())
 }

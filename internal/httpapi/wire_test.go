@@ -75,6 +75,22 @@ func TestWireBinaryMatchesJSON(t *testing.T) {
 			t.Fatalf("epoch %d horizon 3: json %v != binary %v", i, qj, qb)
 		}
 	}
+
+	// The horizon ladder at the range check's edges: the one difference
+	// between the encodings is that a frame has no spelling for a negative
+	// horizon, so the binary client's reaches the server as 0 (the default).
+	for _, tc := range []struct{ horizon, json, binary int }{
+		{-1, 400, 0}, {0, 0, 0}, {512, 0, 0}, {513, 400, 400}, {70000, 400, 400},
+	} {
+		_, errJ := cj.PredictAt("twin-json", tc.horizon)
+		_, errB := cb.PredictAt("twin-bin", tc.horizon)
+		if HTTPStatus(errJ) != tc.json || HTTPStatus(errB) != tc.binary {
+			t.Errorf("horizon %d: json %v, binary %v; want statuses %d and %d (0 = served)", tc.horizon, errJ, errB, tc.json, tc.binary)
+		}
+		if errJ != nil && errB != nil && errJ.(*StatusError).Msg != errB.(*StatusError).Msg {
+			t.Errorf("horizon %d: json says %q, binary %q", tc.horizon, errJ, errB)
+		}
+	}
 }
 
 // TestWireBatchHTTP exercises /v2/batch end to end: per-op codes for
@@ -342,7 +358,7 @@ func (fixedBackend) ServeBatch(ops []engine.BatchOp, res []engine.BatchResult) u
 	for i, op := range ops {
 		res[i] = engine.BatchResult{PredictionMbps: op.ObservedMbps + float64(op.Horizon)}
 		if string(op.SessionID) == "gone" {
-			res[i] = engine.BatchResult{Code: engine.BatchUnknownSession}
+			res[i] = engine.BatchResult{Code: wire.OpUnknownSession}
 		}
 	}
 	return 7

@@ -102,7 +102,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	r.Counter("app_requests_total", "Total requests.", Labels{"route": "/a", "code": "200"}).Add(7)
 	r.Counter("app_requests_total", "Total requests.", Labels{"route": "/a", "code": "500"}).Inc()
 	r.Gauge("app_sessions_active", "Active sessions.", nil).Set(12)
-	r.Gauge("app_weird", "labels with \"quotes\" and \\ slashes", Labels{"v": "a\"b\\c\nd"}).Set(1)
+	r.Gauge("app_weird", "labels with \"quotes\" and \\ slashes", Labels{"v": "a\"b\\c\nd{e}"}).Set(1)
 	h := r.Histogram("app_latency_seconds", "Latency.", []float64{0.01, 0.1, 1}, Labels{"route": "/a"})
 	for _, v := range []float64{0.005, 0.05, 0.5, 5} {
 		h.Observe(v)
@@ -137,7 +137,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 			t.Errorf("%s = %v, want %v", key, got, want)
 		}
 	}
-	weirdKey := "app_weird" + renderLabels(Labels{"v": "a\"b\\c\nd"})
+	weirdKey := "app_weird" + renderLabels(Labels{"v": "a\"b\\c\nd{e}"})
 	if v, ok := SampleValue(samples, weirdKey); !ok || v != 1 {
 		t.Errorf("escaped label round trip failed: %v %v (have %v)", v, ok, SampleKeys(samples))
 	}

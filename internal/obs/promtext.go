@@ -178,7 +178,7 @@ func parseSampleLine(line string) (Sample, error) {
 		return s, fmt.Errorf("malformed sample %q", line)
 	}
 	if strings.HasPrefix(rest, "{") {
-		end := strings.Index(rest, "}")
+		end := strings.LastIndex(rest, "}") // the last: a quoted label value may hold one
 		if end < 0 {
 			return s, fmt.Errorf("unterminated label set in %q", line)
 		}

@@ -48,6 +48,14 @@ func (rt *Router) call(rep *replica, fn func(c *httpapi.Client) error) (outcome,
 // state riding back with every observation decodes without allocating.
 var resultPool = sync.Pool{New: func() any { return new([]wire.OpResult) }}
 
+// upstreamOp is op as the router forwards it: an observation asks for the
+// state it leaves behind — what the router recreates the session from if need
+// be.
+func upstreamOp(op wire.Op) wire.Op {
+	op.WantState = op.HasObserve
+	return op
+}
+
 // upstream sends wops to rep as one /v2/batch frame, decoding into *buf. The
 // router→replica hop is always binary v2, whatever mode Config.NewClient
 // built the client in, and this is its only call site.
@@ -84,10 +92,10 @@ func (rt *Router) upstream(rep *replica, wops []wire.Op, buf *[]wire.OpResult) (
 // The session record advances only when an observation is answered OK, to
 // the state that came back with it: whatever a failed attempt did to some
 // replica's copy, the record is the session as of its last answered op. An
-// op answered BatchUnavailable was not applied. The returned generation is
+// op answered OpUnavailable was not applied. The returned generation is
 // the one every group agreed on, or 0 when they diverged or any op was
 // recovered (a mixed batch is not one snapshot).
-func (rt *Router) ServeBatch(ops []engine.BatchOp, res []engine.BatchResult) uint64 {
+func (rt *Router) ServeBatch(ops []wire.Op, res []wire.OpResult) uint64 {
 	sess, pending, locked := rt.lockSessions(ops, res)
 	defer func() {
 		for _, s := range locked {
@@ -115,16 +123,16 @@ func (rt *Router) ServeBatch(ops []engine.BatchOp, res []engine.BatchResult) uin
 				for g := range groups {
 					if groups[g].rep.name == s.home {
 						groups[g].idx = append(groups[g].idx, i)
-						groups[g].wops = append(groups[g].wops, httpapi.WireOp(ops[i]))
+						groups[g].wops = append(groups[g].wops, upstreamOp(ops[i]))
 						continue next
 					}
 				}
 				if rep := rt.usable(s.home); rep != nil {
-					groups = append(groups, group{rep: rep, idx: []int{i}, wops: []wire.Op{httpapi.WireOp(ops[i])}})
+					groups = append(groups, group{rep: rep, idx: []int{i}, wops: []wire.Op{upstreamOp(ops[i])}})
 					continue
 				}
 			}
-			if res[i] = rt.migrate(context.TODO(), s, &ops[i], buf); res[i].Code == engine.BatchOK {
+			if res[i] = rt.migrate(context.TODO(), s, &ops[i], buf); res[i].Code == wire.OpOK {
 				rt.m.failovers.Inc()
 			}
 			mixed = true
@@ -142,7 +150,7 @@ func (rt *Router) ServeBatch(ops []engine.BatchOp, res []engine.BatchResult) uin
 				s := sess[i]
 				switch {
 				case oc == callRejected:
-					res[i] = engine.BatchResult{Code: engine.BatchInvalid}
+					res[i] = wire.OpResult{Code: wire.OpInvalid}
 				case oc == callFailed || s.desync || rres[k].Code == wire.OpUnknownSession:
 					// The home's filter state can no longer be trusted to
 					// match the observation stream (and once one op of a
@@ -154,7 +162,7 @@ func (rt *Router) ServeBatch(ops []engine.BatchOp, res []engine.BatchResult) uin
 					if rres[k].Code == wire.OpOK && ops[i].HasObserve {
 						s.ack(&rres[k].State)
 					}
-					res[i] = engine.BatchResult{PredictionMbps: rres[k].PredictionMbps, Code: rres[k].Code}
+					res[i] = wire.OpResult{PredictionMbps: rres[k].PredictionMbps, Code: rres[k].Code}
 				}
 			}
 		}
@@ -168,11 +176,11 @@ func (rt *Router) ServeBatch(ops []engine.BatchOp, res []engine.BatchResult) uin
 // lockSessions resolves each op's session and locks the distinct ones in
 // session-id order, so two concurrent batches can never deadlock (lock order
 // stays sess.mu → rt.mu). Ops that have no session to serve them are
-// answered here — BatchInvalid for an observation no filter may absorb,
-// BatchUnknownSession for an unregistered id — and get a nil entry in the
+// answered here — OpInvalid for an observation no filter may absorb,
+// OpUnknownSession for an unregistered id — and get a nil entry in the
 // index-aligned sess; live lists the indices of the rest, in op order. The
 // caller unlocks locked.
-func (rt *Router) lockSessions(ops []engine.BatchOp, res []engine.BatchResult) (sess []*routedSession, live []int, locked []*routedSession) {
+func (rt *Router) lockSessions(ops []wire.Op, res []wire.OpResult) (sess []*routedSession, live []int, locked []*routedSession) {
 	sess = make([]*routedSession, len(ops))
 	live = make([]int, 0, len(ops))
 	rt.mu.Lock()
@@ -180,9 +188,9 @@ func (rt *Router) lockSessions(ops []engine.BatchOp, res []engine.BatchResult) (
 		op := &ops[i]
 		switch s := rt.sessions[string(op.SessionID)]; {
 		case op.Malformed():
-			res[i] = engine.BatchResult{Code: engine.BatchInvalid}
+			res[i] = wire.OpResult{Code: wire.OpInvalid}
 		case s == nil:
-			res[i] = engine.BatchResult{Code: engine.BatchUnknownSession}
+			res[i] = wire.OpResult{Code: wire.OpUnknownSession}
 		default:
 			sess[i] = s
 			live = append(live, i)
@@ -207,15 +215,15 @@ func (rt *Router) lockSessions(ops []engine.BatchOp, res []engine.BatchResult) (
 
 // serveOne is the one-op form of ServeBatch with the result code turned
 // back into an error.
-func (rt *Router) serveOne(op engine.BatchOp) (float64, error) {
-	var res [1]engine.BatchResult
-	rt.ServeBatch([]engine.BatchOp{op}, res[:])
+func (rt *Router) serveOne(op wire.Op) (float64, error) {
+	var res [1]wire.OpResult
+	rt.ServeBatch([]wire.Op{op}, res[:])
 	switch res[0].Code {
-	case engine.BatchOK:
+	case wire.OpOK:
 		return res[0].PredictionMbps, nil
-	case engine.BatchUnknownSession:
+	case wire.OpUnknownSession:
 		return 0, fmt.Errorf("%w: %s", engine.ErrUnknownSession, op.SessionID)
-	case engine.BatchUnavailable:
+	case wire.OpUnavailable:
 		return 0, fmt.Errorf("router: session %s: failover failed: %w", op.SessionID, ErrNoReplica)
 	default:
 		return 0, fmt.Errorf("router: session %s: op rejected (result code %d)", op.SessionID, res[0].Code)
@@ -224,12 +232,12 @@ func (rt *Router) serveOne(op engine.BatchOp) (float64, error) {
 
 // ObserveAndPredict implements httpapi.SessionService.
 func (rt *Router) ObserveAndPredict(id string, observedMbps float64, horizon int) (float64, error) {
-	return rt.serveOne(engine.BatchOp{SessionID: []byte(id), ObservedMbps: observedMbps, Horizon: horizon, HasObserve: true})
+	return rt.serveOne(wire.Op{SessionID: []byte(id), ObservedMbps: observedMbps, Horizon: horizon, HasObserve: true})
 }
 
 // Predict implements httpapi.SessionService (stateless horizon query).
 func (rt *Router) Predict(id string, horizon int) (float64, error) {
-	return rt.serveOne(engine.BatchOp{SessionID: []byte(id), Horizon: horizon})
+	return rt.serveOne(wire.Op{SessionID: []byte(id), Horizon: horizon})
 }
 
 // migrate (sess.mu held) recreates the session on the first candidate that
@@ -244,9 +252,9 @@ func (rt *Router) Predict(id string, horizon int) (float64, error) {
 // The one cold path: when model guards refuse the state and an op must be
 // answered, the session restarts from Algorithm 1's prior under the new
 // model. A drain (op == nil) never goes cold; the session stays exact on its
-// draining home. With no candidate left the op is answered BatchUnavailable,
+// draining home. With no candidate left the op is answered OpUnavailable,
 // unapplied, and the session stays desynced.
-func (rt *Router) migrate(ctx context.Context, sess *routedSession, op *engine.BatchOp, buf *[]wire.OpResult) engine.BatchResult {
+func (rt *Router) migrate(ctx context.Context, sess *routedSession, op *wire.Op, buf *[]wire.OpResult) wire.OpResult {
 	sess.desync = true
 	id := sess.st.SessionID
 	cands := rt.candidates(id, false)
@@ -272,9 +280,9 @@ func (rt *Router) migrate(ctx context.Context, sess *routedSession, op *engine.B
 			if cold {
 				sess.st.Posterior = sess.st.Posterior[:0] // rep's copy started from the prior
 			}
-			res := engine.BatchResult{Code: engine.BatchOK}
+			res := wire.OpResult{Code: wire.OpOK}
 			if op != nil {
-				rres, _, oc := rt.upstream(rep, []wire.Op{httpapi.WireOp(*op)}, buf)
+				rres, _, oc := rt.upstream(rep, []wire.Op{upstreamOp(*op)}, buf)
 				if oc != callOK || rres[0].Code != wire.OpOK {
 					continue
 				}
@@ -290,7 +298,7 @@ func (rt *Router) migrate(ctx context.Context, sess *routedSession, op *engine.B
 			return res
 		}
 		if cold || !refused || op == nil {
-			return engine.BatchResult{Code: engine.BatchUnavailable}
+			return wire.OpResult{Code: wire.OpUnavailable}
 		}
 		cold = true
 	}

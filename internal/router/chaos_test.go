@@ -27,6 +27,7 @@ import (
 	"cs2p/internal/trace"
 	"cs2p/internal/tracegen"
 	"cs2p/internal/video"
+	"cs2p/internal/wire"
 )
 
 // The cluster chaos environment: one trained model published to a registry
@@ -720,7 +721,7 @@ func TestClusterHopStateAllocParity(t *testing.T) {
 	}
 	withState := testing.AllocsPerRun(200, func() { c.rt.ServeBatch(observe, res) })
 	without := testing.AllocsPerRun(200, func() { c.rt.ServeBatch(query, res) })
-	if res[0].Code != engine.BatchOK {
+	if res[0].Code != wire.OpOK {
 		t.Fatalf("op answered code %d", res[0].Code)
 	}
 	if withState > without {

@@ -6,7 +6,7 @@ import (
 	"sort"
 	"strings"
 
-	"cs2p/internal/engine"
+	"cs2p/internal/wire"
 )
 
 // DrainResult tallies one drain's per-session handoff outcomes.
@@ -146,7 +146,7 @@ func (rt *Router) handoffSession(ctx context.Context, source *replica, id string
 			sess.st = st
 		}
 	}
-	if res := rt.migrate(ctx, sess, nil, nil); res.Code != engine.BatchOK || sess.home == source.name {
+	if res := rt.migrate(ctx, sess, nil, nil); res.Code != wire.OpOK || sess.home == source.name {
 		tally.Failed++
 		rt.failedN.Add(1)
 		rt.m.handoffFailed.Inc()

@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"time"
 
@@ -88,43 +87,37 @@ func (rt *Router) Health() engine.HealthStatus {
 	}
 }
 
-// proxyModel forwards GET /v1/model to the first live replica, preserving
-// the query, the conditional-request header, and the version-derived ETag —
-// so decentralized clients fetch their cluster model through the router
-// with the replica's 304 revalidation intact.
+// proxyModel forwards GET /v1/model to the first live replica that answers,
+// preserving the query, the conditional-request header, and the
+// version-derived ETag — so decentralized clients fetch their cluster model
+// through the router with the replica's 304 revalidation intact. A replica's
+// refusal (4xx, 501) is relayed like its answer; a failure (transport, 5xx)
+// counts against it and the next replica is tried.
 func (rt *Router) proxyModel(w http.ResponseWriter, r *http.Request) {
 	for _, name := range rt.orderSnapshot() {
 		rep := rt.usable(name)
 		if rep == nil {
 			continue
 		}
-		url := rep.client.BaseURL() + "/v1/model"
-		if r.URL.RawQuery != "" {
-			url += "?" + r.URL.RawQuery
-		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url, nil)
-		if err != nil {
-			continue
-		}
-		if inm := r.Header.Get("If-None-Match"); inm != "" {
-			req.Header.Set("If-None-Match", inm)
-		}
-		var resp *http.Response
-		if oc, _ := rt.call(rep, func(c *httpapi.Client) error {
-			resp, err = c.HTTPClient().Do(req)
+		var (
+			status int
+			h      http.Header
+			reply  []byte
+		)
+		if oc, _ := rt.call(rep, func(c *httpapi.Client) (err error) {
+			status, h, reply, err = c.Get(r.Context(), r.URL.RequestURI(), r.Header.Get("If-None-Match"))
 			return err
-		}); oc != callOK {
+		}); oc == callFailed {
 			continue
 		}
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
+		if ct := h.Get("Content-Type"); ct != "" {
 			w.Header().Set("Content-Type", ct)
 		}
-		if etag := resp.Header.Get("ETag"); etag != "" {
+		if etag := h.Get("ETag"); etag != "" {
 			w.Header().Set("ETag", etag)
 		}
-		w.WriteHeader(resp.StatusCode)
-		_, _ = io.Copy(w, resp.Body)
-		resp.Body.Close()
+		w.WriteHeader(status)
+		_, _ = w.Write(reply)
 		return
 	}
 	httpapi.WriteJSON(w, http.StatusBadGateway, httpapi.ErrorBody{Error: ErrNoReplica.Error()})

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -205,6 +206,62 @@ func TestRouterModelProxy(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotModified {
 		t.Fatalf("conditional fetch: %d, want 304", resp.StatusCode)
+	}
+}
+
+// TestRouterModelProxySkipsFailingReplica: a replica answering the model
+// export with a 5xx has failed like on any other upstream call — counted,
+// fed to the health machine as a failure, and the next replica asked — while
+// a refusal (501: no local model surface) is the replica's answer and is
+// relayed as it came.
+func TestRouterModelProxySkipsFailingReplica(t *testing.T) {
+	var status atomic.Int32
+	status.Store(http.StatusServiceUnavailable)
+	sick := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		httpapi.WriteJSON(w, int(status.Load()), httpapi.ErrorBody{Error: "no"})
+	}))
+	up := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"version":7}`)
+	}))
+	// The proxy walks the members in name order: the sick one must sort first.
+	if sick.Listener.Addr().String() > up.Listener.Addr().String() {
+		sick.Config.Handler, up.Config.Handler = up.Config.Handler, sick.Config.Handler
+		sick, up = up, sick
+	}
+	sick.Start()
+	defer sick.Close()
+	up.Start()
+	defer up.Close()
+	reg := obs.NewRegistry()
+	rt, err := New(Config{Replicas: []string{sick.URL, up.URL}, Metrics: reg, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	get := func() (int, string) {
+		resp, err := http.Get(front.URL + "/v1/model")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, strings.TrimSpace(string(b))
+	}
+	errors := reg.Counter("cs2p_router_requests_total", "", obs.Labels{"replica": sick.URL, "outcome": "error"})
+
+	if code, body := get(); code != http.StatusOK || body != `{"version":7}` {
+		t.Fatalf("model behind a 503 replica: %d %q, want the next replica's 200", code, body)
+	}
+	if got := errors.Value(); got != 1 {
+		t.Errorf("the 503 was counted as %v failed calls, want 1", got)
+	}
+	if st := rt.ReplicaStates()[sick.URL]; st == StateHealthy {
+		t.Errorf("the 503 replica is still %v: its failure fed the health machine nothing", st)
+	}
+	status.Store(http.StatusNotImplemented)
+	if code, body := get(); code != http.StatusNotImplemented || !strings.Contains(body, `"no"`) {
+		t.Errorf("a replica's 501: %d %q, want it relayed", code, body)
 	}
 }
 

@@ -99,7 +99,7 @@ var parityCodecs = []struct {
 }
 
 func (op parityOp) wire(id string) wire.Op {
-	return wire.Op{SessionID: []byte(id), ObservedMbps: op.observed, Horizon: uint16(op.horizon), HasObserve: op.observe}
+	return wire.Op{SessionID: []byte(id), ObservedMbps: op.observed, Horizon: op.horizon, HasObserve: op.observe}
 }
 
 func parityPost(t *testing.T, url, ct string, body []byte) (int, []byte) {

@@ -105,10 +105,10 @@ func (s *stubBackend) ServeBatch(ops []engine.BatchOp, res []engine.BatchResult)
 		}
 		res[i] = engine.BatchResult{PredictionMbps: pred}
 		if err != nil {
-			res[i] = engine.BatchResult{Code: engine.BatchUnknownSession}
+			res[i] = engine.BatchResult{Code: wire.OpUnknownSession}
 		} else if op.WantState {
 			st, _ := s.state(string(op.SessionID))
-			res[i].State = engine.BatchState{Posterior: st.Posterior, LastOneStep: math.NaN(),
+			res[i].State = wire.State{Posterior: st.Posterior, LastOneStep: math.NaN(),
 				ModelVersion: st.ModelVersion, Epoch: uint32(st.Epoch), Started: st.Started}
 		}
 	}

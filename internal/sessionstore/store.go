@@ -14,45 +14,6 @@ import (
 	"time"
 )
 
-// Store is the session-table abstraction the prediction engine programs
-// against: a string-keyed table of per-session values S with idle tracking,
-// plus a bounded ring of completed-session logs L. Implementations must be
-// safe for concurrent use.
-type Store[S, L any] interface {
-	// Put inserts or replaces the session and stamps its last-seen time,
-	// reporting whether an existing entry was replaced.
-	Put(id string, v *S, now time.Time) (replaced bool)
-	// Get fetches a session and refreshes its idle clock.
-	Get(id string, now time.Time) (*S, bool)
-	// GetBytes is Get keyed by raw bytes — the binary wire path's lookup.
-	// Implementations must not retain id and must not allocate for the
-	// lookup (the compiler elides the string conversion inside a direct
-	// map index), so a decoded frame's id can alias a pooled buffer.
-	GetBytes(id []byte, now time.Time) (*S, bool)
-	// Delete forgets a session, reporting whether it existed.
-	Delete(id string) bool
-	// Len returns the number of live sessions.
-	Len() int
-	// Shards returns the shard count (1 for an unsharded implementation).
-	Shards() int
-	// ShardSizes returns the per-shard session counts, index-aligned with
-	// shard ids (the observability layer exports them as a gauge vector).
-	ShardSizes() []int
-	// PushLog appends a completed-session log to the ring of the shard that
-	// owned the session, reporting whether an older entry was evicted.
-	PushLog(id string, lg L) (evicted bool)
-	// Logs returns the retained logs globally oldest-first (merged across
-	// shards by push sequence number).
-	Logs() []L
-	// SetMaxLogs re-bounds the total log capacity across all shards,
-	// keeping the newest entries, and returns how many a shrink evicted.
-	SetMaxLogs(max int) (evicted int)
-	// GC drops sessions idle since before cut, sweeping one shard at a time
-	// so requests to other shards never wait, and returns how many were
-	// removed.
-	GC(cut time.Time) int
-}
-
 // NumShards resolves a shard-count request: n <= 0 scales to GOMAXPROCS,
 // anything else rounds up to the next power of two (so the shard index is a
 // mask of the hash, not a modulo).
@@ -87,10 +48,12 @@ type shard[S, L any] struct {
 	logs ring[L]
 }
 
-// Sharded is the power-of-two-sharded Store implementation. Session ids are
-// placed by FNV-1a; per-shard mutexes mean two sessions on different shards
-// never contend, and Len is an atomic counter so the active-sessions gauge
-// costs no lock at all.
+// Sharded is the session table the prediction engine programs against: a
+// string-keyed, power-of-two-sharded table of per-session values S with idle
+// tracking, plus a bounded ring of completed-session logs L, safe for
+// concurrent use. Session ids are placed by FNV-1a; per-shard mutexes mean
+// two sessions on different shards never contend, and Len is an atomic
+// counter so the active-sessions gauge costs no lock at all.
 type Sharded[S, L any] struct {
 	shards []shard[S, L]
 	mask   uint32
@@ -109,7 +72,7 @@ func New[S, L any](shards, maxLogs int) *Sharded[S, L] {
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]*entry[S])
 	}
-	s.setMaxLogsLocked(maxLogs)
+	s.SetMaxLogs(maxLogs)
 	return s
 }
 
@@ -148,10 +111,11 @@ func (s *Sharded[S, L]) ShardFor(id string) int {
 	return int(fnv32a(id) & s.mask)
 }
 
-// Shards implements Store.
+// Shards returns the shard count.
 func (s *Sharded[S, L]) Shards() int { return len(s.shards) }
 
-// Put implements Store.
+// Put inserts or replaces the session and stamps its last-seen time,
+// reporting whether an existing entry was replaced.
 func (s *Sharded[S, L]) Put(id string, v *S, now time.Time) (replaced bool) {
 	sh := &s.shards[s.ShardFor(id)]
 	sh.mu.Lock()
@@ -164,7 +128,7 @@ func (s *Sharded[S, L]) Put(id string, v *S, now time.Time) (replaced bool) {
 	return replaced
 }
 
-// Get implements Store.
+// Get fetches a session and refreshes its idle clock.
 func (s *Sharded[S, L]) Get(id string, now time.Time) (*S, bool) {
 	sh := &s.shards[s.ShardFor(id)]
 	sh.mu.Lock()
@@ -179,9 +143,10 @@ func (s *Sharded[S, L]) Get(id string, now time.Time) (*S, bool) {
 	return e.val, true
 }
 
-// GetBytes implements Store: the same lookup as Get but keyed by raw bytes,
-// allocation-free. The string conversions sit directly in the map index
-// expressions, which the compiler compiles without materializing a string.
+// GetBytes is Get keyed by raw bytes — the binary wire path's lookup. It
+// neither retains id nor allocates (the string conversions sit directly in
+// the map index expressions, which the compiler compiles without
+// materializing a string), so a decoded frame's id can alias a pooled buffer.
 func (s *Sharded[S, L]) GetBytes(id []byte, now time.Time) (*S, bool) {
 	sh := &s.shards[fnv32aBytes(id)&s.mask]
 	sh.mu.Lock()
@@ -196,7 +161,7 @@ func (s *Sharded[S, L]) GetBytes(id []byte, now time.Time) (*S, bool) {
 	return e.val, true
 }
 
-// Delete implements Store.
+// Delete forgets a session, reporting whether it existed.
 func (s *Sharded[S, L]) Delete(id string) bool {
 	sh := &s.shards[s.ShardFor(id)]
 	sh.mu.Lock()
@@ -209,10 +174,11 @@ func (s *Sharded[S, L]) Delete(id string) bool {
 	return ok
 }
 
-// Len implements Store.
+// Len returns the number of live sessions.
 func (s *Sharded[S, L]) Len() int { return int(s.count.Load()) }
 
-// ShardSizes implements Store.
+// ShardSizes returns the per-shard session counts, index-aligned with shard
+// ids (the observability layer exports them as a gauge vector).
 func (s *Sharded[S, L]) ShardSizes() []int {
 	sizes := make([]int, len(s.shards))
 	for i := range s.shards {
@@ -224,9 +190,10 @@ func (s *Sharded[S, L]) ShardSizes() []int {
 	return sizes
 }
 
-// PushLog implements Store. The log lands on the ring of the shard the
-// session id hashes to, stamped with a global sequence number so Logs can
-// merge the rings back into push order.
+// PushLog appends a completed-session log to the ring of the shard the
+// session id hashes to, reporting whether an older entry was evicted. It is
+// stamped with a global sequence number so Logs can merge the rings back
+// into push order.
 func (s *Sharded[S, L]) PushLog(id string, lg L) (evicted bool) {
 	seq := s.logSeq.Add(1)
 	sh := &s.shards[s.ShardFor(id)]
@@ -236,9 +203,9 @@ func (s *Sharded[S, L]) PushLog(id string, lg L) (evicted bool) {
 	return evicted
 }
 
-// Logs implements Store: the per-shard rings are snapshotted one lock at a
-// time and merged by sequence number, so the result is globally oldest-first
-// exactly as a single ring would report it.
+// Logs returns the retained logs: the per-shard rings are snapshotted one
+// lock at a time and merged by sequence number, so the result is globally
+// oldest-first exactly as a single ring would report it.
 func (s *Sharded[S, L]) Logs() []L {
 	var all []seqEntry[L]
 	for i := range s.shards {
@@ -255,13 +222,10 @@ func (s *Sharded[S, L]) Logs() []L {
 	return out
 }
 
-// SetMaxLogs implements Store. The total capacity is split across shards
+// SetMaxLogs re-bounds the total log capacity, keeping the newest entries,
+// and returns how many a shrink evicted. The total is split across shards
 // (floor plus one for the first max%n shards, so the sum is exactly max).
 func (s *Sharded[S, L]) SetMaxLogs(max int) (evicted int) {
-	return s.setMaxLogsLocked(max)
-}
-
-func (s *Sharded[S, L]) setMaxLogsLocked(max int) (evicted int) {
 	if max < 0 {
 		max = 0
 	}
@@ -280,9 +244,9 @@ func (s *Sharded[S, L]) setMaxLogsLocked(max int) (evicted int) {
 	return evicted
 }
 
-// GC implements Store: one shard is locked, swept, and released at a time,
-// so a sweep never blocks the whole table the way the old global-mutex
-// service did.
+// GC drops sessions idle since before cut and returns how many were removed:
+// one shard is locked, swept, and released at a time, so requests to other
+// shards never wait.
 func (s *Sharded[S, L]) GC(cut time.Time) int {
 	n := 0
 	for i := range s.shards {
@@ -301,5 +265,3 @@ func (s *Sharded[S, L]) GC(cut time.Time) int {
 	}
 	return n
 }
-
-var _ Store[struct{}, struct{}] = (*Sharded[struct{}, struct{}])(nil)

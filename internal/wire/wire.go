@@ -1,6 +1,9 @@
-// Package wire is the compact binary protocol carried on the /v2 routes —
-// the serve path's answer to JSON encode/decode dominating the predict round
-// trip (DESIGN.md §12). Every frame is self-describing and bounds-checked:
+// Package wire is the per-chunk op's vocabulary — Op, OpResult, State and the
+// Op* result codes, the types of every layer from codec to filter — and its
+// compact binary encoding carried on the /v2 routes, the serve path's answer
+// to JSON encode/decode dominating the predict round trip (DESIGN.md §10.2,
+// §10.3). It imports nothing of this module. Every frame is self-describing
+// and bounds-checked:
 //
 //	offset  size  field
 //	0       2     magic 0xC5 0x2B
@@ -104,14 +107,26 @@ func DefaultLimits() Limits {
 // stateful observe+predict round trip (the per-chunk call) from the
 // stateless multi-horizon query. WantState asks for the session's post-op
 // State alongside the prediction — in batch frames only (the routing tier's
-// hop): a single-op MsgPrediction has nowhere to put the answer. SessionID
-// aliases the decoded frame's buffer, valid only until the buffer is reused.
+// hop): a single-op MsgPrediction has nowhere to put the answer. SessionID is
+// raw bytes so a decoded frame's id (it aliases the frame's buffer, valid only
+// until the buffer is reused) reaches the session lookup without a string
+// allocation; nothing downstream retains it. Horizon is an int because JSON
+// carries one; the frame field is a u16 and the encoder saturates into it,
+// far beyond any server's MaxHorizon.
 type Op struct {
 	SessionID    []byte
 	ObservedMbps float64
-	Horizon      uint16
+	Horizon      int
 	HasObserve   bool
 	WantState    bool
+}
+
+// Malformed reports whether the op carries an observation no filter may
+// absorb (non-finite or negative). Every backend answers OpInvalid for such
+// an op without touching session state — the contract the HTTP layer's
+// in-place rejection of out-of-range ops relies on.
+func (op *Op) Malformed() bool {
+	return op.HasObserve && (math.IsNaN(op.ObservedMbps) || math.IsInf(op.ObservedMbps, 0) || op.ObservedMbps < 0)
 }
 
 // opFixedLen is the fixed-width prefix of one encoded op:
@@ -123,15 +138,18 @@ const (
 	flagWantState  = 0x02
 )
 
-// Result codes for batch ops. 0 is success; nonzero codes name the
-// per-op failure without carrying an allocation-heavy error string.
+// Result codes for ops. 0 is success; nonzero codes name the per-op failure
+// without carrying an allocation-heavy error string.
 const (
-	OpOK             uint8 = 0
+	// OpOK: the op produced a prediction.
+	OpOK uint8 = 0
+	// OpUnknownSession: no registered session under the op's id.
 	OpUnknownSession uint8 = 1
-	OpInvalid        uint8 = 2
+	// OpInvalid: the op carried an unusable value and was not applied.
+	OpInvalid uint8 = 2
 	// OpUnavailable: the session is known but nothing could serve the op (a
-	// routing tier with every replica out). Single-op routes answer it as
-	// HTTP 502.
+	// routing tier with every replica out; the engine never returns it).
+	// Single-op routes answer it as HTTP 502.
 	OpUnavailable uint8 = 3
 )
 
@@ -149,7 +167,12 @@ type State struct {
 	Started         bool
 }
 
-// OpResult is one batch op's outcome; State only for an OpOK WantState op.
+// OpResult is one op's outcome, index-aligned with the request ops. Failures
+// are codes, not errors: a 256-op batch with one evicted session must not
+// cost an allocation per miss, and partial failure is the normal case at the
+// edge. State is filled only for an OpOK op that set WantState, into the
+// slot's existing posterior buffer: a caller that recycles results pays no
+// allocation.
 type OpResult struct {
 	PredictionMbps float64
 	Code           uint8
@@ -247,7 +270,7 @@ func appendOpBody(dst []byte, op Op) []byte {
 		flags |= flagWantState
 	}
 	dst = append(dst, flags)
-	dst = binary.LittleEndian.AppendUint16(dst, op.Horizon)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(min(max(op.Horizon, 0), math.MaxUint16)))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(op.ObservedMbps))
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(op.SessionID)))
 	return append(dst, op.SessionID...)
@@ -266,7 +289,7 @@ func decodeOpBody(b []byte, i int, lim Limits) (Op, int, error) {
 	var op Op
 	op.HasObserve = b[i]&flagHasObserve != 0
 	op.WantState = b[i]&flagWantState != 0
-	op.Horizon = binary.LittleEndian.Uint16(b[i+1 : i+3])
+	op.Horizon = int(binary.LittleEndian.Uint16(b[i+1 : i+3]))
 	op.ObservedMbps = math.Float64frombits(binary.LittleEndian.Uint64(b[i+3 : i+11]))
 	idLen := int(binary.LittleEndian.Uint16(b[i+11 : i+13]))
 	if idLen == 0 {

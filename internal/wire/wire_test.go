@@ -32,6 +32,54 @@ func TestOpRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHorizonSaturates: Op.Horizon is an int (JSON carries one) and the frame
+// field a u16; both encoders clamp into it, so an out-of-range horizon reaches
+// the server as one its range check still refuses (or, negative, as 0 = the
+// default), never wrapped into a plausible one.
+func TestHorizonSaturates(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{{-1, 0}, {0, 0}, {math.MaxUint16, math.MaxUint16}, {70000, math.MaxUint16}} {
+		op := Op{SessionID: []byte("s"), Horizon: tc.in}
+		f, err := DecodeFrame(AppendOp(nil, op), DefaultLimits())
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := DecodeOp(f.Payload, DefaultLimits())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, err = DecodeFrame(AppendBatch(nil, []Op{op}), DefaultLimits()); err != nil {
+			t.Fatal(err)
+		}
+		batch, err := DecodeBatch(f.Payload, DefaultLimits(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if single.Horizon != tc.want || batch[0].Horizon != tc.want {
+			t.Errorf("horizon %d decoded as %d (single) / %d (batch), want %d", tc.in, single.Horizon, batch[0].Horizon, tc.want)
+		}
+	}
+}
+
+// TestMalformed: exactly the observations no filter may absorb.
+func TestMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		op   Op
+		want bool
+	}{
+		{Op{ObservedMbps: math.NaN(), HasObserve: true}, true},
+		{Op{ObservedMbps: math.Inf(1), HasObserve: true}, true},
+		{Op{ObservedMbps: math.Inf(-1), HasObserve: true}, true},
+		{Op{ObservedMbps: -0.5, HasObserve: true}, true},
+		{Op{ObservedMbps: 0, HasObserve: true}, false},
+		{Op{ObservedMbps: 2.5, HasObserve: true}, false},
+		{Op{ObservedMbps: math.NaN()}, false}, // no observation: the field is not read
+	} {
+		if got := tc.op.Malformed(); got != tc.want {
+			t.Errorf("%+v: Malformed() = %v, want %v", tc.op, got, tc.want)
+		}
+	}
+}
+
 func TestPredictionRoundTrip(t *testing.T) {
 	for _, v := range []float64{0, 2.5, math.Pi, 1e5} {
 		frame := AppendPrediction(nil, v)
