@@ -38,11 +38,13 @@ chaos:
 # router, with replicas killed (alone, and while another drains) and revived
 # mid-playback, the router itself restarted, the probe path partitioned, and
 # a slow replica, players abandoning model fetches, an admin drain outliving
-# -request-timeout — plus the golden replay driven through the router, with a
-# drain and with a kill, for bit-identical parity with one process. All under
-# the race detector. See DESIGN.md §13.
+# -request-timeout, a replica really killed under its stream and a stream left
+# stale by a replica restart — plus the golden replay driven through the
+# router, with a drain and with a kill, for bit-identical parity with one
+# process. The hop rides the stream carrier throughout. All under the race
+# detector. See DESIGN.md §13.
 cluster-chaos:
-	$(GO) test -race -run 'TestClusterChaos|TestClusterModel|TestClusterRouterRestart|TestRouterConcurrentFailover|TestRouterFailoverBeyondOldWindow|TestRouterAbandonedModelFetchIsNoEvidence|TestRouterAdminDrainOutlivesRequestTimeout' -v ./internal/router
+	$(GO) test -race -run 'TestClusterChaos|TestClusterModel|TestClusterRouterRestart|TestRouterConcurrentFailover|TestRouterFailoverBeyondOldWindow|TestRouterAbandonedModelFetchIsNoEvidence|TestRouterAdminDrainOutlivesRequestTimeout|TestStream' -v ./internal/router
 	$(GO) test -race -run 'TestGoldenReplayClusterParity|TestGoldenReplayDrainParity|TestGoldenReplayKillParity' -v .
 
 # Microbenchmarks, allocation-counted, printed to the terminal: the training
@@ -74,13 +76,15 @@ cover:
 
 # Short fuzz pass over the HTTP JSON decoders (session-state import
 # included), the player routes' hand-written JSON codec against encoding/json,
-# the binary wire decoders, and the model-artifact loaders (CI runs this;
+# the binary wire decoders, the bytes a peer sends on /v2/stream after the
+# upgrade, and the model-artifact loaders (CI runs this;
 # longer local runs: go test -fuzz FuzzLoadArtifact -fuzztime 5m ./internal/registry).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStartSession -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzObserve -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzIngest -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzBatchRequest -fuzztime=10s ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz FuzzStreamFrames -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzImportSession -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzPredictDecode -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzStartDecode -fuzztime=10s ./internal/httpapi

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"cs2p/internal/core"
 	"cs2p/internal/engine"
@@ -32,8 +31,8 @@ func bootGoldenCluster(t *testing.T) (*router.Router, *httptest.Server, string, 
 }
 
 // bootGoldenClusterVia is bootGoldenCluster with the router→replica hop
-// routed through transport (nil = the default), so a test can take replicas
-// away.
+// routed through transport (nil = the router's own client over the stream
+// carrier), so a test can take replicas away.
 func bootGoldenClusterVia(t *testing.T, transport http.RoundTripper) (*router.Router, *httptest.Server, string, *trace.Dataset) {
 	t.Helper()
 	cfg := tracegen.SmallConfig()
@@ -80,10 +79,13 @@ func bootGoldenClusterVia(t *testing.T, transport http.RoundTripper) (*router.Ro
 		t.Cleanup(ts.Close)
 		replicas = append(replicas, ts.URL)
 	}
-	rt, err := router.New(router.Config{Replicas: replicas, Logf: func(string, ...any) {},
-		NewClient: func(base string) *httpapi.Client {
-			return httpapi.NewClientWith(base, &http.Client{Transport: transport, Timeout: 5 * time.Second})
-		}})
+	rcfg := router.Config{Replicas: replicas, Logf: func(string, ...any) {}}
+	if transport != nil {
+		rcfg.NewClient = func(base string) *httpapi.Client {
+			return httpapi.NewClientWith(base, &http.Client{Transport: transport})
+		}
+	}
+	rt, err := router.New(rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +228,9 @@ func TestGoldenReplayKillParity(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			gate := faultinject.NewHostGate(nil)
+			streams := &http.Client{Transport: httpapi.NewStreamTransport()}
+			defer streams.CloseIdleConnections()
+			gate := faultinject.NewHostGate(streams.Transport)
 			rt, front, header, test := bootGoldenClusterVia(t, gate)
 			killed := ""
 			got := drv(t, front, header, test, func() {

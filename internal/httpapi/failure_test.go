@@ -89,7 +89,8 @@ func (intakeBackend) ImportSession(engine.SessionState) error { return nil }
 
 // TestStalledBodyIsDisconnected: what bounds a client that sends its headers
 // and half a body and then goes quiet is the read deadline Handler arms for
-// every request with a body. Every route must drop such a connection after
+// every request with a body — and, on a stream, the one a frame arms once it
+// has begun. Every route must drop such a connection after
 // RequestTimeout, leave no goroutine behind, and keep serving other
 // connections meanwhile. (Behind the TimeoutHandler the control plane once
 // had, ingest and the state push answered 503 and then kept the connection's
@@ -108,20 +109,27 @@ func TestStalledBodyIsDisconnected(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 
-	frame := wire.AppendOp(nil, wire.Op{SessionID: []byte("s1"), ObservedMbps: 2.5, Horizon: 1, HasObserve: true})
+	op := wire.Op{SessionID: []byte("s1"), ObservedMbps: 2.5, Horizon: 1, HasObserve: true}
 	for _, tc := range []struct{ method, path, contentType, body string }{
 		{"POST", "/v1/predict", "application/json", `{"session_id":"s1","observed_mbps":2.5,"horizon":1}`},
-		{"POST", "/v2/observe", wire.ContentType, string(frame)},
+		{"POST", "/v2/observe", wire.ContentType, string(wire.AppendOp(nil, op))},
 		{"POST", "/v1/ingest", "application/json", `{"sessions":[{"session_id":"i1","throughput_mbps":[2.5,3.1]}]}`},
 		{"PUT", "/v1/session/s1/state", "application/json", `{"schema":1,"session_id":"s1","posterior":[0.5,0.5]}`},
+		// Upgraded, then half a frame: a stream has no body, but a frame
+		// once begun is bounded the same way.
+		{"GET", streamPath, "", string(wire.AppendBatch(nil, []wire.Op{op}))},
 	} {
 		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		sent := time.Now()
-		fmt.Fprintf(conn, "%s %s HTTP/1.1\r\nHost: x\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n%s",
-			tc.method, tc.path, tc.contentType, len(tc.body), tc.body[:len(tc.body)/2])
+		head := fmt.Sprintf("%s %s HTTP/1.1\r\nHost: x\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n",
+			tc.method, tc.path, tc.contentType, len(tc.body))
+		if tc.path == streamPath {
+			head = "GET " + streamPath + " HTTP/1.1\r\nHost: x\r\nConnection: Upgrade\r\nUpgrade: " + streamProto + "\r\n\r\n"
+		}
+		fmt.Fprint(conn, head+tc.body[:len(tc.body)/2])
 		if _, err := good.ObserveAndPredict("s1", 1, 1); err != nil {
 			t.Errorf("%s: a well-behaved request beside the stalled one: %v", tc.path, err)
 		}

@@ -1,13 +1,20 @@
 package httpapi
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"cs2p/internal/core"
 	"cs2p/internal/engine"
@@ -180,6 +187,98 @@ func FuzzBatchRequest(f *testing.F) {
 			}
 			if got := len(r.State.Posterior) > 0; got != (r.Code == wire.OpOK && sent[i].WantState) {
 				t.Fatalf("op %d (code %d, want state %v): state present = %v", i, r.Code, sent[i].WantState, got)
+			}
+		}
+	})
+}
+
+// FuzzStreamFrames fuzzes what a peer sends on /v2/stream after the upgrade.
+// Oracle: no panic, and the replies are exactly what the input's frames call
+// for, in order — a result frame for each whole batch the decoder accepts,
+// one MsgError for the first frame it rejects and then the stream closed,
+// nothing for a frame cut short by the peer hanging up — and the stream's
+// goroutine is gone once it has.
+func FuzzStreamFrames(f *testing.F) {
+	batch := func(ops ...wire.Op) []byte { return wire.AppendBatch(nil, ops) }
+	ok := batch(wire.Op{SessionID: []byte("fz-str"), ObservedMbps: 2.5, Horizon: 1, HasObserve: true})
+	f.Add(ok)
+	f.Add(append(append([]byte{}, ok...), batch(
+		wire.Op{SessionID: []byte("fz-str"), ObservedMbps: 1.5, Horizon: 1, HasObserve: true, WantState: true},
+		wire.Op{SessionID: []byte("nope"), Horizon: 3})...))
+	f.Add(append(append([]byte{}, ok...), wire.AppendOp(nil, wire.Op{SessionID: []byte("fz-str"), Horizon: 1})...)) // then a wrong type
+	f.Add(append(append([]byte{}, ok...), ok[:len(ok)-3]...))                                                       // then a frame cut short
+	f.Add([]byte{0xC5, 0x2B, 1, byte(wire.MsgBatch), 0xFF, 0xFF, 0xFF, 0x7F})                                       // huge declared length
+	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
+	f.Add([]byte{})
+	srv, h := fuzzHandler()
+	ts := httptest.NewServer(h)
+	f.Cleanup(ts.Close)
+	lim := srvFuzzLimits()
+	f.Fuzz(func(t *testing.T, in []byte) {
+		fuzzPost(t, "/v1/session/start", []byte(`{"session_id":"fz-str","start_unix":1}`))
+		before, goroutines := srv.PanicCount(), runtime.NumGoroutine()
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+		fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: x\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", streamPath, streamProto)
+		br := bufio.NewReader(conn)
+		if resp, err := http.ReadResponse(br, nil); err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+			t.Fatalf("upgrade: %v", err)
+		}
+		sent := make(chan struct{})
+		go func() { // written while replies are read, so neither direction's buffers can fill
+			defer close(sent)
+			_, _ = conn.Write(in)
+			_ = conn.(*net.TCPConn).CloseWrite()
+		}()
+		reply, _ := io.ReadAll(br) // a reset after the MsgError ends it like an EOF
+		<-sent
+
+		var want, got []wire.MsgType
+		for rest := in; len(rest) > 0; {
+			typ, n, err := wire.PeekHeader(rest, lim)
+			if errors.Is(err, wire.ErrTruncated) || (err == nil && len(rest) < wire.HeaderLen+n) {
+				break
+			}
+			if err == nil && typ != wire.MsgBatch {
+				err = wire.ErrUnknownType
+			}
+			var ops []wire.Op
+			if err == nil {
+				ops, err = wire.DecodeBatch(rest[wire.HeaderLen:wire.HeaderLen+n], lim, nil)
+			}
+			if err != nil {
+				want = append(want, wire.MsgError)
+				break
+			}
+			typ = wire.MsgBatchResult
+			for _, op := range ops {
+				if op.WantState {
+					typ = wire.MsgBatchStateResult
+				}
+			}
+			want, rest = append(want, typ), rest[wire.HeaderLen+n:]
+		}
+		for rest := reply; len(rest) > 0; {
+			_, n, err := wire.PeekHeader(rest, wire.Limits{})
+			if err != nil || len(rest) < wire.HeaderLen+n {
+				t.Fatalf("replies %x are not whole frames", reply)
+			}
+			fr, _ := wire.DecodeFrame(rest[:wire.HeaderLen+n], wire.Limits{})
+			got, rest = append(got, fr.Type), rest[wire.HeaderLen+n:]
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("replies %v to %x, want %v", got, in, want)
+		}
+		if srv.PanicCount() != before {
+			t.Fatalf("stream panicked on %x", in)
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after the stream, %d before", runtime.NumGoroutine(), goroutines)
 			}
 		}
 	})

@@ -30,6 +30,9 @@ type serverMetrics struct {
 	// v2 binary routes each get an eagerly built {format,route} counter, so
 	// the hot path is one read-only map lookup.
 	wireReq map[string]*obs.Counter
+	// streamFrames counts the frames served on /v2/stream in the same
+	// family; the upgrade, a request like any other, is not one of them.
+	streamFrames *obs.Counter
 
 	mu      sync.RWMutex
 	byRoute map[string]*routeStats
@@ -78,11 +81,13 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		wireReq: make(map[string]*obs.Counter),
 		byRoute: make(map[string]*routeStats),
 	}
+	const wireHelp = "Serving-path requests by payload encoding and route."
 	for route, format := range wireFormats {
-		m.wireReq[route] = reg.Counter("cs2p_http_wire_requests_total",
-			"Serving-path requests by payload encoding and route.",
+		m.wireReq[route] = reg.Counter("cs2p_http_wire_requests_total", wireHelp,
 			obs.Labels{"format": format, "route": route})
 	}
+	m.streamFrames = reg.Counter("cs2p_http_wire_requests_total", wireHelp,
+		obs.Labels{"format": "binary", "route": streamPath})
 	return m
 }
 

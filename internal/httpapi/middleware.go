@@ -9,7 +9,8 @@ import (
 // recoverMiddleware converts handler panics into 500 responses instead of
 // letting net/http kill the connection (which a client sees as an opaque
 // EOF). The panic and stack are logged and counted so operators and the
-// chaos harness can assert "no prediction call panicked".
+// chaos harness can assert "no prediction call panicked"; a stream's frame
+// loop, which runs past every middleware, recovers the same way.
 func (s *Server) recoverMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -18,9 +19,7 @@ func (s *Server) recoverMiddleware(next http.Handler) http.Handler {
 					// Deliberate abort (client went away); not a bug.
 					panic(v)
 				}
-				s.panics.Add(1)
-				s.sm.panics.Inc()
-				s.logf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+				s.panicked(r.Method+" "+r.URL.Path, v)
 				// Best effort: if the handler already wrote a header this
 				// is a no-op on the status line.
 				WriteJSON(w, http.StatusInternalServerError, ErrorBody{Error: "internal server error"})
@@ -28,6 +27,13 @@ func (s *Server) recoverMiddleware(next http.Handler) http.Handler {
 		}()
 		next.ServeHTTP(w, r)
 	})
+}
+
+// panicked counts and logs a recovered panic (what names what was served).
+func (s *Server) panicked(what string, v any) {
+	s.panics.Add(1)
+	s.sm.panics.Inc()
+	s.logf("panic serving %s: %v\n%s", what, v, debug.Stack())
 }
 
 // boundBodyRead arms the connection's read deadline at RequestTimeout from

@@ -28,9 +28,11 @@ import (
 	"io"
 	"log"
 	"math"
+	"net"
 	"net/http"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -282,6 +284,12 @@ type Server struct {
 	// pattern: the built-ins from NewServer, plus whatever Handle and
 	// SetMetrics add. Handler builds both of its lookups from it.
 	routes map[string]http.Handler
+	// streams are the open /v2/stream connections, which Run ends itself
+	// (streamsShut) and waits for (streamWG) on shutdown.
+	streamMu    sync.Mutex
+	streams     map[net.Conn]struct{}
+	streamsShut atomic.Bool
+	streamWG    sync.WaitGroup
 }
 
 // NewServer builds the HTTP facade. A non-nil exporter enables GET /v1/model,
@@ -294,7 +302,8 @@ type Server struct {
 // ModelProvider (as *engine.Service does), it feeds those snapshots;
 // otherwise the endpoint answers 501.
 func NewServer(svc SessionService, exporter func(*core.Engine) *core.ModelStore) *Server {
-	s := &Server{svc: svc, cfg: DefaultServerConfig(), serveModel: exporter != nil, logf: log.Printf, sm: newServerMetrics(nil), start: time.Now()}
+	s := &Server{svc: svc, cfg: DefaultServerConfig(), serveModel: exporter != nil, logf: log.Printf, sm: newServerMetrics(nil), start: time.Now(),
+		streams: make(map[net.Conn]struct{})}
 	s.routes = map[string]http.Handler{
 		"POST /v1/session/start":        http.HandlerFunc(s.handleStart),
 		"POST /v1/predict":              http.HandlerFunc(s.handlePredict),
@@ -311,6 +320,7 @@ func NewServer(svc SessionService, exporter func(*core.Engine) *core.ModelStore)
 		"POST /v2/observe":              s.wireRoute(s.wireOp(true)),
 		"POST /v2/predict":              s.wireRoute(s.wireOp(false)),
 		"POST /v2/batch":                s.wireRoute(s.handleWireBatch),
+		"GET " + streamPath:             http.HandlerFunc(s.handleStream),
 		"/v2/":                          http.HandlerFunc(s.handleWireRefusal),
 	}
 	if mp, ok := svc.(ModelProvider); ok {
@@ -865,7 +875,8 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // Run serves until ctx is cancelled, then shuts down gracefully: the
 // listener closes immediately (new connections refused) while in-flight
 // predict/start/log requests get up to grace to finish, so a deploy or
-// SIGTERM never truncates a player's round trip mid-write.
+// SIGTERM never truncates a player's round trip mid-write. Open streams are
+// closed last, each after the reply to any frame it is serving.
 func (s *Server) Run(ctx context.Context, addr string, grace time.Duration) error {
 	srv := &http.Server{Addr: addr, Handler: s.Handler()}
 	errc := make(chan error, 1)
@@ -885,7 +896,10 @@ func (s *Server) Run(ctx context.Context, addr string, grace time.Duration) erro
 	s.logf("shutting down: draining in-flight requests (grace %v)", grace)
 	sctx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
+	err := srv.Shutdown(sctx)
+	deadline, _ := sctx.Deadline()
+	s.closeStreams(deadline)
+	if err != nil {
 		return fmt.Errorf("httpapi: shutdown: %w", err)
 	}
 	<-errc // reap the serve goroutine (returns ErrServerClosed)

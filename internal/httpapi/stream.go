@@ -1,0 +1,281 @@
+// GET /v2/stream, the second carrier of /v2/batch frames: the routing tier's
+// hop to a replica without an HTTP request per op. The upgraded connection
+// carries frames lock-step — one MsgBatch in, then exactly the frame POST
+// /v2/batch answers, from the same readWireFrame and serveBatchFrame — so
+// frames need no sequence number. NewStreamTransport is the client side.
+package httpapi
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
+	"net"
+	"net/http"
+	"net/url"
+	"strings"
+	"sync"
+	"time"
+
+	"cs2p/internal/wire"
+)
+
+// streamTimeout bounds a call through NewStreamTransport, as NewClient's does.
+const streamPath, streamProto, streamTimeout = "/v2/stream", "cs2p-wire", 5 * time.Second
+
+// handleStream answers the 101 and hands the connection to serveStream: the
+// request ends, so an open stream is not in flight nor a latency sample.
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+	w.Header()["Upgrade"] = []string{streamProto}
+	if !strings.EqualFold(r.Header.Get("Upgrade"), streamProto) {
+		s.writeWire(w, http.StatusUpgradeRequired, wire.AppendError(nil, http.StatusUpgradeRequired, "Upgrade: "+streamProto+" required"))
+		return
+	}
+	w.Header().Set("Connection", "Upgrade")
+	w.WriteHeader(http.StatusSwitchingProtocols) // Hijack flushes it
+	if conn, brw, err := http.NewResponseController(w).Hijack(); err == nil && s.trackStream(conn, true) {
+		go s.serveStream(conn, brw.Reader)
+	} else if err == nil {
+		_ = conn.Close() // Run has ended the streams
+	}
+}
+
+// serveStream serves frames until the peer closes the stream, a frame is
+// malformed (answered with its MsgError first) or stalls mid-frame past
+// RequestTimeout, or Run ends the streams. Past every middleware, it recovers
+// a panic itself, as a 500 MsgError.
+func (s *Server) serveStream(conn net.Conn, br *bufio.Reader) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.panicked("GET "+streamPath, v)
+			_, _ = conn.Write(wire.AppendError(nil, http.StatusInternalServerError, "internal server error"))
+		}
+		_ = conn.Close()
+		s.trackStream(conn, false)
+	}()
+	for lim := s.wireLimits(); !s.streamsShut.Load() && s.serveFrame(conn, br, lim); {
+	}
+}
+
+// serveFrame reads and answers one frame, and reports whether the stream goes
+// on. An idle stream waits with no deadline and holds no scratch; a frame not
+// already whole in the buffer is read under RequestTimeout.
+func (s *Server) serveFrame(conn net.Conn, br *bufio.Reader, lim wire.Limits) bool {
+	if _, err := br.Peek(1); err != nil {
+		return false // the peer closed the idle stream, or Run woke it to end it
+	}
+	sc := opScratchPool.Get().(*opScratch)
+	defer opScratchPool.Put(sc)
+	b, _ := br.Peek(br.Buffered())
+	if _, n, err := wire.PeekHeader(b, wire.Limits{}); s.cfg.RequestTimeout > 0 && (err != nil || len(b) < wire.HeaderLen+n) {
+		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
+		defer func() { _ = conn.SetReadDeadline(time.Time{}) }()
+	}
+	f, err := readWireFrame(br, &sc.body, lim)
+	if errors.Is(err, wire.ErrTruncated) {
+		return false // ended or stalled mid-frame: no one is reading a reply
+	}
+	var status int
+	if err != nil {
+		status = wireDecodeError(sc, err)
+	} else {
+		status = s.serveBatchFrame(sc, f, lim)
+	}
+	_, err = conn.Write(sc.out)
+	s.sm.streamFrames.Inc()
+	s.sm.bytesIn.Add(len(sc.body))
+	s.sm.bytesOut.Add(len(sc.out))
+	return err == nil && status == http.StatusOK
+}
+
+// trackStream registers (open) or forgets a stream for Run; registering fails
+// once Run has ended the streams.
+func (s *Server) trackStream(conn net.Conn, open bool) bool {
+	s.streamMu.Lock()
+	defer s.streamMu.Unlock()
+	switch {
+	case !open:
+		delete(s.streams, conn)
+		s.streamWG.Done()
+	case !s.streamsShut.Load():
+		s.streams[conn] = struct{}{}
+		s.streamWG.Add(1)
+		return true
+	}
+	return false
+}
+
+// closeStreams ends every open stream for Run — hijacked connections are
+// beyond http.Server.Shutdown — and waits for them: an idle one wakes now, one
+// serving a frame ends once its reply is written, or at deadline if that
+// write is stuck.
+func (s *Server) closeStreams(deadline time.Time) {
+	s.streamMu.Lock()
+	s.streamsShut.Store(true)
+	for conn := range s.streams {
+		_ = conn.SetReadDeadline(time.Now())
+		_ = conn.SetWriteDeadline(deadline)
+	}
+	s.streamMu.Unlock()
+	s.streamWG.Wait()
+}
+
+// NewStreamTransport is the routing tier's carrier to its replicas. A POST
+// /v2/batch frame rides a stream to its host — pooled LIFO, dialed on demand —
+// and the reply frame is the body, whose Close pools the stream again; other
+// requests, and any to an https or port-less URL, go to http.DefaultTransport.
+// Every call is bounded at 5 s: set no http.Client.Timeout over it, which
+// costs a goroutine per request over any RoundTripper but *http.Transport. A
+// transport error fails the call with no HTTP status and closes the stream and
+// its host's idle ones; a written frame is never retried.
+func NewStreamTransport() http.RoundTripper {
+	return &streamTransport{next: &http.Client{Transport: http.DefaultTransport, Timeout: streamTimeout}, idle: map[string][]*stream{}}
+}
+
+type streamTransport struct {
+	next *http.Client // delegated calls: its Timeout is a context deadline on an *http.Transport
+	mu   sync.Mutex
+	idle map[string][]*stream // by host, most recently used last
+	gen  int                  // CloseIdleConnections calls: an older stream is not pooled again
+}
+
+// stream is one client end; frame holds a call's request, then its reply.
+type stream struct {
+	t     *streamTransport
+	host  string
+	gen   int
+	conn  net.Conn
+	br    *bufio.Reader
+	frame []byte
+}
+
+// streamReply is a call's response; its body's first Close pools the stream.
+type streamReply struct {
+	http.Response
+	bytes.Reader
+	st    *stream
+	reuse bool
+}
+
+func (r *streamReply) Close() error {
+	if st := r.st; st != nil {
+		r.st = nil
+		st.t.put(st, r.reuse)
+	}
+	return nil
+}
+
+func (t *streamTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method != http.MethodPost || req.URL.Path != "/v2/batch" || req.URL.Scheme != "http" || req.URL.Port() == "" || req.Body == nil {
+		resp, err := t.next.Do(req)
+		if ue, ok := err.(*url.Error); ok {
+			err = ue.Err // the caller's http.Client names the request
+		}
+		return resp, err
+	}
+	defer req.Body.Close()
+	st, err := t.get(req.URL.Host)
+	if err == nil {
+		var resp *http.Response
+		if resp, err = st.call(req); err == nil {
+			return resp, nil
+		}
+		_ = st.conn.Close()
+		t.closeIdle(st.host)
+	}
+	return nil, fmt.Errorf("stream to %s: %w", req.URL.Host, err)
+}
+
+// call writes req's frame and reads the reply frame, under the connection's
+// deadline alone: the request's context is not watched.
+func (st *stream) call(req *http.Request) (*http.Response, error) {
+	var err error
+	if st.frame, err = readCapped(req.Body, st.frame, maxReplyBytes); err != nil {
+		return nil, err
+	}
+	var f wire.Frame
+	_ = st.conn.SetDeadline(time.Now().Add(streamTimeout))
+	if _, err = st.conn.Write(st.frame); err == nil {
+		f, err = readWireFrame(st.br, &st.frame, wire.Limits{MaxFrameBytes: maxReplyBytes})
+	}
+	if err != nil {
+		return nil, err
+	}
+	r := &streamReply{st: st, reuse: f.Type != wire.MsgError} // the server closes a stream after a MsgError
+	r.Response = http.Response{StatusCode: http.StatusOK, Body: r, ContentLength: int64(len(st.frame)), Request: req}
+	if !r.reuse {
+		if code, _, err := wire.DecodeError(f.Payload); err == nil && code != 0 {
+			r.StatusCode = code
+		}
+	}
+	r.Reset(st.frame)
+	return &r.Response, nil
+}
+
+// get takes the host's most recently used idle stream, or dials one: a
+// connection, upgraded.
+func (t *streamTransport) get(host string) (*stream, error) {
+	t.mu.Lock()
+	if idle := t.idle[host]; len(idle) > 0 {
+		st := idle[len(idle)-1]
+		idle[len(idle)-1], t.idle[host] = nil, idle[:len(idle)-1]
+		t.mu.Unlock()
+		return st, nil
+	}
+	st := &stream{t: t, host: host, gen: t.gen}
+	t.mu.Unlock()
+	conn, err := net.DialTimeout("tcp", host, streamTimeout)
+	if err != nil {
+		return nil, err
+	}
+	st.conn, st.br = conn, bufio.NewReader(conn)
+	_ = conn.SetDeadline(time.Now().Add(streamTimeout))
+	_, err = fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", streamPath, host, streamProto)
+	if err == nil {
+		var resp *http.Response
+		if resp, err = http.ReadResponse(st.br, nil); err == nil && resp.StatusCode != http.StatusSwitchingProtocols {
+			err = fmt.Errorf("upgrade answered %s", resp.Status)
+		}
+	}
+	if err != nil {
+		_ = conn.Close()
+		return nil, err
+	}
+	return st, nil
+}
+
+// put pools a stream after its call, or closes it.
+func (t *streamTransport) put(st *stream, reuse bool) {
+	t.mu.Lock()
+	if reuse = reuse && st.gen == t.gen; reuse {
+		t.idle[st.host] = append(t.idle[st.host], st)
+	}
+	t.mu.Unlock()
+	if !reuse {
+		_ = st.conn.Close()
+	}
+}
+
+// CloseIdleConnections closes the idle streams now and the busy ones as they
+// come back.
+func (t *streamTransport) CloseIdleConnections() { t.closeIdle("") }
+
+// closeIdle closes host's idle streams; host "" closes every idle stream now
+// and every busy one as it comes back.
+func (t *streamTransport) closeIdle(host string) {
+	t.mu.Lock()
+	var sts []*stream
+	for h, idle := range t.idle {
+		if host == "" || h == host {
+			sts = append(sts, idle...)
+			delete(t.idle, h)
+		}
+	}
+	if host == "" {
+		t.gen++
+	}
+	t.mu.Unlock()
+	for _, st := range sts {
+		_ = st.conn.Close()
+	}
+}

@@ -7,7 +7,8 @@
 // Server.Handler arms, inside recovery and metrics. Its body cap is tighter
 // than readBody's: the frame header's declared length is bounds-checked by
 // wire.PeekHeader before any payload is buffered. These handlers are codecs
-// only; the op pipeline they feed is in ops.go.
+// only; the op pipeline they feed is in ops.go. GET /v2/stream, the second
+// carrier of /v2/batch frames, is in stream.go.
 package httpapi
 
 import (
@@ -28,17 +29,18 @@ func (s *Server) wireLimits() wire.Limits {
 	}
 }
 
-// readWireFrame reads exactly one frame from the request body into sc.body:
-// header first, then — only after PeekHeader accepts the magic, version,
-// type, and declared length — the payload, then a probe read that rejects
-// trailing bytes. A hostile Content-Length or a garbage body therefore
-// cannot make the server buffer more than MaxFrameBytes.
-func readWireFrame(r *http.Request, sc *opScratch, lim wire.Limits) (wire.Frame, error) {
-	if cap(sc.body) < wire.HeaderLen {
-		sc.body = make([]byte, 0, 512)
+// readWireFrame is the one frame reader — of a request body, a stream, and a
+// stream's reply: it reads exactly one frame from r into *buf, header first,
+// then — only after PeekHeader accepts the magic, version, type, and declared
+// length — the payload. A hostile Content-Length or a garbage stream
+// therefore cannot make either end buffer more than MaxFrameBytes.
+// ErrTruncated means r ended or failed mid-frame.
+func readWireFrame(r io.Reader, buf *[]byte, lim wire.Limits) (wire.Frame, error) {
+	if cap(*buf) < wire.HeaderLen {
+		*buf = make([]byte, 0, 512)
 	}
-	b := sc.body[:wire.HeaderLen]
-	if _, err := io.ReadFull(r.Body, b); err != nil {
+	b := (*buf)[:wire.HeaderLen]
+	if _, err := io.ReadFull(r, b); err != nil {
 		return wire.Frame{}, wire.ErrTruncated
 	}
 	_, plen, err := wire.PeekHeader(b, lim)
@@ -46,28 +48,25 @@ func readWireFrame(r *http.Request, sc *opScratch, lim wire.Limits) (wire.Frame,
 		return wire.Frame{}, err
 	}
 	total := wire.HeaderLen + plen
-	if cap(sc.body) < total {
+	if cap(*buf) < total {
 		nb := make([]byte, total)
 		copy(nb, b)
-		sc.body = nb
+		*buf = nb
 	}
-	b = sc.body[:total]
-	if _, err := io.ReadFull(r.Body, b[wire.HeaderLen:]); err != nil {
+	*buf = (*buf)[:total]
+	if _, err := io.ReadFull(r, (*buf)[wire.HeaderLen:]); err != nil {
 		return wire.Frame{}, wire.ErrTruncated
 	}
-	var probe [1]byte
-	if n, _ := r.Body.Read(probe[:]); n > 0 {
-		return wire.Frame{}, wire.ErrTrailingData
-	}
-	return wire.DecodeFrame(b, lim)
+	return wire.DecodeFrame(*buf, lim)
 }
 
 // wireFrameHandler serves one decoded /v2 request frame.
 type wireFrameHandler func(w http.ResponseWriter, sc *opScratch, f wire.Frame, lim wire.Limits)
 
 // wireRoute is a /v2 route's handler: it checks the content type, reads the
-// one request frame into pooled scratch, lifts the read deadline, and hands
-// the frame to serve.
+// one request frame into pooled scratch, rejects trailing bytes (the body is
+// the frame's outer delimiter), lifts the read deadline, and hands the frame
+// to serve.
 func (s *Server) wireRoute(serve wireFrameHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sc := opScratchPool.Get().(*opScratch)
@@ -77,9 +76,15 @@ func (s *Server) wireRoute(serve wireFrameHandler) http.HandlerFunc {
 			return
 		}
 		lim := s.wireLimits()
-		frame, err := readWireFrame(r, sc, lim)
+		frame, err := readWireFrame(r.Body, &sc.body, lim)
+		if err == nil {
+			var probe [1]byte
+			if n, _ := r.Body.Read(probe[:]); n > 0 {
+				err = wire.ErrTrailingData
+			}
+		}
 		if err != nil {
-			s.writeWireDecodeError(w, sc, err)
+			s.writeWire(w, wireDecodeError(sc, err), sc.out)
 			return
 		}
 		s.boundBodyRead(w, false)
@@ -93,11 +98,14 @@ func (s *Server) wireRoute(serve wireFrameHandler) http.HandlerFunc {
 func (s *Server) handleWireRefusal(w http.ResponseWriter, r *http.Request) {
 	sc := opScratchPool.Get().(*opScratch)
 	defer opScratchPool.Put(sc)
-	if r.Method != http.MethodPost {
+	switch {
+	case r.URL.Path == streamPath:
+		s.writeWireError(w, sc, http.StatusMethodNotAllowed, "GET required")
+	case r.Method != http.MethodPost:
 		s.writeWireError(w, sc, http.StatusMethodNotAllowed, "POST required")
-		return
+	default:
+		s.writeWireError(w, sc, http.StatusNotFound, "unknown /v2 route")
 	}
-	s.writeWireError(w, sc, http.StatusNotFound, "unknown /v2 route")
 }
 
 // wireOp serves /v2/observe (observe true) and /v2/predict: one MsgOp in, one
@@ -129,21 +137,24 @@ func (s *Server) wireOp(observe bool) wireFrameHandler {
 	}
 }
 
-// handleWireBatch serves /v2/batch: MsgBatch in, MsgBatchResult out
-// (MsgBatchStateResult only when some op asked for state, which players
-// never do). The response is 200 even when individual ops fail — partial
-// failure is the normal case at a CDN edge (sessions end and get evicted
-// mid-batch), and the per-op codes carry it without failing the round trip.
+// handleWireBatch serves POST /v2/batch through serveBatchFrame.
 func (s *Server) handleWireBatch(w http.ResponseWriter, sc *opScratch, f wire.Frame, lim wire.Limits) {
+	s.writeWire(w, s.serveBatchFrame(sc, f, lim), sc.out)
+}
+
+// serveBatchFrame is the one batch server of both carriers, POST /v2/batch
+// and /v2/stream: MsgBatch in; MsgBatchResult (MsgBatchStateResult only when
+// some op asked for state, which players never do) or a MsgError into sc.out;
+// the status out. A batch answers 200 even when ops fail — partial failure is
+// the normal case at a CDN edge (sessions end and get evicted mid-batch), and
+// the per-op codes carry it without failing the round trip.
+func (s *Server) serveBatchFrame(sc *opScratch, f wire.Frame, lim wire.Limits) int {
 	if f.Type != wire.MsgBatch {
-		s.writeWireError(w, sc, http.StatusBadRequest, "route expects a batch frame")
-		return
+		return wireError(sc, http.StatusBadRequest, "route expects a batch frame")
 	}
 	var err error
-	sc.ops, err = wire.DecodeBatch(f.Payload, lim, sc.ops[:0])
-	if err != nil {
-		s.writeWireDecodeError(w, sc, err)
-		return
+	if sc.ops, err = wire.DecodeBatch(f.Payload, lim, sc.ops[:0]); err != nil {
+		return wireDecodeError(sc, err)
 	}
 	s.sm.batchOps.Observe(float64(len(sc.ops))) // inert (a nil handle) without a registry
 	wantState := false
@@ -155,7 +166,7 @@ func (s *Server) handleWireBatch(w http.ResponseWriter, sc *opScratch, f wire.Fr
 	} else {
 		sc.out = wire.AppendBatchResult(sc.out[:0], gen, sc.res)
 	}
-	s.writeWire(w, http.StatusOK, sc.out)
+	return http.StatusOK
 }
 
 func (s *Server) writeWire(w http.ResponseWriter, status int, frame []byte) {
@@ -167,16 +178,22 @@ func (s *Server) writeWire(w http.ResponseWriter, status int, frame []byte) {
 // writeWireError answers with a MsgError frame carrying the HTTP status, so
 // a client that only parses the body still learns the failure class.
 func (s *Server) writeWireError(w http.ResponseWriter, sc *opScratch, status int, msg string) {
-	sc.out = wire.AppendError(sc.out[:0], status, msg)
-	s.writeWire(w, status, sc.out)
+	s.writeWire(w, wireError(sc, status, msg), sc.out)
 }
 
-// writeWireDecodeError answers a frame that would not decode: 413 when a
+// wireError puts a MsgError frame carrying status into sc.out and returns
+// the status.
+func wireError(sc *opScratch, status int, msg string) int {
+	sc.out = wire.AppendError(sc.out[:0], status, msg)
+	return status
+}
+
+// wireDecodeError is wireError for a frame that would not decode: 413 when a
 // declared length exceeds a limit, else 400.
-func (s *Server) writeWireDecodeError(w http.ResponseWriter, sc *opScratch, err error) {
+func wireDecodeError(sc *opScratch, err error) int {
 	status := http.StatusBadRequest
 	if errors.Is(err, wire.ErrOversize) {
 		status = http.StatusRequestEntityTooLarge
 	}
-	s.writeWireError(w, sc, status, err.Error())
+	return wireError(sc, status, err.Error())
 }

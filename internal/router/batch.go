@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"cs2p/internal/engine"
@@ -52,9 +52,22 @@ func (rt *Router) call(ctx context.Context, rep *replica, fn func(c *httpapi.Cli
 	return callOK, nil
 }
 
-// resultPool recycles upstream result slices, posterior buffers and all: the
-// state riding back with every observation decodes without allocating.
-var resultPool = sync.Pool{New: func() any { return new([]wire.OpResult) }}
+// batchScratch is one ServeBatch call's working set (see lockSessions), its
+// per-replica groups — each one's op indices and forwarded ops — and the
+// upstream results, posterior buffers and all: recycled whole, so a routed
+// op allocates none of it.
+type batchScratch struct {
+	sess, locked []*routedSession
+	live, order  []int
+	groups       []struct {
+		rep  *replica
+		idx  []int
+		wops []wire.Op
+	}
+	res []wire.OpResult
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // upstreamOp is op as the router forwards it: an observation asks for the
 // state it leaves behind — what the router recreates the session from if need
@@ -104,39 +117,38 @@ func (rt *Router) upstream(rep *replica, wops []wire.Op, buf *[]wire.OpResult) (
 // the one every group agreed on, or 0 when they diverged or any op was
 // recovered (a mixed batch is not one snapshot).
 func (rt *Router) ServeBatch(ops []wire.Op, res []wire.OpResult) uint64 {
-	sess, pending, locked := rt.lockSessions(ops, res)
+	sc := batchScratchPool.Get().(*batchScratch)
+	rt.lockSessions(ops, res, sc)
 	defer func() {
-		for _, s := range locked {
+		for _, s := range sc.locked {
 			s.mu.Unlock()
 		}
+		clear(sc.sess) // no routed session outlives its batch in the pool
+		clear(sc.locked)
+		batchScratchPool.Put(sc)
 	}()
-	type group struct {
-		rep  *replica
-		idx  []int
-		wops []wire.Op
-	}
 	var (
-		groups []group
-		gen    uint64
-		mixed  bool
+		gen   uint64
+		mixed bool
 	)
-	buf := resultPool.Get().(*[]wire.OpResult)
-	defer resultPool.Put(buf)
+	sess, pending, buf := sc.sess, sc.live, &sc.res
 	for len(pending) > 0 {
-		groups = groups[:0]
+		sc.groups = sc.groups[:0]
 	next:
 		for _, i := range pending {
 			s := sess[i]
 			if !s.desync {
-				for g := range groups {
-					if groups[g].rep.name == s.home {
-						groups[g].idx = append(groups[g].idx, i)
-						groups[g].wops = append(groups[g].wops, upstreamOp(ops[i]))
+				for g := range sc.groups {
+					if grp := &sc.groups[g]; grp.rep.name == s.home {
+						grp.idx = append(grp.idx, i)
+						grp.wops = append(grp.wops, upstreamOp(ops[i]))
 						continue next
 					}
 				}
-				if rep := rt.usable(s.home); rep != nil {
-					groups = append(groups, group{rep: rep, idx: []int{i}, wops: []wire.Op{upstreamOp(ops[i])}})
+				if rep := rt.usable(s.home); rep != nil { // a new group, in a recycled slot
+					sc.groups = slices.Grow(sc.groups, 1)[:len(sc.groups)+1]
+					g := &sc.groups[len(sc.groups)-1]
+					g.rep, g.idx, g.wops = rep, append(g.idx[:0], i), append(g.wops[:0], upstreamOp(ops[i]))
 					continue
 				}
 			}
@@ -146,7 +158,7 @@ func (rt *Router) ServeBatch(ops []wire.Op, res []wire.OpResult) uint64 {
 			mixed = true
 		}
 		pending = pending[:0]
-		for _, g := range groups {
+		for _, g := range sc.groups {
 			rres, ggen, oc := rt.upstream(g.rep, g.wops, buf)
 			if oc == callOK {
 				if gen == 0 {
@@ -186,11 +198,11 @@ func (rt *Router) ServeBatch(ops []wire.Op, res []wire.OpResult) uint64 {
 // stays sess.mu → rt.mu). Ops that have no session to serve them are
 // answered here — OpInvalid for an observation no filter may absorb,
 // OpUnknownSession for an unregistered id — and get a nil entry in the
-// index-aligned sess; live lists the indices of the rest, in op order. The
-// caller unlocks locked.
-func (rt *Router) lockSessions(ops []wire.Op, res []wire.OpResult) (sess []*routedSession, live []int, locked []*routedSession) {
-	sess = make([]*routedSession, len(ops))
-	live = make([]int, 0, len(ops))
+// index-aligned sc.sess; sc.live lists the indices of the rest, in op order.
+// The caller unlocks sc.locked.
+func (rt *Router) lockSessions(ops []wire.Op, res []wire.OpResult, sc *batchScratch) {
+	sc.sess = slices.Grow(sc.sess[:0], len(ops))[:len(ops)]
+	sc.live, sc.locked = sc.live[:0], sc.locked[:0]
 	rt.mu.Lock()
 	for i := range ops {
 		op := &ops[i]
@@ -200,25 +212,21 @@ func (rt *Router) lockSessions(ops []wire.Op, res []wire.OpResult) (sess []*rout
 		case s == nil:
 			res[i] = wire.OpResult{Code: wire.OpUnknownSession}
 		default:
-			sess[i] = s
-			live = append(live, i)
+			sc.sess[i] = s
+			sc.live = append(sc.live, i)
 		}
 	}
 	rt.mu.Unlock()
-	order := live
-	if len(live) > 1 {
-		order = append([]int(nil), live...)
-		sort.Slice(order, func(a, b int) bool { return bytes.Compare(ops[order[a]].SessionID, ops[order[b]].SessionID) < 0 })
-	}
-	for _, i := range order {
+	sc.order = append(sc.order[:0], sc.live...)
+	slices.SortFunc(sc.order, func(a, b int) int { return bytes.Compare(ops[a].SessionID, ops[b].SessionID) })
+	for _, i := range sc.order {
 		// Equal ids resolved to one record under one rt.mu hold, so
 		// duplicates are adjacent.
-		if n := len(locked); n == 0 || locked[n-1] != sess[i] {
-			sess[i].mu.Lock()
-			locked = append(locked, sess[i])
+		if n := len(sc.locked); n == 0 || sc.locked[n-1] != sc.sess[i] {
+			sc.sess[i].mu.Lock()
+			sc.locked = append(sc.locked, sc.sess[i])
 		}
 	}
-	return sess, live, locked
 }
 
 // serveOne is the one-op form of ServeBatch with the result code turned

@@ -86,7 +86,8 @@ func ensureChaosEnv(t *testing.T) {
 }
 
 // realCluster is 3 artifact-booted cs2p-server replicas behind one router,
-// with a HostGate on the router->replica path for fault injection.
+// with a HostGate on the router->replica path for fault injection, in front
+// of the stream carrier the router runs without one.
 type realCluster struct {
 	t     *testing.T
 	gate  *faultinject.HostGate
@@ -100,7 +101,8 @@ type realCluster struct {
 func newRealCluster(t *testing.T, size int, mut func(*Config)) *realCluster {
 	t.Helper()
 	ensureChaosEnv(t)
-	c := &realCluster{t: t, gate: faultinject.NewHostGate(nil), reg: obs.NewRegistry(), srvs: map[string]*httpapi.Server{}}
+	streams := &http.Client{Transport: httpapi.NewStreamTransport()}
+	c := &realCluster{t: t, gate: faultinject.NewHostGate(streams.Transport), reg: obs.NewRegistry(), srvs: map[string]*httpapi.Server{}}
 	regy, err := registry.Open(chaosRegDir)
 	if err != nil {
 		t.Fatal(err)
@@ -121,10 +123,11 @@ func newRealCluster(t *testing.T, size int, mut func(*Config)) *realCluster {
 		c.srvs[ts.URL] = srv
 		c.names = append(c.names, ts.URL)
 	}
+	t.Cleanup(streams.CloseIdleConnections) // before the replicas close: their stream goroutines end
 	cfg := Config{
 		Replicas: c.names,
 		NewClient: func(base string) *httpapi.Client {
-			return httpapi.NewClientWith(base, &http.Client{Transport: c.gate, Timeout: 5 * time.Second})
+			return httpapi.NewClientWith(base, &http.Client{Transport: c.gate})
 		},
 		Metrics: c.reg,
 		Logf:    func(string, ...any) {},

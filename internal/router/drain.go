@@ -28,7 +28,7 @@ func (rt *Router) AddReplica(ctx context.Context, name string) error {
 	if name == "" {
 		return fmt.Errorf("%w: empty replica name", ErrNotMember)
 	}
-	rep := &replica{name: name, client: rt.newClient(name), probe: rt.newProbe(name)}
+	rep := rt.newReplica(name)
 	rt.mu.Lock()
 	err := rt.mem.addLocked(rep)
 	rt.mu.Unlock()
@@ -47,13 +47,18 @@ func (rt *Router) AddReplica(ctx context.Context, name string) error {
 // lazily: their next operation finds the home gone and migrates them, state
 // intact, onto the new ring — the right call for removal, which usually
 // means the replica is untrusted or already gone. For a graceful exit,
-// DrainReplica first.
+// DrainReplica first. The member's streams close: the idle ones now, any in
+// use when its call ends.
 func (rt *Router) RemoveReplica(name string) error {
 	rt.mu.Lock()
+	rep := rt.mem.replicas[name]
 	err := rt.mem.removeLocked(name)
 	rt.mu.Unlock()
 	if err != nil {
 		return err
+	}
+	if rep.streams != nil {
+		rep.streams.CloseIdleConnections()
 	}
 	rt.refreshReplicaCounts()
 	rt.logf("router: replica %s removed", name)

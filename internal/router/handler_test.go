@@ -427,7 +427,8 @@ func TestRouterConcurrentFailover(t *testing.T) {
 // pinned here — every served path answers a wrong method 405 with its exact
 // Allow list, GET routes answer HEAD, an unknown path is 404, an escaped
 // {id} segment reaches the state handlers as one id — as are the /v2/
-// catch-all's MsgError frames, each under its route label on a scrape.
+// catch-all's MsgError frames (GET /v2/stream's other methods included, and
+// its 426 without the upgrade), each under its route label on a scrape.
 func TestHandlerRefusals(t *testing.T) {
 	cluster := newRealCluster(t, 2, nil)
 	regy, err := registry.Open(chaosRegDir)
@@ -525,6 +526,9 @@ func TestHandlerRefusals(t *testing.T) {
 			}{
 				{http.MethodGet, "/v2/observe", http.StatusMethodNotAllowed},
 				{http.MethodPost, "/v2/nope", http.StatusNotFound},
+				{http.MethodPost, "/v2/stream", http.StatusMethodNotAllowed},
+				{http.MethodPatch, "/v2/stream", http.StatusMethodNotAllowed},
+				{http.MethodGet, "/v2/stream", http.StatusUpgradeRequired}, // no Upgrade: cs2p-wire
 			} {
 				resp, body := do(v2.method, v2.path, wire.ContentType)
 				f, err := wire.DecodeFrame(body, wire.DefaultLimits())
@@ -548,8 +552,9 @@ func TestHandlerRefusals(t *testing.T) {
 				`cs2p_http_requests_total{code="200",route="/v1/healthz"}`:            1,
 				`cs2p_http_requests_total{code="404",route="other"}`:                  1,
 				`cs2p_http_requests_total{code="204",route="/v1/session/{id}/state"}`: 1,
-				`cs2p_http_requests_total{code="405",route="/v2/"}`:                   1,
+				`cs2p_http_requests_total{code="405",route="/v2/"}`:                   3,
 				`cs2p_http_requests_total{code="404",route="/v2/"}`:                   1,
+				`cs2p_http_requests_total{code="426",route="/v2/stream"}`:             1,
 			} {
 				if got, _ := obs.SampleValue(samples, key); got != want {
 					t.Errorf("%s = %v, want %v", key, got, want)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,14 +44,16 @@ type Config struct {
 	// Now is the clock feeding health-state timestamps (nil = time.Now).
 	// Tests inject a fake to make state-machine timing exact.
 	Now func() time.Time
-	// NewClient builds the per-replica data-path client (nil = NewClient
-	// with default timeouts). The chaos harness injects fault transports
-	// here. Per-chunk ops always travel as binary /v2/batch frames, whether
-	// or not the client was switched to SetWireBinary.
+	// NewClient builds the per-replica data-path client (nil = a client over
+	// httpapi.NewStreamTransport, the stream carrier). The chaos harness
+	// injects fault transports here. Per-chunk ops always travel as binary
+	// /v2/batch frames, whether or not the client was switched to
+	// SetWireBinary.
 	NewClient func(base string) *httpapi.Client
-	// NewProbeClient builds the health-probe client (nil = NewClient
-	// hook). Separate so tests can partition the probe path from the data
-	// path — the classic failure where monitoring disagrees with reality.
+	// NewProbeClient builds the health-probe client (nil = the NewClient
+	// hook if set, else httpapi.NewClient). Separate so tests can partition
+	// the probe path from the data path — the classic failure where
+	// monitoring disagrees with reality.
 	NewProbeClient func(base string) *httpapi.Client
 }
 
@@ -60,6 +63,7 @@ type replica struct {
 	name      string
 	client    *httpapi.Client
 	probe     *httpapi.Client
+	streams   *http.Client // client's, over the stream carrier, for removal to close (nil under Config.NewClient)
 	health    healthState
 	version   uint64 // last probed model version (0 = unknown)
 	trainedAt int64  // last probed model training time (unix, 0 = unknown)
@@ -125,10 +129,9 @@ type Router struct {
 	now      func() time.Time
 	logf     func(format string, args ...any)
 	m        *routerMetrics
-	// newClient/newProbe are the resolved client factories, kept so
-	// AddReplica builds late joiners exactly like the initial set.
-	newClient func(base string) *httpapi.Client
-	newProbe  func(base string) *httpapi.Client
+	// newProbe is the resolved probe-client factory, kept with cfg.NewClient
+	// so AddReplica builds late joiners exactly like the initial set.
+	newProbe func(base string) *httpapi.Client
 	// Handoff outcome counters (also mirrored to metrics): kept as plain
 	// atomics so harnesses without a registry can still assert them.
 	warmN, failedN atomic.Uint64
@@ -152,24 +155,22 @@ func New(cfg Config) (*Router, error) {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = time.Second
 	}
-	newClient := cfg.NewClient
-	if newClient == nil {
-		newClient = httpapi.NewClient
-	}
 	newProbe := cfg.NewProbeClient
 	if newProbe == nil {
-		newProbe = newClient
+		newProbe = cfg.NewClient
+	}
+	if newProbe == nil {
+		newProbe = httpapi.NewClient
 	}
 	rt := &Router{
-		cfg:       cfg,
-		th:        cfg.Thresholds.withDefaults(),
-		mem:       newMembership(cfg.VNodes),
-		sessions:  make(map[string]*routedSession),
-		now:       cfg.Now,
-		logf:      cfg.Logf,
-		m:         newRouterMetrics(cfg.Metrics, names),
-		newClient: newClient,
-		newProbe:  newProbe,
+		cfg:      cfg,
+		th:       cfg.Thresholds.withDefaults(),
+		mem:      newMembership(cfg.VNodes),
+		sessions: make(map[string]*routedSession),
+		now:      cfg.Now,
+		logf:     cfg.Logf,
+		m:        newRouterMetrics(cfg.Metrics, names),
+		newProbe: newProbe,
 	}
 	if rt.now == nil {
 		rt.now = time.Now
@@ -178,7 +179,7 @@ func New(cfg Config) (*Router, error) {
 		rt.logf = func(string, ...any) {}
 	}
 	for _, n := range names {
-		_ = rt.mem.addLocked(&replica{name: n, client: newClient(n), probe: newProbe(n)})
+		_ = rt.mem.addLocked(rt.newReplica(n))
 		rt.m.setState(n, StateHealthy)
 	}
 	rt.refreshReplicaCounts()
@@ -190,6 +191,22 @@ func New(cfg Config) (*Router, error) {
 			rt.modelAgeSeconds)
 	}
 	return rt, nil
+}
+
+// newReplica builds a member's record and clients. Without Config.NewClient
+// the data path rides the stream carrier under an http.Client with no
+// Timeout: over any RoundTripper but *http.Transport, net/http enforces one
+// with a goroutine, a timer and two channels per request (client.go,
+// setRequestCancel). The transport bounds every call at 5 s itself.
+func (rt *Router) newReplica(name string) *replica {
+	rep := &replica{name: name, probe: rt.newProbe(name)}
+	if rt.cfg.NewClient != nil {
+		rep.client = rt.cfg.NewClient(name)
+	} else {
+		rep.streams = &http.Client{Transport: httpapi.NewStreamTransport()}
+		rep.client = httpapi.NewClientWith(name, rep.streams)
+	}
+	return rep
 }
 
 // modelAgeSeconds reports the staleness of the freshest model any non-Down

@@ -249,8 +249,8 @@ func sum(xs []float64) float64 {
 	return t
 }
 
-// stubCluster is N stub replicas behind one Router, with a HostGate on
-// every client transport so tests can kill, revive, and slow individual
+// stubCluster is N stub replicas behind one Router, with a HostGate in front
+// of the stream carrier so tests can kill, revive, and slow individual
 // replicas.
 type stubCluster struct {
 	t     *testing.T
@@ -264,7 +264,8 @@ type stubCluster struct {
 // version (len(versions) replicas).
 func newStubCluster(t *testing.T, cfg Config, versions ...uint64) *stubCluster {
 	t.Helper()
-	c := &stubCluster{t: t, gate: faultinject.NewHostGate(nil), stubs: make(map[string]*stubBackend)}
+	streams := &http.Client{Transport: httpapi.NewStreamTransport()}
+	c := &stubCluster{t: t, gate: faultinject.NewHostGate(streams.Transport), stubs: make(map[string]*stubBackend)}
 	for _, v := range versions {
 		sb := newStubBackend(v)
 		srv := httpapi.NewServer(sb, nil)
@@ -274,10 +275,11 @@ func newStubCluster(t *testing.T, cfg Config, versions ...uint64) *stubCluster {
 		c.stubs[ts.URL] = sb
 		c.names = append(c.names, ts.URL)
 	}
+	t.Cleanup(streams.CloseIdleConnections)
 	cfg.Replicas = c.names
 	if cfg.NewClient == nil {
 		cfg.NewClient = func(base string) *httpapi.Client {
-			return httpapi.NewClientWith(base, &http.Client{Transport: c.gate, Timeout: 5 * time.Second})
+			return httpapi.NewClientWith(base, &http.Client{Transport: c.gate})
 		}
 	}
 	if cfg.Logf == nil {
