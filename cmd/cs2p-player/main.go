@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"cs2p/internal/abr"
 	"cs2p/internal/engine"
@@ -25,19 +24,21 @@ import (
 )
 
 func main() {
+	rcfg := httpapi.DefaultResilienceConfig()
 	var (
 		server    = flag.String("server", "http://127.0.0.1:8642", "prediction service base URL")
 		tracePath = flag.String("trace", "", "trace supplying the sessions to replay (CSV; required)")
 		sessions  = flag.Int("sessions", 20, "number of sessions to play")
 
-		retries         = flag.Int("retries", 4, "attempts per idempotent request (1 disables retries)")
-		retryBase       = flag.Duration("retry-base", 50*time.Millisecond, "initial retry backoff")
-		retryMax        = flag.Duration("retry-max", 2*time.Second, "retry backoff cap")
-		breakerFails    = flag.Int("breaker-threshold", 3, "consecutive failures before the circuit opens")
-		breakerCooldown = flag.Duration("breaker-cooldown", 2*time.Second, "open-circuit probe interval")
-		localFallback   = flag.Bool("local-fallback", true, "fetch the cluster model at start and serve it when the service is unreachable")
-		wireBinary      = flag.Bool("wire-binary", false, "use the binary /v2 wire protocol for the per-chunk observe/predict round trip")
+		localFallback = flag.Bool("local-fallback", true, "fetch the cluster model at start and serve it when the service is unreachable")
+		wireBinary    = flag.Bool("wire-binary", false, "use the binary /v2 wire protocol for the per-chunk observe/predict round trip")
 	)
+	// The resilience flags write straight into the library's defaults.
+	flag.IntVar(&rcfg.Retry.MaxAttempts, "retries", rcfg.Retry.MaxAttempts, "attempts per idempotent request (1 disables retries)")
+	flag.DurationVar(&rcfg.Retry.BaseDelay, "retry-base", rcfg.Retry.BaseDelay, "initial retry backoff")
+	flag.DurationVar(&rcfg.Retry.MaxDelay, "retry-max", rcfg.Retry.MaxDelay, "retry backoff cap")
+	flag.IntVar(&rcfg.BreakerThreshold, "breaker-threshold", rcfg.BreakerThreshold, "consecutive failures before the circuit opens")
+	flag.DurationVar(&rcfg.BreakerCooldown, "breaker-cooldown", rcfg.BreakerCooldown, "open-circuit probe interval")
 	flag.Parse()
 	if *tracePath == "" {
 		fatalf("-trace is required")
@@ -56,13 +57,6 @@ func main() {
 	if err := client.Healthz(); err != nil {
 		fatalf("server not reachable: %v", err)
 	}
-
-	rcfg := httpapi.DefaultResilienceConfig()
-	rcfg.Retry.MaxAttempts = *retries
-	rcfg.Retry.BaseDelay = *retryBase
-	rcfg.Retry.MaxDelay = *retryMax
-	rcfg.BreakerThreshold = *breakerFails
-	rcfg.BreakerCooldown = *breakerCooldown
 	rcfg.DisableLocalFallback = !*localFallback
 
 	spec := video.Default()

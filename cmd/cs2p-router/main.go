@@ -31,6 +31,7 @@ import (
 	"syscall"
 	"time"
 
+	"cs2p/internal/health"
 	"cs2p/internal/obs"
 	"cs2p/internal/router"
 )
@@ -68,7 +69,7 @@ func main() {
 		VNodes:        *vnodes,
 		ProbeInterval: *probeInterval,
 		ProbeTimeout:  *probeTimeout,
-		Thresholds: router.Thresholds{
+		Thresholds: health.Thresholds{
 			SuspectAfter: *suspectAfter,
 			DownAfter:    *downAfter,
 			RecoverAfter: *recoverAfter,

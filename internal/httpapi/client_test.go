@@ -97,7 +97,7 @@ func TestClientErrorTaxonomy(t *testing.T) {
 		{"healthz 503 with payload", canned(503, `{"status":"no_model"}`), healthz(HealthzNoModel), 503, false, true},
 		{"healthz legacy bare 200", canned(200, "ok\n"), healthz(HealthzOK), -1, false, false},
 		{"model 200", canned(200, cannedModel), model, -1, false, false},
-		{"model 501", canned(501, `{"error":"model export not enabled"}`), model, 501, true, true},
+		{"model 501", canned(501, `{"error":"model export not enabled"}`), model, 501, true, false},
 		{"GET /v1/model 404", canned(404, `{"error":"no such cluster"}`), modelPath, 404, true, false},
 		{"over-cap reply", &cannedRT{status: 200, body: io.LimitReader(zeros{}, maxReplyBytes+1)}, predictJSON, 0, false, true},
 	} {

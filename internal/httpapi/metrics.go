@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"cs2p/internal/health"
 	"cs2p/internal/obs"
 )
 
@@ -180,14 +181,17 @@ func newClientMetrics(reg *obs.Registry) clientMetrics {
 
 // breakerTransition counts a circuit state change. Transitions are rare
 // (they bracket outages), so the registry lookup per event is fine.
-func (m *clientMetrics) breakerTransition(from, to BreakerState) {
+func (m *clientMetrics) breakerTransition(from, to health.State) {
 	if m.reg == nil {
 		return
 	}
 	m.reg.Counter("cs2p_client_breaker_transitions_total",
 		"Circuit breaker state transitions.",
-		obs.Labels{"from": from.String(), "to": to.String()}).Inc()
+		obs.Labels{"from": breakerStates[from], "to": breakerStates[to]}).Inc()
 }
+
+// breakerStates names the breaker's three machine states the circuit way.
+var breakerStates = map[health.State]string{health.Healthy: "closed", health.Down: "open", health.Recovering: "half-open"}
 
 // routeLabel is the route label of a served request: the path of the
 // pattern it matched (Request.Pattern, set by the fixed-path index or the

@@ -17,10 +17,10 @@ type ResilienceConfig struct {
 	// model fetch).
 	Retry RetryPolicy
 	// BreakerThreshold is the consecutive-failure count that opens the
-	// circuit (default 3).
+	// circuit (<= 0 takes DefaultResilienceConfig's).
 	BreakerThreshold int
 	// BreakerCooldown is how long the breaker stays open before probing
-	// again (default 2s).
+	// again (<= 0 takes DefaultResilienceConfig's).
 	BreakerCooldown time.Duration
 	// DisableLocalFallback skips fetching the §5.3 decentralized model at
 	// session start; without it, remote failures degrade to NaN like the
@@ -120,12 +120,6 @@ type ResilientSessionPredictor struct {
 // A failed model fetch is tolerated: the predictor still works, it just
 // cannot serve local predictions when the remote service is down.
 func NewResilientPredictor(api PredictionAPI, id string, f trace.Features, startUnix int64, cfg ResilienceConfig) (*ResilientSessionPredictor, error) {
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 2 * time.Second
-	}
 	p := &ResilientSessionPredictor{
 		c:         api,
 		id:        id,

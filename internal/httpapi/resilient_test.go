@@ -5,13 +5,16 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"cs2p/internal/engine"
 	"cs2p/internal/faultinject"
+	"cs2p/internal/health"
 	"cs2p/internal/hmm"
 	"cs2p/internal/mathx"
+	"cs2p/internal/obs"
 	"cs2p/internal/trace"
 )
 
@@ -97,6 +100,7 @@ func TestResilientLocalFallbackWhenDown(t *testing.T) {
 	cfg := quietResilience()
 	cfg.BreakerThreshold = 2
 	cfg.BreakerCooldown = time.Hour // stays open for the test's duration
+	cfg.Metrics = obs.NewRegistry()
 	p, err := NewResilientPredictor(c, "res-down", s.Features, s.StartUnix, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +121,7 @@ func TestResilientLocalFallbackWhenDown(t *testing.T) {
 	if st.LocalFallbacks == 0 {
 		t.Error("no local fallbacks recorded")
 	}
-	if p.Breaker().State() != BreakerOpen {
+	if p.Breaker().State() != health.Down {
 		t.Errorf("breaker state = %v, want open", p.Breaker().State())
 	}
 	if st.BreakerFastFails == 0 {
@@ -134,11 +138,29 @@ func TestResilientLocalFallbackWhenDown(t *testing.T) {
 	ft.SetDown(false)
 	p.Breaker().SetClock(func() time.Time { return time.Now().Add(2 * time.Hour) })
 	p.Observe(s.Throughput[6])
-	if p.Breaker().State() != BreakerClosed {
+	if p.Breaker().State() != health.Healthy {
 		t.Errorf("breaker state after recovery = %v, want closed", p.Breaker().State())
 	}
 	if math.IsNaN(p.Predict()) {
 		t.Error("post-recovery prediction NaN")
+	}
+	// Each transition is counted once under its circuit names.
+	var text strings.Builder
+	if err := cfg.Metrics.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ParseText(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{
+		`cs2p_client_breaker_transitions_total{from="closed",to="open"}`,
+		`cs2p_client_breaker_transitions_total{from="open",to="half-open"}`,
+		`cs2p_client_breaker_transitions_total{from="half-open",to="closed"}`,
+	} {
+		if v, ok := obs.SampleValue(samples, key); v != 1 {
+			t.Errorf("%s = %v (present %v), want 1", key, v, ok)
+		}
 	}
 }
 
@@ -341,7 +363,7 @@ func TestResilientResync(t *testing.T) {
 					for i := 0; i < 3; i++ {
 						p.PredictAhead(2)
 					}
-					if p.Breaker().State() != BreakerOpen {
+					if p.Breaker().State() != health.Down {
 						t.Fatalf("breaker %v after three failed queries, want open", p.Breaker().State())
 					}
 					p.Observe(1) // fast-failed

@@ -2,8 +2,11 @@ package httpapi
 
 import (
 	"math/rand"
+	"net/http"
 	"sync"
 	"time"
+
+	"cs2p/internal/health"
 )
 
 // RetryPolicy is a capped exponential backoff with proportional jitter.
@@ -73,18 +76,11 @@ func (p RetryPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 }
 
 // retryable reports whether an error is safe and useful to retry:
-// connection-level failures and 5xx/429 replies. 4xx protocol errors
-// (including the 404 that signals a lost session) are not retried — they
-// need a different recovery, not the same request again.
+// connection-level failures, 5xx and 429. Everything Refused — a 4xx
+// (including the 404 that signals a lost session) or a 501 — is not: it
+// needs a different recovery, not the same request again.
 func retryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	status := HTTPStatus(err)
-	if status == 0 {
-		return true // connection-level failure; the request never landed deterministically
-	}
-	return status >= 500 || status == 429
+	return err != nil && (!Refused(err) || HTTPStatus(err) == http.StatusTooManyRequests)
 }
 
 // withRetry runs fn up to p.MaxAttempts times, sleeping the jittered
@@ -111,58 +107,36 @@ func withRetry(p RetryPolicy, rng *rand.Rand, sleep func(time.Duration), fn func
 	return retries, err
 }
 
-// BreakerState is the circuit breaker's position.
-type BreakerState int
-
-const (
-	// BreakerClosed passes all calls through.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen fails fast: the service is presumed down.
-	BreakerOpen
-	// BreakerHalfOpen allows one trial call after the cooldown.
-	BreakerHalfOpen
-)
-
-// String implements fmt.Stringer.
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	}
-	return "unknown"
-}
-
-// Breaker is a consecutive-failure circuit breaker. While open, the
-// resilient predictor skips the network entirely and serves local-model
-// predictions, so a dead prediction service costs one connection timeout —
-// not one per chunk. After Cooldown a single trial request probes the
-// service; success re-closes the breaker.
+// Breaker is a consecutive-failure circuit breaker: the health machine with
+// SuspectAfter = DownAfter = threshold and RecoverAfter = 1. Closed is
+// health.Healthy, open is health.Down, half-open is health.Recovering. While
+// open, the resilient predictor skips the network entirely and serves
+// local-model predictions, so a dead prediction service costs one connection
+// timeout — not one per chunk. After the cooldown a single trial request
+// probes the service; success re-closes the breaker.
 type Breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time // injectable clock for deterministic tests
-	state     BreakerState
-	fails     int
-	openedAt  time.Time
-	onChange  func(from, to BreakerState)
+	mu       sync.Mutex
+	m        health.Machine
+	th       health.Thresholds
+	cooldown time.Duration
+	now      func() time.Time // injectable clock for deterministic tests
+	trial    bool             // the half-open trial call is out
+	onChange func(from, to health.State)
 }
 
 // NewBreaker builds a breaker that opens after `threshold` consecutive
-// failures and probes again after `cooldown`. threshold <= 0 means 3;
-// cooldown <= 0 means 2s.
+// failures and probes again after `cooldown`; zero or less means the
+// DefaultResilienceConfig value.
 func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
+	d := DefaultResilienceConfig()
 	if threshold <= 0 {
-		threshold = 3
+		threshold = d.BreakerThreshold
 	}
 	if cooldown <= 0 {
-		cooldown = 2 * time.Second
+		cooldown = d.BreakerCooldown
 	}
-	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
+	th := health.Thresholds{SuspectAfter: threshold, DownAfter: threshold, RecoverAfter: 1}
+	return &Breaker{th: th, cooldown: cooldown, now: time.Now}
 }
 
 // SetClock overrides the time source (tests).
@@ -175,22 +149,10 @@ func (b *Breaker) SetClock(now func() time.Time) {
 // SetOnChange installs a state-transition hook (metrics, logging). The hook
 // runs outside the breaker's lock, after the transition takes effect, and
 // must not call back into the breaker from the same goroutine chain.
-func (b *Breaker) SetOnChange(fn func(from, to BreakerState)) {
+func (b *Breaker) SetOnChange(fn func(from, to health.State)) {
 	b.mu.Lock()
 	b.onChange = fn
 	b.mu.Unlock()
-}
-
-// transition updates the state under b.mu and returns the hook invocation
-// for the caller to run after unlocking (nil when the state didn't change).
-func (b *Breaker) transition(to BreakerState) func() {
-	from := b.state
-	b.state = to
-	if from == to || b.onChange == nil {
-		return nil
-	}
-	fn := b.onChange
-	return func() { fn(from, to) }
 }
 
 // Allow reports whether a call may proceed. In the open state it returns
@@ -198,57 +160,47 @@ func (b *Breaker) transition(to BreakerState) func() {
 // trial; the caller must report the outcome via Success or Failure.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
-	switch b.state {
-	case BreakerClosed:
-		b.mu.Unlock()
-		return true
-	case BreakerOpen:
-		if b.now().Sub(b.openedAt) >= b.cooldown {
-			fire := b.transition(BreakerHalfOpen)
-			b.mu.Unlock()
-			if fire != nil {
-				fire()
-			}
-			return true
-		}
-		b.mu.Unlock()
-		return false
-	default: // half-open: a trial is already in flight
-		b.mu.Unlock()
-		return false
+	var from, to health.State
+	allow := true
+	switch b.m.State() {
+	case health.Down:
+		from, to = b.m.Admit(b.now(), b.cooldown)
+		allow = to == health.Recovering
+		b.trial = allow
+	case health.Recovering:
+		allow = !b.trial
+		b.trial = true
 	}
+	b.unlockAndFire(from, to)
+	return allow
 }
 
-// Success records a completed call and closes the breaker.
-func (b *Breaker) Success() {
-	b.mu.Lock()
-	b.fails = 0
-	fire := b.transition(BreakerClosed)
-	b.mu.Unlock()
-	if fire != nil {
-		fire()
-	}
-}
+// Success records a completed call.
+func (b *Breaker) Success() { b.record(true) }
 
 // Failure records a failed call; enough consecutive failures (or any
 // failed half-open trial) opens the breaker.
-func (b *Breaker) Failure() {
+func (b *Breaker) Failure() { b.record(false) }
+
+func (b *Breaker) record(ok bool) {
 	b.mu.Lock()
-	var fire func()
-	b.fails++
-	if b.state == BreakerHalfOpen || b.fails >= b.threshold {
-		fire = b.transition(BreakerOpen)
-		b.openedAt = b.now()
-	}
+	b.trial = false
+	from, to := b.m.Observe(ok, b.now(), b.th)
+	b.unlockAndFire(from, to)
+}
+
+// unlockAndFire releases b.mu, then runs the hook if the state moved.
+func (b *Breaker) unlockAndFire(from, to health.State) {
+	fn := b.onChange
 	b.mu.Unlock()
-	if fire != nil {
-		fire()
+	if from != to && fn != nil {
+		fn(from, to)
 	}
 }
 
 // State returns the current position.
-func (b *Breaker) State() BreakerState {
+func (b *Breaker) State() health.State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.state
+	return b.m.State()
 }

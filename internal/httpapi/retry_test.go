@@ -4,8 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"cs2p/internal/health"
 )
 
 func TestBackoffSchedule(t *testing.T) {
@@ -93,6 +97,16 @@ func TestWithRetrySemantics(t *testing.T) {
 			t.Errorf("status = %d", HTTPStatus(err))
 		}
 	})
+	t.Run("does not retry 501", func(t *testing.T) {
+		calls := 0
+		_, _ = withRetry(p, nil, noSleep, func() error {
+			calls++
+			return &StatusError{Status: 501, Path: "GET /v1/model", Msg: "not implemented"}
+		})
+		if calls != 1 {
+			t.Errorf("501 retried %d times", calls-1)
+		}
+	})
 	t.Run("retries 5xx and 429", func(t *testing.T) {
 		for _, status := range []int{500, 503, 429} {
 			calls := 0
@@ -121,25 +135,25 @@ func TestBreakerStateMachine(t *testing.T) {
 	b := NewBreaker(3, 2*time.Second)
 	b.SetClock(func() time.Time { return clock })
 
-	if b.State() != BreakerClosed || !b.Allow() {
+	if b.State() != health.Healthy || !b.Allow() {
 		t.Fatal("new breaker should be closed and allowing")
 	}
 	// Failures below the threshold keep it closed.
 	b.Failure()
 	b.Failure()
-	if b.State() != BreakerClosed || !b.Allow() {
+	if b.State() != health.Healthy || !b.Allow() {
 		t.Fatal("breaker opened early")
 	}
 	// A success resets the consecutive count.
 	b.Success()
 	b.Failure()
 	b.Failure()
-	if b.State() != BreakerClosed {
+	if b.State() != health.Healthy {
 		t.Fatal("success should reset the failure count")
 	}
 	// The third consecutive failure opens it.
 	b.Failure()
-	if b.State() != BreakerOpen {
+	if b.State() != health.Down {
 		t.Fatal("threshold reached but breaker still closed")
 	}
 	if b.Allow() {
@@ -150,7 +164,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("cooldown elapsed; trial should be admitted")
 	}
-	if b.State() != BreakerHalfOpen {
+	if b.State() != health.Recovering {
 		t.Fatalf("state = %v, want half-open", b.State())
 	}
 	if b.Allow() {
@@ -158,7 +172,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	// Failed trial re-opens with a fresh cooldown.
 	b.Failure()
-	if b.State() != BreakerOpen || b.Allow() {
+	if b.State() != health.Down || b.Allow() {
 		t.Fatal("failed trial should re-open the breaker")
 	}
 	clock = clock.Add(2 * time.Second)
@@ -167,17 +181,49 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	// Successful trial closes it again.
 	b.Success()
-	if b.State() != BreakerClosed || !b.Allow() {
+	if b.State() != health.Healthy || !b.Allow() {
 		t.Fatal("successful trial should close the breaker")
 	}
 }
 
+// TestBreakerConcurrentCalls: a call admitted while closed may report after
+// the circuit opened. Its success is one success, not a trial: the breaker
+// goes half-open with no trial out, then lets exactly one of many concurrent
+// callers through, and that trial's success closes it.
+func TestBreakerConcurrentCalls(t *testing.T) {
+	b := NewBreaker(2, time.Hour)
+	b.Failure()
+	b.Failure()
+	b.Success()
+	if b.State() != health.Recovering {
+		t.Fatalf("late success left the breaker %s, want half-open", breakerStates[b.State()])
+	}
+	var admitted atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if b.Allow() {
+				admitted.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := admitted.Load(); n != 1 {
+		t.Fatalf("%d concurrent calls admitted half-open, want 1", n)
+	}
+	b.Success()
+	if b.State() != health.Healthy {
+		t.Fatalf("breaker %s after the trial's success, want closed", breakerStates[b.State()])
+	}
+}
+
+// TestBreakerStateString pins the circuit names the breaker's machine
+// states carry on cs2p_client_breaker_transitions_total.
 func TestBreakerStateString(t *testing.T) {
-	for s, want := range map[BreakerState]string{
-		BreakerClosed: "closed", BreakerOpen: "open", BreakerHalfOpen: "half-open", BreakerState(9): "unknown",
-	} {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
-		}
+	want := map[health.State]string{health.Healthy: "closed", health.Down: "open", health.Recovering: "half-open"}
+	if fmt.Sprint(breakerStates) != fmt.Sprint(want) {
+		t.Errorf("breaker state names %v, want %v", breakerStates, want)
 	}
 }

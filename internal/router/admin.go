@@ -42,7 +42,7 @@ func (rt *Router) replicaInfos() []ReplicaInfo {
 	members := make(map[string]row, len(rt.mem.replicas))
 	order := append([]string(nil), rt.mem.order...)
 	for n, rep := range rt.mem.replicas {
-		members[n] = row{state: rep.health.state, version: rep.version}
+		members[n] = row{state: rep.health.State(), version: rep.version}
 	}
 	sessions := make([]*routedSession, 0, len(rt.sessions))
 	for _, sess := range rt.sessions {

@@ -107,9 +107,10 @@ func (rt *Router) UndrainReplica(ctx context.Context, name string) error {
 	return err
 }
 
-// setDrain flips a member's administrative drain: Draining on (unless Down),
-// back to Healthy off. The flag is mirrored onto the replica itself, best
-// effort, so its healthz says "draining" to anything else watching it.
+// setDrain sets or withdraws a member's standing drain order: Draining on
+// (a Down member enters it when it recovers), back to Healthy off. The flag
+// is mirrored onto the replica itself, best effort, so its healthz says
+// "draining" to anything else watching it.
 func (rt *Router) setDrain(ctx context.Context, name string, on bool) (*replica, error) {
 	rt.mu.Lock()
 	rep := rt.mem.replicas[name]
@@ -117,18 +118,7 @@ func (rt *Router) setDrain(ctx context.Context, name string, on bool) (*replica,
 		rt.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrNotMember, name)
 	}
-	rep.adminDrained = on
-	from := rep.health.state
-	to := from
-	switch {
-	case on && from != StateDown:
-		to = StateDraining
-	case !on && from == StateDraining:
-		to = StateHealthy
-	}
-	if to != from {
-		rep.health = healthState{state: to, since: rt.now()}
-	}
+	from, to := rep.health.Drain(on, rt.now())
 	rt.mu.Unlock()
 	rt.moved(name, from, to, " (admin)")
 	_ = rep.client.SetDraining(ctx, on)

@@ -61,7 +61,7 @@ func (rt *Router) Health() engine.HealthStatus {
 	var trainedAt int64
 	converged := true
 	for _, rep := range rt.mem.replicas {
-		if rep.health.state == StateDown {
+		if rep.health.State() == StateDown {
 			continue
 		}
 		up++

@@ -3,6 +3,8 @@ package router
 import (
 	"testing"
 	"time"
+
+	"cs2p/internal/health"
 )
 
 // fakeClock is the injectable clock: tests advance it explicitly, so the
@@ -19,7 +21,7 @@ func (c *fakeClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
 // checks the resulting state after each step. '+' is a success, '-' a
 // failure.
 func TestHealthStateMachine(t *testing.T) {
-	th := Thresholds{SuspectAfter: 1, DownAfter: 3, RecoverAfter: 2}
+	th := health.Thresholds{SuspectAfter: 1, DownAfter: 3, RecoverAfter: 2}
 	cases := []struct {
 		name     string
 		outcomes string
@@ -47,12 +49,12 @@ func TestHealthStateMachine(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := newFakeClock()
-			var h healthState
+			var h health.Machine
 			for i, c := range tc.outcomes {
 				clock.Advance(time.Second)
-				h.observe(c == '+', clock.Now(), th)
-				if h.state != tc.want[i] {
-					t.Fatalf("after %q: state %s, want %s", tc.outcomes[:i+1], h.state, tc.want[i])
+				h.Observe(c == '+', clock.Now(), th)
+				if h.State() != tc.want[i] {
+					t.Fatalf("after %q: state %s, want %s", tc.outcomes[:i+1], h.State(), tc.want[i])
 				}
 			}
 		})
@@ -62,49 +64,49 @@ func TestHealthStateMachine(t *testing.T) {
 // TestHealthStateSince: the entry timestamp updates on transitions only,
 // from the injected clock.
 func TestHealthStateSince(t *testing.T) {
-	th := DefaultThresholds()
+	th := health.DefaultThresholds()
 	clock := newFakeClock()
-	var h healthState
+	var h health.Machine
 
 	clock.Advance(time.Second)
-	h.observe(true, clock.Now(), th) // healthy -> healthy: no transition
-	if !h.since.IsZero() {
-		t.Fatalf("since set without a transition: %v", h.since)
+	h.Observe(true, clock.Now(), th) // healthy -> healthy: no transition
+	if !h.Since().IsZero() {
+		t.Fatalf("since set without a transition: %v", h.Since())
 	}
 
 	clock.Advance(time.Second)
-	h.observe(false, clock.Now(), th) // healthy -> suspect
+	h.Observe(false, clock.Now(), th) // healthy -> suspect
 	suspectAt := clock.Now()
-	if !h.since.Equal(suspectAt) {
-		t.Fatalf("since = %v, want transition time %v", h.since, suspectAt)
+	if !h.Since().Equal(suspectAt) {
+		t.Fatalf("since = %v, want transition time %v", h.Since(), suspectAt)
 	}
 
 	clock.Advance(time.Minute)
-	h.observe(false, clock.Now(), th) // still suspect (DownAfter=3): no change
-	if !h.since.Equal(suspectAt) {
-		t.Fatalf("since moved without a transition: %v", h.since)
+	h.Observe(false, clock.Now(), th) // still suspect (DownAfter=3): no change
+	if !h.Since().Equal(suspectAt) {
+		t.Fatalf("since moved without a transition: %v", h.Since())
 	}
 
 	clock.Advance(time.Second)
-	h.observe(false, clock.Now(), th) // suspect -> down
-	if !h.since.Equal(clock.Now()) {
-		t.Fatalf("since = %v, want %v", h.since, clock.Now())
+	h.Observe(false, clock.Now(), th) // suspect -> down
+	if !h.Since().Equal(clock.Now()) {
+		t.Fatalf("since = %v, want %v", h.Since(), clock.Now())
 	}
 }
 
 // TestHealthImmediateDown: DownAfter == SuspectAfter skips the suspect
 // stage entirely (the down check binds tighter).
 func TestHealthImmediateDown(t *testing.T) {
-	th := Thresholds{SuspectAfter: 1, DownAfter: 1, RecoverAfter: 1}
+	th := health.Thresholds{SuspectAfter: 1, DownAfter: 1, RecoverAfter: 1}
 	clock := newFakeClock()
-	var h healthState
-	if _, to := h.observe(false, clock.Now(), th); to != StateDown {
+	var h health.Machine
+	if _, to := h.Observe(false, clock.Now(), th); to != StateDown {
 		t.Fatalf("state %s, want down with DownAfter=1", to)
 	}
-	if _, to := h.observe(true, clock.Now(), th); to != StateRecovering {
+	if _, to := h.Observe(true, clock.Now(), th); to != StateRecovering {
 		t.Fatalf("state %s, want recovering", to)
 	}
-	if _, to := h.observe(true, clock.Now(), th); to != StateHealthy {
+	if _, to := h.Observe(true, clock.Now(), th); to != StateHealthy {
 		t.Fatalf("state %s, want healthy with RecoverAfter=1", to)
 	}
 }
@@ -116,6 +118,7 @@ func TestStateString(t *testing.T) {
 		StateSuspect:    "suspect",
 		StateDown:       "down",
 		StateRecovering: "recovering",
+		StateDraining:   "draining",
 		State(99):       "unknown",
 	}
 	for s, name := range want {

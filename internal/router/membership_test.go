@@ -429,6 +429,86 @@ func TestRouterDrainGuardRefusalLeavesSessionHome(t *testing.T) {
 	}
 }
 
+// TestRouterDrainSurvivesReplicaDeath: an admin drain is a standing order.
+// The drained replica dies, comes back without its own draining flag (a
+// restarted process forgets it) and passes its probes again: it is Draining,
+// not Healthy, and takes no new session until the order is withdrawn. The
+// same holds for a drain ordered while the replica is already Down.
+func TestRouterDrainSurvivesReplicaDeath(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		drainFirst bool
+	}{
+		{"drained then killed", true},
+		{"drained while down", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newStubCluster(t, Config{}, 1, 1, 1)
+			ctx := context.Background()
+			c.rt.ProbeAll(ctx)
+			victim := c.names[0]
+			drain := func() {
+				if _, err := c.rt.DrainReplica(ctx, victim); err != nil {
+					t.Fatalf("drain: %v", err)
+				}
+			}
+			if tc.drainFirst {
+				drain()
+			}
+			c.kill(victim)
+			for i := 0; i < 3; i++ {
+				c.rt.ProbeAll(ctx)
+			}
+			if st := c.rt.ReplicaStates()[victim]; st != StateDown {
+				t.Fatalf("killed replica state %s, want down", st)
+			}
+			if !tc.drainFirst {
+				drain()
+			}
+			c.stubs[victim].SetDraining(false)
+			c.revive(victim)
+			for i := 0; i < 3; i++ {
+				c.rt.ProbeAll(ctx)
+			}
+			if st := c.rt.ReplicaStates()[victim]; st != StateDraining {
+				t.Fatalf("revived drained replica state %s, want draining", st)
+			}
+			for i := 0; i < 24; i++ {
+				id := fmt.Sprintf("after-%d", i)
+				c.mustStart(id)
+				if c.home(id) == victim {
+					t.Fatalf("new session %s placed on the drained replica", id)
+				}
+			}
+			if err := c.rt.UndrainReplica(ctx, victim); err != nil {
+				t.Fatalf("undrain: %v", err)
+			}
+			if st := c.rt.ReplicaStates()[victim]; st != StateHealthy {
+				t.Fatalf("undrained replica state %s, want healthy", st)
+			}
+		})
+	}
+}
+
+// TestRouterAdoptsReplicaOwnDrain: a replica drained out of band — its own
+// healthz says "draining" — is Draining at the next probe, and Healthy again
+// once its healthz stops saying so, since no order of this router stands.
+func TestRouterAdoptsReplicaOwnDrain(t *testing.T) {
+	c := newStubCluster(t, Config{}, 1, 1)
+	ctx := context.Background()
+	victim := c.names[0]
+	c.stubs[victim].SetDraining(true)
+	c.rt.ProbeAll(ctx)
+	if st := c.rt.ReplicaStates()[victim]; st != StateDraining {
+		t.Fatalf("self-draining replica state %s, want draining", st)
+	}
+	c.stubs[victim].SetDraining(false)
+	c.rt.ProbeAll(ctx)
+	if st := c.rt.ReplicaStates()[victim]; st != StateHealthy {
+		t.Fatalf("replica state %s after its own drain ended, want healthy", st)
+	}
+}
+
 // TestRouterAddRemoveReplica drives the programmatic membership surface:
 // joins take traffic, duplicate joins and unknown removals are refused, and
 // the last member cannot be removed.

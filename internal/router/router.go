@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cs2p/internal/engine"
+	"cs2p/internal/health"
 	"cs2p/internal/httpapi"
 	"cs2p/internal/obs"
 	"cs2p/internal/trace"
@@ -20,6 +21,19 @@ import (
 // ErrNoReplica means every eligible replica was tried and none could serve
 // the call.
 var ErrNoReplica = errors.New("router: no usable replica")
+
+// State is a replica's position in the health machine (package health),
+// under the names the router has always given its five states.
+type State = health.State
+
+// Health states, in gauge-value order.
+const (
+	StateHealthy    = health.Healthy
+	StateSuspect    = health.Suspect
+	StateDown       = health.Down
+	StateRecovering = health.Recovering
+	StateDraining   = health.Draining
+)
 
 // Config shapes a Router.
 type Config struct {
@@ -31,7 +45,7 @@ type Config struct {
 	// VNodes is the virtual-node count per replica (0 = DefaultVNodes).
 	VNodes int
 	// Thresholds tunes the health state machine (zero fields default).
-	Thresholds Thresholds
+	Thresholds health.Thresholds
 	// ProbeInterval paces RunHealthChecker (0 = 2s).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe (0 = 1s).
@@ -64,13 +78,9 @@ type replica struct {
 	client    *httpapi.Client
 	probe     *httpapi.Client
 	streams   *http.Client // client's, over the stream carrier, for removal to close (nil under Config.NewClient)
-	health    healthState
+	health    health.Machine
 	version   uint64 // last probed model version (0 = unknown)
 	trainedAt int64  // last probed model training time (unix, 0 = unknown)
-	// adminDrained records that THIS router ordered the drain; a probe
-	// seeing a healthy (non-draining) healthz must not undo it. Drains
-	// adopted from the replica's own healthz clear when the healthz does.
-	adminDrained bool
 }
 
 // routedSession is the router's per-session record: where the session
@@ -119,7 +129,7 @@ func (s *routedSession) homeName() string {
 // exact same surface as one process.
 type Router struct {
 	cfg Config
-	th  Thresholds
+	th  health.Thresholds
 	// mem owns the member set and the ring. mu guards mem's map/order,
 	// sessions, and every replica's health/version fields; the ring inside
 	// mem is read lock-free.
@@ -164,7 +174,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:      cfg,
-		th:       cfg.Thresholds.withDefaults(),
+		th:       cfg.Thresholds.WithDefaults(),
 		mem:      newMembership(cfg.VNodes),
 		sessions: make(map[string]*routedSession),
 		now:      cfg.Now,
@@ -216,7 +226,7 @@ func (rt *Router) modelAgeSeconds() float64 {
 	rt.mu.Lock()
 	var newest int64
 	for _, rep := range rt.mem.replicas {
-		if rep.health.state != StateDown && rep.trainedAt > newest {
+		if rep.health.State() != StateDown && rep.trainedAt > newest {
 			newest = rep.trainedAt
 		}
 	}
@@ -246,7 +256,7 @@ func (rt *Router) refreshReplicaCounts() {
 	rt.mu.Lock()
 	counts := make(map[State]int, len(allStates))
 	for _, rep := range rt.mem.replicas {
-		counts[rep.health.state]++
+		counts[rep.health.State()]++
 	}
 	rt.mu.Unlock()
 	rt.m.setReplicaCounts(counts)
@@ -269,7 +279,7 @@ func (rt *Router) ReplicaStates() map[string]State {
 	defer rt.mu.Unlock()
 	out := make(map[string]State, len(rt.mem.replicas))
 	for n, rep := range rt.mem.replicas {
-		out[n] = rep.health.state
+		out[n] = rep.health.State()
 	}
 	return out
 }
@@ -282,7 +292,7 @@ func (rt *Router) usable(name string) *replica {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rep := rt.mem.replicas[name]
-	if rep == nil || rep.health.state == StateDown {
+	if rep == nil || rep.health.State() == StateDown {
 		return nil
 	}
 	return rep
@@ -296,7 +306,7 @@ func (rt *Router) usable(name string) *replica {
 // request order, not probe-timer phase.
 func (rt *Router) reportOutcome(rep *replica, ok bool) {
 	rt.mu.Lock()
-	from, to := rep.health.observe(ok, rt.now(), rt.th)
+	from, to := rep.health.Observe(ok, rt.now(), rt.th)
 	rt.mu.Unlock()
 	rt.moved(rep.name, from, to, "")
 }
@@ -326,11 +336,11 @@ func (rt *Router) candidates(id string, newSession bool) []*replica {
 		rep := rt.mem.replicas[name]
 		t := 0
 		switch {
-		case rep.health.state == StateSuspect && newSession:
+		case rep.health.State() == StateSuspect && newSession:
 			t = 1
-		case rep.health.state == StateDraining:
+		case rep.health.State() == StateDraining:
 			t = 2
-		case rep.health.state == StateDown:
+		case rep.health.State() == StateDown:
 			t = 3
 		}
 		tiers[t] = append(tiers[t], rep)
@@ -438,23 +448,16 @@ func (rt *Router) probeOne(ctx context.Context, rep *replica) {
 	hr, err := rep.probe.Readiness(pctx)
 	cancel()
 	ok := err == nil
-	remoteDraining := ok && hr.Status == httpapi.HealthzDraining
 	rt.mu.Lock()
+	from := rep.health.State()
+	to := from
 	if ok {
 		rep.version = hr.ModelVersion
 		rep.trainedAt = hr.TrainedAtUnix
+		_, to = rep.health.Report(hr.Status == httpapi.HealthzDraining, rt.now())
 	}
-	from := rep.health.state
-	var to State
-	switch {
-	case remoteDraining && from != StateDraining && from != StateDown:
-		to = StateDraining
-		rep.health = healthState{state: to, since: rt.now()}
-	case ok && from == StateDraining && !rep.adminDrained && !remoteDraining:
-		to = StateHealthy
-		rep.health = healthState{state: to, since: rt.now()}
-	default:
-		_, to = rep.health.observe(ok, rt.now(), rt.th)
+	if to == from {
+		_, to = rep.health.Observe(ok, rt.now(), rt.th)
 	}
 	rt.mu.Unlock()
 	rt.m.probe(rep.name, ok)
@@ -468,7 +471,7 @@ func (rt *Router) modelSkew() int {
 	defer rt.mu.Unlock()
 	versions := make(map[uint64]bool)
 	for _, rep := range rt.mem.replicas {
-		if rep.health.state != StateDown && rep.version != 0 {
+		if rep.health.State() != StateDown && rep.version != 0 {
 			versions[rep.version] = true
 		}
 	}
