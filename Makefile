@@ -48,13 +48,14 @@ cluster-chaos:
 	$(GO) test -race -run 'TestGoldenReplayClusterParity|TestGoldenReplayDrainParity|TestGoldenReplayKillParity' -v .
 
 # Microbenchmarks, allocation-counted, printed to the terminal: the training
-# hot paths, then the serving path — the sharded session store under mixed
-# traffic at shards=1/4/16 and the start path alone (engine), and the
-# JSON-vs-binary grid through the handler stack at batch sizes 1/16/64
-# (httpapi). Nothing here is a gate or a record: the performance contract is
-# `make benchmark`.
+# hot paths, then the serving path — one HMM filter epoch (hmm), the sharded
+# session store under mixed traffic at shards=1/4/16 and the start path alone
+# (engine), and the JSON-vs-binary grid through the handler stack at batch
+# sizes 1/16/64 (httpapi). Nothing here is a gate or a record: the
+# performance contract is `make benchmark`.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkHMMTrain$$|BenchmarkEngineTrain|BenchmarkClusterSelect' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFilterStep' -benchmem ./internal/hmm
 	$(GO) test -run '^$$' -bench 'BenchmarkServiceConcurrent|BenchmarkStartSession|BenchmarkWireServe' -benchmem ./internal/engine ./internal/httpapi
 
 # The repo's declared benchmark (BENCHMARK.json): four workloads against the
@@ -77,9 +78,11 @@ cover:
 # Short fuzz pass over the HTTP JSON decoders (session-state import
 # included), the player routes' hand-written JSON codec against encoding/json,
 # the binary wire decoders, the bytes a peer sends on /v2/stream after the
-# upgrade, and the model-artifact loaders (CI runs this;
+# upgrade, the model-artifact loaders, and the HMM filter against its
+# direct-form reference, bit for bit (CI runs this;
 # longer local runs: go test -fuzz FuzzLoadArtifact -fuzztime 5m ./internal/registry).
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzFilterMatchesReference -fuzztime=10s ./internal/hmm
 	$(GO) test -run '^$$' -fuzz FuzzStartSession -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzObserve -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzIngest -fuzztime=10s ./internal/httpapi

@@ -425,12 +425,19 @@ func (s *Service) ObserveAndPredict(id string, observedMbps float64, horizon int
 }
 
 // observeLocked runs one observe+predict epoch on a session whose lock the
-// caller holds — the shared core of the JSON, binary, and batched paths.
+// caller holds — the shared core of the JSON, binary, and batched paths. It
+// refreshes the session's pending 1-step prediction whether or not metrics
+// are attached: session export and WantState replies carry it.
 func (s *Service) observeLocked(st *sessionState, observedMbps float64, horizon int) float64 {
 	st.pred.Observe(observedMbps)
 	pred := st.pred.PredictAhead(horizon)
 	if s.m.enabled() {
-		s.recordEpoch(st, observedMbps, horizon, pred)
+		s.recordEpoch(st, observedMbps)
+	}
+	if horizon == 1 {
+		st.lastOneStep = pred
+	} else {
+		st.lastOneStep = st.pred.PredictAhead(1)
 	}
 	s.captureEpoch(st, observedMbps)
 	st.epoch++
@@ -439,10 +446,9 @@ func (s *Service) observeLocked(st *sessionState, observedMbps float64, horizon 
 
 // recordEpoch feeds the prediction-quality pipeline after one observation:
 // it scores the previous epoch's 1-step prediction against the measured
-// throughput (the per-epoch APE of Figure 9, split initial/midstream),
-// samples the filter's posterior entropy, and refreshes the session's
-// 1-step prediction for the next epoch. Caller holds st.mu.
-func (s *Service) recordEpoch(st *sessionState, observedMbps float64, horizon int, pred float64) {
+// throughput (the per-epoch APE of Figure 9, split initial/midstream) and
+// samples the filter's posterior entropy. Caller holds st.mu.
+func (s *Service) recordEpoch(st *sessionState, observedMbps float64) {
 	s.m.epochs.Inc()
 	if observedMbps > 0 && !math.IsNaN(st.lastOneStep) {
 		ape := math.Abs(st.lastOneStep-observedMbps) / observedMbps
@@ -453,17 +459,17 @@ func (s *Service) recordEpoch(st *sessionState, observedMbps float64, horizon in
 		}
 	}
 	s.m.entropy.Observe(st.pred.Filter().PosteriorEntropyBits())
-	if horizon == 1 {
-		st.lastOneStep = pred
-	} else {
-		st.lastOneStep = st.pred.PredictAhead(1)
-	}
 }
 
 // lockSession acquires the per-session filter lock, timing the wait when
 // metrics are attached (lock-wait time is the earliest signal of a client
-// hammering one session concurrently).
+// hammering one session concurrently). An uncontended acquisition records a
+// zero wait without reading the clock.
 func (s *Service) lockSession(st *sessionState) {
+	if st.mu.TryLock() {
+		s.m.lockWait.Observe(0)
+		return
+	}
 	if !s.m.enabled() {
 		st.mu.Lock()
 		return

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cs2p/internal/core"
+	"cs2p/internal/obs"
 	"cs2p/internal/trace"
 	"cs2p/internal/tracegen"
 	"cs2p/internal/video"
@@ -90,6 +91,81 @@ func TestObserveAndPredictFlow(t *testing.T) {
 	p1, err := svc.Predict("sess-b", 1)
 	if err != nil || p1 != last {
 		t.Errorf("stateless predict = %v, want %v (err %v)", p1, last, err)
+	}
+}
+
+// The pending 1-step prediction that session export and WantState replies
+// carry must advance with every observation even when no metrics registry
+// is attached — an importer scores its first APE against it.
+func TestLastOneStepAdvancesWithoutMetrics(t *testing.T) {
+	base, test := service(t)
+	svc := NewService(base.Engine(), core.DefaultConfig(), video.Default())
+	s := test.Sessions[1]
+	svc.StartSession("no-metrics", s.Features, s.StartUnix)
+	var last float64
+	for _, w := range s.Throughput[:3] {
+		p, err := svc.ObserveAndPredict("no-metrics", w, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = p
+	}
+	st, err := svc.ExportSession("no-metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LastOneStep == nil {
+		t.Fatal("exported LastOneStep is missing")
+	}
+	if *st.LastOneStep != last {
+		t.Fatalf("exported LastOneStep = %v, want the last prediction %v", *st.LastOneStep, last)
+	}
+}
+
+// Every op adds one sample to cs2p_engine_session_lock_wait_seconds: an
+// uncontended acquisition lands in the first (≤100µs) bucket as a zero
+// wait, and an op held on the session lock for ~5ms lands above it.
+func TestSessionLockWaitHistogram(t *testing.T) {
+	base, test := service(t)
+	svc := NewService(base.Engine(), core.DefaultConfig(), video.Default())
+	reg := obs.NewRegistry()
+	svc.SetMetrics(reg)
+	lockWait := reg.Histogram("cs2p_engine_session_lock_wait_seconds", "", nil, nil)
+	if b := lockWait.Bounds()[0]; b != 100e-6 {
+		t.Fatalf("first lock-wait bucket is %v, want 100µs", b)
+	}
+	s := test.Sessions[2]
+	svc.StartSession("lw", s.Features, s.StartUnix)
+
+	const ops = 20
+	for i := 0; i < ops; i++ {
+		if _, err := svc.ObserveAndPredict("lw", s.Throughput[i%len(s.Throughput)], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := lockWait.Counts(); c[0] != ops || lockWait.Count() != ops {
+		t.Fatalf("after %d uncontended ops: first bucket %d, total %d; want %d and %d", ops, c[0], lockWait.Count(), ops, ops)
+	}
+
+	st, ok := svc.store.Get("lw", time.Now())
+	if !ok {
+		t.Fatal("session vanished")
+	}
+	st.mu.Lock()
+	started, done := make(chan struct{}), make(chan error)
+	go func() {
+		close(started)
+		_, err := svc.ObserveAndPredict("lw", 2, 1)
+		done <- err
+	}()
+	<-started
+	time.Sleep(5 * time.Millisecond)
+	st.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if c := lockWait.Counts(); c[0] != ops || lockWait.Count() != ops+1 {
+		t.Fatalf("after one blocked op: first bucket %d, total %d; want %d and %d", c[0], lockWait.Count(), ops, ops+1)
 	}
 }
 

@@ -29,7 +29,15 @@ type Filter struct {
 	rule    PredictionRule
 	post    []float64 // pi_{t|t}: posterior after the last observation
 	started bool      // false until the first Observe
-	scratch []float64
+	// prior is pi_{t+1|t} = pi_{t|t} P, pushed once at the end of every
+	// Observe (and by Restore): the one-step prediction reads it, a k-step
+	// one starts from it, and the next Observe takes it as its prior. It
+	// means nothing until the filter has started.
+	prior []float64
+	// logSigma[i] is ln(sigma_i), hoisted out of the per-epoch emission
+	// density. It lives per filter, not per model, because training
+	// rewrites Model.Emit in place.
+	logSigma []float64
 	// dist/next are the k-step push buffers PredictAhead works in. They are
 	// preallocated once per filter (i.e. once per session) so the serving
 	// hot path — one PredictAhead per chunk — allocates nothing. Both are
@@ -38,16 +46,22 @@ type Filter struct {
 }
 
 // NewFilter creates a filter with the posterior initialized to the model's
-// pi_0 (Algorithm 1 line 4).
+// pi_0 (Algorithm 1 line 4). Every vector the filter owns is carved out of
+// one backing array, so a filter costs two allocations.
 func NewFilter(m *Model) *Filter {
-	return &Filter{
-		model:   m,
-		rule:    PredictMLE,
-		post:    append([]float64(nil), m.Pi...),
-		scratch: make([]float64, m.N()),
-		dist:    make([]float64, m.N()),
-		next:    make([]float64, m.N()),
+	n := m.N()
+	buf := make([]float64, 5*n)
+	carve := func() []float64 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
 	}
+	f := &Filter{model: m, rule: PredictMLE, post: carve(), prior: carve(), logSigma: carve(), dist: carve(), next: carve()}
+	copy(f.post, m.Pi)
+	for i, g := range m.Emit {
+		f.logSigma[i] = math.Log(g.Sigma)
+	}
+	return f
 }
 
 // SetRule switches the prediction rule (default PredictMLE).
@@ -91,27 +105,31 @@ func (f *Filter) Predict() float64 {
 }
 
 // PredictAhead estimates the throughput k epochs ahead (k >= 1). Figure 9c
-// evaluates horizons up to 10. The state distribution advances k-1 extra
-// transition steps beyond the one-step prediction. The pushes run entirely
+// evaluates horizons up to 10. The one-step prediction reads the next
+// epoch's distribution with no matrix work; k-1 extra transition steps run
 // in the filter's preallocated scratch, so the per-chunk serving path
 // allocates nothing here.
 func (f *Filter) PredictAhead(k int) float64 {
-	if k < 1 {
-		k = 1
-	}
-	steps := k
-	if !f.started {
-		// The first epoch is distributed as pi_0 directly; epoch k is
-		// pi_0 advanced k-1 steps.
-		steps = k - 1
-	}
-	dist, next := f.dist, f.next
-	copy(dist, f.post)
-	for s := 0; s < steps; s++ {
-		f.model.Trans.VecMat(dist, next)
-		dist, next = next, dist
+	dist := f.nextEpoch()
+	if k > 1 {
+		cur, next := f.dist, f.next
+		copy(cur, dist)
+		for s := 1; s < k; s++ {
+			f.model.Trans.VecMat(cur, next)
+			cur, next = next, cur
+		}
+		dist = cur
 	}
 	return f.estimate(dist)
+}
+
+// nextEpoch returns the next epoch's state distribution, for reading only:
+// pi_0 itself before the first observation, the pushed prior afterwards.
+func (f *Filter) nextEpoch() []float64 {
+	if f.started {
+		return f.prior
+	}
+	return f.post
 }
 
 // estimate applies the prediction rule to a state distribution.
@@ -131,20 +149,25 @@ func (f *Filter) estimate(dist []float64) float64 {
 // Observe absorbs the measured throughput of the epoch that just finished
 // (Algorithm 1 lines 11-12): advance the posterior one transition step
 // (except for the very first observation, which pi_0 already describes) and
-// reweight by the Gaussian emission likelihood e(w).
+// reweight by the Gaussian emission likelihood e(w). The transition step is
+// the prior the previous Observe already pushed; this one ends by pushing
+// the next. The density is emissionPDF's, bit for bit, with ln(sigma)
+// hoisted (the model must be valid: every sigma > 0).
 func (f *Filter) Observe(w float64) {
 	if f.started {
-		f.model.Trans.VecMat(f.post, f.scratch)
-		copy(f.post, f.scratch)
+		copy(f.post, f.prior)
 	}
 	f.started = true
 	for i := range f.post {
-		f.post[i] *= emissionPDF(f.model.Emit[i], w)
+		g := f.model.Emit[i]
+		f.post[i] *= floorEmission(math.Exp(mathx.NormalLogDensity((w-g.Mu)/g.Sigma, f.logSigma[i])))
 	}
 	mathx.Normalize(f.post)
+	f.model.Trans.VecMat(f.post, f.prior)
 }
 
 // Reset returns the filter to its initial state for reuse across sessions.
+// The prior needs no clearing: an unstarted filter never reads it.
 func (f *Filter) Reset() {
 	copy(f.post, f.model.Pi)
 	f.started = false
@@ -152,8 +175,9 @@ func (f *Filter) Reset() {
 
 // FilterState is the complete mutable state of a Filter: the posterior
 // vector pi_{t|t} and whether any observation has been absorbed. Everything
-// else in a Filter (model, rule, scratch buffers) is either immutable or
-// carries no state between calls, so restoring a FilterState into a fresh
+// else in a Filter (model, rule, scratch buffers) is either immutable, carries
+// no state between calls, or — the pushed prior — is a function of the
+// posterior that Restore recomputes, so restoring a FilterState into a fresh
 // filter over the same model reproduces the original filter exactly — every
 // subsequent Predict/Observe is bit-identical. This is what makes warm
 // session handoff between replicas exact rather than a replay approximation.
@@ -192,6 +216,9 @@ func (f *Filter) Restore(st FilterState) error {
 	}
 	copy(f.post, st.Posterior)
 	f.started = st.Started
+	if f.started {
+		f.model.Trans.VecMat(f.post, f.prior)
+	}
 	return nil
 }
 

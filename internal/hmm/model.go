@@ -207,8 +207,10 @@ func (m *Model) backward(obs []float64, scales []float64, betas *mathx.Matrix) {
 const emissionFloor = 1e-290
 
 // emissionPDF evaluates the state's Gaussian density with the shared floor.
-func emissionPDF(g mathx.Gaussian, x float64) float64 {
-	p := g.PDF(x)
+func emissionPDF(g mathx.Gaussian, x float64) float64 { return floorEmission(g.PDF(x)) }
+
+// floorEmission raises a density (NaN included) to emissionFloor.
+func floorEmission(p float64) float64 {
 	if p < emissionFloor || math.IsNaN(p) {
 		return emissionFloor
 	}

@@ -12,16 +12,9 @@ import (
 // paper's point prediction (Eq. 8) and powers the risk-aware controller
 // extension (abr.RobustMPC with quantile predictions).
 func (f *Filter) PredictiveDistribution(k int) (weights []float64, components []mathx.Gaussian) {
-	if k < 1 {
-		k = 1
-	}
-	steps := k
-	if !f.started {
-		steps = k - 1
-	}
-	dist := append([]float64(nil), f.post...)
+	dist := append([]float64(nil), f.nextEpoch()...)
 	next := make([]float64, len(dist))
-	for s := 0; s < steps; s++ {
+	for s := 1; s < k; s++ {
 		f.model.Trans.VecMat(dist, next)
 		dist, next = next, dist
 	}

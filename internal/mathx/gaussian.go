@@ -26,8 +26,16 @@ func (g Gaussian) LogPDF(x float64) float64 {
 		}
 		return math.Inf(-1)
 	}
-	z := (x - g.Mu) / g.Sigma
-	return -0.5*z*z - math.Log(g.Sigma) - 0.5*log2Pi
+	return NormalLogDensity((x-g.Mu)/g.Sigma, math.Log(g.Sigma))
+}
+
+// NormalLogDensity is the log density of a normal distribution at the
+// standardized point z = (x-mu)/sigma, given logSigma = ln(sigma). It is the
+// one Gaussian density expression LogPDF and the HMM filter share: callers
+// that hoist ln(sigma) out of a loop get LogPDF's bits exactly, because the
+// terms are always summed in this order.
+func NormalLogDensity(z, logSigma float64) float64 {
+	return -0.5*z*z - logSigma - 0.5*log2Pi
 }
 
 // CDF returns P(X <= x).
