@@ -257,7 +257,7 @@ func (c *Client) SetDraining(ctx context.Context, on bool) error {
 // SetWireBinary switches the per-chunk observe/predict round trip onto the
 // /v2 binary protocol. Session start and the end-of-session log stay on
 // JSON v1 regardless — they run once per playback, not once per chunk, and
-// v2 deliberately has no message types for them. Predictions are
+// v2 deliberately has no route for them. Predictions are
 // bit-identical across the two encodings (both carry IEEE-754 doubles
 // unquantized); only the framing changes.
 func (c *Client) SetWireBinary(on bool) { c.wireBinary = on }

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -194,22 +195,29 @@ func FuzzBatchRequest(f *testing.F) {
 
 // FuzzStreamFrames fuzzes what a peer sends on /v2/stream after the upgrade.
 // Oracle: no panic, and the replies are exactly what the input's frames call
-// for, in order — a result frame for each whole batch the decoder accepts,
-// one MsgError for the first frame it rejects and then the stream closed,
-// nothing for a frame cut short by the peer hanging up — and the stream's
-// goroutine is gone once it has.
+// for, in order — a result frame for each whole batch the decoder accepts, a
+// MsgCallResult for each whole call whose route is a request, whatever it
+// names, one MsgError for the first frame rejected and then the stream
+// closed, nothing for a frame cut short by the peer hanging up — and the
+// stream's goroutine is gone once it has.
 func FuzzStreamFrames(f *testing.F) {
 	batch := func(ops ...wire.Op) []byte { return wire.AppendBatch(nil, ops) }
+	then := func(a, b []byte) []byte { return append(append([]byte{}, a...), b...) }
 	ok := batch(wire.Op{SessionID: []byte("fz-str"), ObservedMbps: 2.5, Horizon: 1, HasObserve: true})
 	f.Add(ok)
-	f.Add(append(append([]byte{}, ok...), batch(
+	f.Add(then(ok, batch(
 		wire.Op{SessionID: []byte("fz-str"), ObservedMbps: 1.5, Horizon: 1, HasObserve: true, WantState: true},
-		wire.Op{SessionID: []byte("nope"), Horizon: 3})...))
-	f.Add(append(append([]byte{}, ok...), wire.AppendOp(nil, wire.Op{SessionID: []byte("fz-str"), Horizon: 1})...)) // then a wrong type
-	f.Add(append(append([]byte{}, ok...), ok[:len(ok)-3]...))                                                       // then a frame cut short
-	f.Add([]byte{0xC5, 0x2B, 1, byte(wire.MsgBatch), 0xFF, 0xFF, 0xFF, 0x7F})                                       // huge declared length
+		wire.Op{SessionID: []byte("nope"), Horizon: 3})))
+	f.Add(then(ok, wire.AppendOp(nil, wire.Op{SessionID: []byte("fz-str"), Horizon: 1}))) // then a wrong type
+	f.Add(then(ok, ok[:len(ok)-3]))                                                       // then a frame cut short
+	f.Add([]byte{0xC5, 0x2B, 1, byte(wire.MsgBatch), 0xFF, 0xFF, 0xFF, 0x7F})             // huge declared length
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
 	f.Add([]byte{})
+	f.Add(then(wire.AppendCall(nil, "POST /v1/session/start", []byte(`{"session_id":"fz-str","start_unix":1}`)), ok))
+	f.Add(then(wire.AppendCall(nil, "POST /v1/nowhere", []byte("{}")), ok))
+	f.Add(then(wire.AppendCall(nil, "GET "+streamPath, nil), ok))
+	f.Add(then(wire.AppendCall(nil, "", []byte("{}")), ok))             // no route: a MsgError, then closed
+	f.Add(then(wire.AppendCall(nil, "P(ST /v1/log", []byte("{}")), ok)) // not a request: the same
 	srv, h := fuzzHandler()
 	ts := httptest.NewServer(h)
 	f.Cleanup(ts.Close)
@@ -238,16 +246,31 @@ func FuzzStreamFrames(f *testing.F) {
 		<-sent
 
 		var want, got []wire.MsgType
+		callLim := lim
+		callLim.MaxFrameBytes += callFraming
 		for rest := in; len(rest) > 0; {
-			typ, n, err := wire.PeekHeader(rest, lim)
+			typ, n, err := wire.PeekHeader(rest, callLim)
 			if errors.Is(err, wire.ErrTruncated) || (err == nil && len(rest) < wire.HeaderLen+n) {
 				break
 			}
-			if err == nil && typ != wire.MsgBatch {
-				err = wire.ErrUnknownType
-			}
 			var ops []wire.Op
-			if err == nil {
+			switch {
+			case err != nil:
+			case typ == wire.MsgCall:
+				var route []byte
+				if route, _, err = wire.DecodeCall(rest[wire.HeaderLen : wire.HeaderLen+n]); err == nil {
+					method, target, _ := strings.Cut(string(route), " ")
+					_, err = http.NewRequest(method, target, nil)
+				}
+				if err == nil {
+					want, rest = append(want, wire.MsgCallResult), rest[wire.HeaderLen+n:]
+					continue
+				}
+			case typ != wire.MsgBatch:
+				err = wire.ErrUnknownType
+			case wire.HeaderLen+n > lim.MaxFrameBytes:
+				err = wire.ErrOversize
+			default:
 				ops, err = wire.DecodeBatch(rest[wire.HeaderLen:wire.HeaderLen+n], lim, nil)
 			}
 			if err != nil {

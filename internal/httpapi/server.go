@@ -284,6 +284,9 @@ type Server struct {
 	// pattern: the built-ins from NewServer, plus whatever Handle and
 	// SetMetrics add. Handler builds both of its lookups from it.
 	routes map[string]http.Handler
+	// stack is the http.Handler that Handler built last, which a stream's
+	// MsgCall frames run through.
+	stack atomic.Value
 	// streams are the open /v2/stream connections, which Run ends itself
 	// (streamsShut) and waits for (streamWG) on shutdown.
 	streamMu    sync.Mutex
@@ -450,7 +453,9 @@ func (s *Server) Handler() http.Handler {
 		}
 		mux.ServeHTTP(w, r)
 	})
-	return s.observeMiddleware(s.recoverMiddleware(h))
+	stack := s.observeMiddleware(s.recoverMiddleware(h))
+	s.stack.Store(stack)
+	return stack
 }
 
 // DecodeJSON reads a request body and decodes it as exactly one JSON document

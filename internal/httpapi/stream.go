@@ -2,14 +2,18 @@
 // hop to a replica without an HTTP request per op. The upgraded connection
 // carries frames lock-step — one MsgBatch in, then exactly the frame POST
 // /v2/batch answers, from the same readWireFrame and serveBatchFrame — so
-// frames need no sequence number. NewStreamTransport is the client side.
+// frames need no sequence number. A MsgCall — any other request the tier
+// makes — is answered by the Handler stack. NewStreamTransport is the client.
 package httpapi
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -22,6 +26,9 @@ import (
 
 // streamTimeout bounds a call through NewStreamTransport, as NewClient's does.
 const streamPath, streamProto, streamTimeout = "/v2/stream", "cs2p-wire", 5 * time.Second
+
+// callFraming is a MsgCall's header and longest route: readBody caps its body.
+const callFraming = wire.HeaderLen + 2 + math.MaxUint16
 
 // handleStream answers the 101 and hands the connection to serveStream: the
 // request ends, so an open stream is not in flight nor a latency sample.
@@ -59,7 +66,8 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader) {
 
 // serveFrame reads and answers one frame, and reports whether the stream goes
 // on. An idle stream waits with no deadline and holds no scratch; a frame not
-// already whole in the buffer is read under RequestTimeout.
+// already whole in the buffer is read under RequestTimeout. A frame is counted
+// before its reply is written, its bytes too unless the stack counted them.
 func (s *Server) serveFrame(conn net.Conn, br *bufio.Reader, lim wire.Limits) bool {
 	if _, err := br.Peek(1); err != nil {
 		return false // the peer closed the idle stream, or Run woke it to end it
@@ -71,21 +79,67 @@ func (s *Server) serveFrame(conn net.Conn, br *bufio.Reader, lim wire.Limits) bo
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
 		defer func() { _ = conn.SetReadDeadline(time.Time{}) }()
 	}
-	f, err := readWireFrame(br, &sc.body, lim)
+	f, err := readWireFrame(br, &sc.body, wire.Limits{MaxFrameBytes: lim.MaxFrameBytes + callFraming})
+	if err == nil && f.Type != wire.MsgCall && len(sc.body) > lim.MaxFrameBytes {
+		err = wire.ErrOversize
+	}
 	if errors.Is(err, wire.ErrTruncated) {
 		return false // ended or stalled mid-frame: no one is reading a reply
 	}
 	var status int
-	if err != nil {
+	switch {
+	case err != nil:
 		status = wireDecodeError(sc, err)
-	} else {
+	case f.Type == wire.MsgCall:
+		status = s.serveCall(sc, f)
+	default:
 		status = s.serveBatchFrame(sc, f, lim)
 	}
+	if s.sm.streamFrames.Inc(); f.Type != wire.MsgCall || status != http.StatusOK {
+		s.sm.bytesIn.Add(len(sc.body))
+		s.sm.bytesOut.Add(len(sc.out))
+	}
 	_, err = conn.Write(sc.out)
-	s.sm.streamFrames.Inc()
-	s.sm.bytesIn.Add(len(sc.body))
-	s.sm.bytesOut.Add(len(sc.out))
 	return err == nil && status == http.StatusOK
+}
+
+// serveCall runs a MsgCall through the stack as a request with no headers and
+// a background context, its reply a MsgCallResult in sc.out, and returns 200:
+// the stream goes on. A frame whose route is not a request is a MsgError.
+func (s *Server) serveCall(sc *opScratch, f wire.Frame) int {
+	route, body, err := wire.DecodeCall(f.Payload)
+	if err != nil {
+		return wireDecodeError(sc, err)
+	}
+	method, target, _ := strings.Cut(string(route), " ")
+	req, err := http.NewRequest(method, target, bytes.NewReader(body))
+	if err != nil {
+		return wireError(sc, http.StatusBadRequest, "malformed call route: "+err.Error())
+	}
+	w := callWriterPool.Get().(*callWriter)
+	defer callWriterPool.Put(w)
+	clear(w.hdr)
+	w.status, w.out = 0, wire.AppendCallResult(sc.out[:0], 0, nil)
+	s.stack.Load().(http.Handler).ServeHTTP(w, req)
+	sc.out, w.out = wire.AppendCallResult(w.out[:0], cmp.Or(w.status, http.StatusOK), w.out[wire.HeaderLen+2:]), nil
+	return http.StatusOK
+}
+
+// callWriter is a MsgCall's http.ResponseWriter: the body goes into out behind
+// room for the MsgCallResult's header, and the headers are dropped.
+type callWriter struct {
+	hdr    http.Header
+	out    []byte
+	status int
+}
+
+var callWriterPool = sync.Pool{New: func() any { return &callWriter{hdr: http.Header{}} }}
+
+func (w *callWriter) Header() http.Header  { return w.hdr }
+func (w *callWriter) WriteHeader(code int) { w.status = cmp.Or(w.status, code) }
+func (w *callWriter) Write(b []byte) (int, error) {
+	w.status, w.out = cmp.Or(w.status, http.StatusOK), append(w.out, b...)
+	return len(b), nil
 }
 
 // trackStream registers (open) or forgets a stream for Run; registering fails
@@ -122,12 +176,14 @@ func (s *Server) closeStreams(deadline time.Time) {
 
 // NewStreamTransport is the routing tier's carrier to its replicas. A POST
 // /v2/batch frame rides a stream to its host — pooled LIFO, dialed on demand —
-// and the reply frame is the body, whose Close pools the stream again; other
-// requests, and any to an https or port-less URL, go to http.DefaultTransport.
-// Every call is bounded at 5 s: set no http.Client.Timeout over it, which
-// costs a goroutine per request over any RoundTripper but *http.Transport. A
-// transport error fails the call with no HTTP status and closes the stream and
-// its host's idle ones; a written frame is never retried.
+// and the reply frame is the body, whose Close pools the stream again; any
+// other POST, PUT or DELETE to a /v1 path rides as a MsgCall, answered with
+// status and body, no headers. The rest, and any call to an https or
+// port-less URL, go to http.DefaultTransport. Every call is bounded at 5 s:
+// set no http.Client.Timeout over it, which costs a goroutine per request
+// over any RoundTripper but *http.Transport. A transport error fails the call
+// with no HTTP status and closes the stream and its host's idle ones; a
+// written frame is never retried.
 func NewStreamTransport() http.RoundTripper {
 	return &streamTransport{next: &http.Client{Transport: http.DefaultTransport, Timeout: streamTimeout}, idle: map[string][]*stream{}}
 }
@@ -141,12 +197,12 @@ type streamTransport struct {
 
 // stream is one client end; frame holds a call's request, then its reply.
 type stream struct {
-	t     *streamTransport
-	host  string
-	gen   int
-	conn  net.Conn
-	br    *bufio.Reader
-	frame []byte
+	t           *streamTransport
+	host        string
+	gen         int
+	conn        net.Conn
+	br          *bufio.Reader
+	frame, body []byte // body: a MsgCall's request body
 }
 
 // streamReply is a call's response; its body's first Close pools the stream.
@@ -166,18 +222,20 @@ func (r *streamReply) Close() error {
 }
 
 func (t *streamTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Method != http.MethodPost || req.URL.Path != "/v2/batch" || req.URL.Scheme != "http" || req.URL.Port() == "" || req.Body == nil {
+	route, ok := streamed(req)
+	if !ok {
 		resp, err := t.next.Do(req)
 		if ue, ok := err.(*url.Error); ok {
 			err = ue.Err // the caller's http.Client names the request
 		}
 		return resp, err
 	}
-	defer req.Body.Close()
+	body := cmp.Or[io.ReadCloser](req.Body, http.NoBody) // a DELETE has none
+	defer body.Close()
 	st, err := t.get(req.URL.Host)
 	if err == nil {
 		var resp *http.Response
-		if resp, err = st.call(req); err == nil {
+		if resp, err = st.call(req, body, route); err == nil {
 			return resp, nil
 		}
 		_ = st.conn.Close()
@@ -186,11 +244,31 @@ func (t *streamTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return nil, fmt.Errorf("stream to %s: %w", req.URL.Host, err)
 }
 
-// call writes req's frame and reads the reply frame, under the connection's
-// deadline alone: the request's context is not watched.
-func (st *stream) call(req *http.Request) (*http.Response, error) {
+// streamed reports whether req rides a stream and, for a MsgCall, its route.
+func streamed(req *http.Request) (route string, ok bool) {
+	u, m := req.URL, req.Method
+	switch {
+	case u.Scheme != "http" || u.Port() == "":
+	case m == http.MethodPost && u.Path == "/v2/batch":
+		return "", req.Body != nil
+	case strings.HasPrefix(u.Path, "/v1/") && (m == http.MethodPost || m == http.MethodPut || m == http.MethodDelete):
+		route = m + " " + u.RequestURI() // escaped: an id's %2F survives
+		return route, len(route) <= math.MaxUint16
+	}
+	return "", false
+}
+
+// call writes req's frame — body as itself, or in a MsgCall under route — and
+// reads the reply frame, under the connection's deadline alone: the request's
+// context is not watched.
+func (st *stream) call(req *http.Request, body io.Reader, route string) (*http.Response, error) {
 	var err error
-	if st.frame, err = readCapped(req.Body, st.frame, maxReplyBytes); err != nil {
+	if route == "" {
+		st.frame, err = readCapped(body, st.frame, maxReplyBytes)
+	} else if st.body, err = readCapped(body, st.body, maxReplyBytes); err == nil {
+		st.frame = wire.AppendCall(st.frame[:0], route, st.body)
+	}
+	if err != nil {
 		return nil, err
 	}
 	var f wire.Frame
@@ -202,13 +280,20 @@ func (st *stream) call(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	r := &streamReply{st: st, reuse: f.Type != wire.MsgError} // the server closes a stream after a MsgError
-	r.Response = http.Response{StatusCode: http.StatusOK, Body: r, ContentLength: int64(len(st.frame)), Request: req}
-	if !r.reuse {
+	r.Response = http.Response{StatusCode: http.StatusOK, Body: r, Request: req}
+	reply := st.frame
+	switch f.Type {
+	case wire.MsgError:
 		if code, _, err := wire.DecodeError(f.Payload); err == nil && code != 0 {
 			r.StatusCode = code
 		}
+	case wire.MsgCallResult:
+		if r.StatusCode, reply, err = wire.DecodeCallResult(f.Payload); err != nil {
+			return nil, err
+		}
 	}
-	r.Reset(st.frame)
+	r.ContentLength = int64(len(reply))
+	r.Reset(reply)
 	return &r.Response, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -14,6 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"cs2p/internal/engine"
+	"cs2p/internal/obs"
+	"cs2p/internal/video"
 	"cs2p/internal/wire"
 )
 
@@ -65,7 +69,8 @@ func TestStreamRepliesEqualBatchReplies(t *testing.T) {
 }
 
 // TestStreamUpgradeRequired: GET /v2/stream without the upgrade is a 426
-// naming the protocol, as a MsgError frame like every /v2 refusal.
+// naming the protocol, as a MsgError frame like every /v2 refusal — and so is
+// a call frame naming it on an open stream, which stays open.
 func TestStreamUpgradeRequired(t *testing.T) {
 	srv := NewServer(fixedBackend{}, nil)
 	srv.SetLogf(func(string, ...any) {})
@@ -83,6 +88,138 @@ func TestStreamUpgradeRequired(t *testing.T) {
 	}
 	if code, _, _ := wire.DecodeError(f.Payload); code != http.StatusUpgradeRequired {
 		t.Errorf("frame carries %d, want 426", code)
+	}
+
+	conn, br := dialStream(t, ts.Listener.Addr().String())
+	var reply []byte
+	for i := 0; i < 2; i++ {
+		fmt.Fprintf(conn, "%s", wire.AppendCall(nil, "GET "+streamPath, nil))
+		f, err := readWireFrame(br, &reply, wire.Limits{})
+		if err != nil || f.Type != wire.MsgCallResult {
+			t.Fatalf("call %d: reply %x (%v), want a call result", i, reply, err)
+		}
+		if code, body, _ := wire.DecodeCallResult(f.Payload); code != http.StatusUpgradeRequired || !bytes.Equal(body, raw) {
+			t.Errorf("call %d: %d %x, want the 426 GET answers: %x", i, code, body, raw)
+		}
+	}
+}
+
+// dialStream opens a stream to addr, upgraded.
+func dialStream(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: x\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", streamPath, streamProto)
+	br := bufio.NewReader(conn)
+	if resp, err := http.ReadResponse(br, nil); err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade: %v", err)
+	}
+	return conn, br
+}
+
+// TestStreamCallsEqualHTTPReplies: every route the stream transport carries
+// as a call — start, log, state PUT and DELETE, admin drain — answers with the
+// status and body bytes it answers over HTTP: on success, malformed JSON, an
+// oversize body, an unknown session, the import guard's refusal, a backend
+// without the surface, a wrong method, and an id "a/b" sent as "a%2Fb". Each
+// call goes to twin servers, one over HTTP and one over the transport, and one
+// stream carries every call: it stays open after each non-2xx reply.
+func TestStreamCallsEqualHTTPReplies(t *testing.T) {
+	ensureEnv()
+	s := envTest.Sessions[1]
+	ref := engine.NewService(envEngine, envCfg, video.Default())
+	ref.StartSession("a/b", s.Features, s.StartUnix)
+	ref.ObserveAndPredict("a/b", s.Throughput[0], 1)
+	st, err := ref.ExportSession("a/b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, _ := json.Marshal(st)
+	st.Schema++
+	otherSchema, _ := json.Marshal(st)
+	start, _ := json.Marshal(StartRequest{SessionID: "c1", Features: s.Features, StartUnix: s.StartUnix})
+	logBody, _ := json.Marshal(engine.SessionLog{SessionID: "c1"})
+	oversize := []byte(`{"session_id":"` + strings.Repeat("x", 5000) + `"}`)
+
+	type call struct {
+		method, path string
+		body         []byte
+		want         int
+	}
+	for _, tc := range []struct {
+		name  string
+		svc   func() SessionService
+		calls []call
+	}{
+		{"engine", func() SessionService { return engine.NewService(envEngine, envCfg, video.Default()) }, []call{
+			{http.MethodPost, "/v1/session/start", start, http.StatusOK},
+			{http.MethodPost, "/v1/session/start", []byte(`{"session_id":`), http.StatusBadRequest},
+			{http.MethodPost, "/v1/session/start", oversize, http.StatusRequestEntityTooLarge},
+			{http.MethodPost, "/v1/log", logBody, http.StatusNoContent},
+			{http.MethodPost, "/v1/log", []byte(`[`), http.StatusBadRequest},
+			{http.MethodPut, "/v1/log", logBody, http.StatusMethodNotAllowed},
+			{http.MethodPut, "/v1/session/a%2Fb/state", otherSchema, http.StatusConflict},
+			{http.MethodPut, "/v1/session/a%2Fb/state", state, http.StatusNoContent},
+			{http.MethodDelete, "/v1/session/a%2Fb/state", nil, http.StatusNoContent},
+			{http.MethodDelete, "/v1/session/a%2Fb/state", nil, http.StatusNotFound},
+			{http.MethodPost, "/v1/admin/drain", []byte(`{"draining":true}`), http.StatusNoContent},
+		}},
+		{"bare", func() SessionService { return bareSessionService{} }, []call{
+			{http.MethodPut, "/v1/session/a%2Fb/state", state, http.StatusNotImplemented},
+			{http.MethodDelete, "/v1/session/a%2Fb/state", nil, http.StatusNotImplemented},
+			{http.MethodPost, "/v1/admin/drain", []byte(`{"draining":true}`), http.StatusNotImplemented},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serve := func() (string, *obs.Registry) {
+				srv := NewServer(tc.svc(), nil)
+				srv.SetLogf(func(string, ...any) {})
+				cfg := DefaultServerConfig()
+				cfg.MaxBodyBytes = 4096
+				srv.SetConfig(cfg)
+				reg := obs.NewRegistry()
+				srv.SetMetrics(reg)
+				ts := httptest.NewServer(srv.Handler())
+				t.Cleanup(ts.Close)
+				return ts.URL, reg
+			}
+			overHTTP, _ := serve()
+			overStream, reg := serve()
+			streams := NewStreamTransport()
+			defer streams.(interface{ CloseIdleConnections() }).CloseIdleConnections()
+			send := func(rt http.RoundTripper, base string, c call) (int, []byte) {
+				var body io.Reader
+				if c.body != nil {
+					body = bytes.NewReader(c.body)
+				}
+				req, err := http.NewRequest(c.method, base+c.path, body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := rt.RoundTrip(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				reply, _ := io.ReadAll(resp.Body)
+				return resp.StatusCode, reply
+			}
+			for _, c := range tc.calls {
+				wantStatus, want := send(http.DefaultTransport, overHTTP, c)
+				status, got := send(streams, overStream, c)
+				if wantStatus != c.want || status != wantStatus || !bytes.Equal(got, want) {
+					t.Errorf("%s %s: stream answered %d %q, HTTP %d %q; want %d", c.method, c.path, status, got, wantStatus, want, c.want)
+				}
+			}
+			frames := reg.Counter("cs2p_http_wire_requests_total", "", obs.Labels{"format": "binary", "route": streamPath}).Value()
+			upgrades := reg.Counter("cs2p_http_requests_total", "", obs.Labels{"route": streamPath, "code": "101"}).Value()
+			if frames != uint64(len(tc.calls)) || upgrades != 1 {
+				t.Errorf("%d call frames on %d streams, want %d on 1", frames, upgrades, len(tc.calls))
+			}
+		})
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cs2p/internal/core"
@@ -46,12 +47,12 @@ func chaosService(t *testing.T) *engine.Service {
 // connections, hijacked streams included, with no fault gate anywhere — and
 // restart it, empty, on the same address.
 type liveReplica struct {
-	t     *testing.T
-	url   string
-	reg   *obs.Registry
-	ts    *httptest.Server
-	mu    sync.Mutex
-	conns []net.Conn
+	t        *testing.T
+	url      string
+	ts       *httptest.Server
+	upgrades atomic.Uint64
+	mu       sync.Mutex
+	conns    []net.Conn
 }
 
 type keepListener struct {
@@ -82,11 +83,18 @@ func (r *liveReplica) start(addr string) {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	r.reg = obs.NewRegistry()
 	srv := httpapi.NewServer(chaosService(r.t), (*core.Engine).Store)
 	srv.SetLogf(func(string, ...any) {})
-	srv.SetMetrics(r.reg)
-	r.ts = &httptest.Server{Listener: keepListener{ln, r}, Config: &http.Server{Handler: srv.Handler()}}
+	srv.SetMetrics(obs.NewRegistry())
+	h := srv.Handler()
+	r.upgrades.Store(0)
+	count := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/v2/stream" {
+			r.upgrades.Add(1)
+		}
+		h.ServeHTTP(w, req)
+	})
+	r.ts = &httptest.Server{Listener: keepListener{ln, r}, Config: &http.Server{Handler: count}}
 	r.ts.Start()
 	r.t.Cleanup(r.ts.Close)
 }
@@ -110,10 +118,11 @@ func (r *liveReplica) restart() {
 	r.start(strings.TrimPrefix(r.url, "http://"))
 }
 
-// streams is how many streams the current process has upgraded.
-func (r *liveReplica) streams() uint64 {
-	return r.reg.Counter("cs2p_http_requests_total", "", obs.Labels{"route": "/v2/stream", "code": "101"}).Value()
-}
+// streams is how many streams the current process has upgraded, counted as
+// each upgrade arrives. The 101's own metric is recorded only once the
+// response is out, so a busy scheduler can keep it behind a client already
+// serving ops on the stream.
+func (r *liveReplica) streams() uint64 { return r.upgrades.Load() }
 
 // twin drives one session through the router and its undisturbed twin
 // through a direct engine, and requires every prediction and the final
@@ -197,100 +206,160 @@ func TestStreamReplicaKilledMidStream(t *testing.T) {
 }
 
 // TestStreamStaleAfterReplicaRestart: a pool of three streams outlives its
-// replica's process, which restarts empty on the same address. The op
+// replica's process, which restarts empty on the same address. The call
 // written onto a stale stream fails — it is never retried, an observation is
 // not idempotent — and takes the other two down with it, so the restart
 // costs one failed call, not one per pooled stream, and the replica is not
-// marked Down. migrate re-installs the session exactly on the restarted
-// replica over a fresh stream, and later ops reuse that one.
+// marked Down. An observe's session is re-installed exactly on the restarted
+// replica by migrate, over a fresh stream that later ops reuse; a start lands
+// on the next candidate, and the next start homed on the restarted replica
+// dials one fresh stream.
 func TestStreamStaleAfterReplicaRestart(t *testing.T) {
 	if testing.Short() {
-		t.Skip("boots a trained replica; slow for -short")
+		t.Skip("boots trained replicas; slow for -short")
 	}
-	a := startLiveReplica(t)
-	reg := obs.NewRegistry()
-	rt, err := New(Config{Replicas: []string{a.url}, Metrics: reg, Logf: func(string, ...any) {}})
-	if err != nil {
-		t.Fatal(err)
+	// staleHome leaves three streams to a in rt's pool — three calls in
+	// flight at once — then restarts a under them.
+	staleHome := func(t *testing.T, rt *Router, a *liveReplica) {
+		var held []io.Closer
+		for i := 0; i < 3; i++ {
+			probe := wire.AppendBatch(nil, []wire.Op{{SessionID: []byte("no-such-session"), Horizon: 1}})
+			resp, err := rt.mem.replicas[a.url].streams.Post(a.url+"/v2/batch", wire.ContentType, bytes.NewReader(probe))
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, resp.Body)
+		}
+		for _, body := range held {
+			_ = body.Close()
+		}
+		if a.streams() != 3 {
+			t.Fatalf("%v streams upgraded, want a pool of 3", a.streams())
+		}
+		a.restart()
 	}
-	tw := newTwin(t, rt, "stale-1")
-	tw.observe(3)
-	// Three calls in flight at once leave three streams in the pool.
-	var held []io.Closer
-	for i := 0; i < 3; i++ {
-		probe := wire.AppendBatch(nil, []wire.Op{{SessionID: []byte("no-such-session"), Horizon: 1}})
-		resp, err := rt.mem.replicas[a.url].streams.Post(a.url+"/v2/batch", wire.ContentType, bytes.NewReader(probe))
+	failedOnce := func(t *testing.T, rt *Router, reg *obs.Registry, a *liveReplica) {
+		if got := reg.Counter("cs2p_router_requests_total", "", obs.Labels{"replica": a.url, "outcome": "error"}).Value(); got != 1 {
+			t.Errorf("%d failed calls, want exactly the one written onto a stale stream", got)
+		}
+		if st := rt.ReplicaStates()[a.url]; st == StateDown {
+			t.Errorf("the restarted replica is %v", st)
+		}
+	}
+	t.Run("observe", func(t *testing.T) {
+		a := startLiveReplica(t)
+		reg := obs.NewRegistry()
+		rt, err := New(Config{Replicas: []string{a.url}, Metrics: reg, Logf: func(string, ...any) {}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		held = append(held, resp.Body)
-	}
-	for _, body := range held {
-		_ = body.Close()
-	}
-	if a.streams() != 3 {
-		t.Fatalf("%v streams upgraded, want a pool of 3", a.streams())
-	}
-	a.restart()
-	// A keep-alive connection the restart left stale is net/http's to retire,
-	// and it may lose that race to migrate's import; this test is about the
-	// stream, so those go now.
-	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
-	tw.observe(1)
-	if got := reg.Counter("cs2p_router_requests_total", "", obs.Labels{"replica": a.url, "outcome": "error"}).Value(); got != 1 {
-		t.Errorf("%d failed calls, want exactly the one written onto a stale stream", got)
-	}
-	if st := rt.ReplicaStates()[a.url]; st == StateDown {
-		t.Errorf("the restarted replica is %v", st)
-	}
-	if a.streams() != 1 {
-		t.Errorf("%v streams upgraded on the restarted replica, want 1 fresh one", a.streams())
-	}
-	tw.observe(3)
-	if a.streams() != 1 {
-		t.Errorf("%v streams upgraded after more ops, want the fresh one reused", a.streams())
-	}
+		tw := newTwin(t, rt, "stale-1")
+		tw.observe(3)
+		staleHome(t, rt, a)
+		tw.observe(1)
+		failedOnce(t, rt, reg, a)
+		if a.streams() != 1 {
+			t.Errorf("%v streams upgraded on the restarted replica, want 1 fresh one", a.streams())
+		}
+		tw.observe(3)
+		if a.streams() != 1 {
+			t.Errorf("%v streams upgraded after more ops, want the fresh one reused", a.streams())
+		}
+	})
+	t.Run("start", func(t *testing.T) {
+		a, b := startLiveReplica(t), startLiveReplica(t)
+		reg := obs.NewRegistry()
+		rt, err := New(Config{Replicas: []string{a.url, b.url}, Metrics: reg, Logf: func(string, ...any) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string // ring-homed on a
+		for i := 0; len(ids) < 2; i++ {
+			if id := fmt.Sprintf("stale-start-%d", i); rt.mem.Ring().Sequence(id)[0] == a.url {
+				ids = append(ids, id)
+			}
+		}
+		s := chaosPick(t)[0]
+		staleHome(t, rt, a)
+		if _, err := rt.Start(ids[0], s.Features, s.StartUnix); err != nil {
+			t.Fatal(err)
+		}
+		failedOnce(t, rt, reg, a)
+		if home, _ := rt.SessionHome(ids[0]); home != b.url {
+			t.Errorf("session started on %s, want the next candidate %s", home, b.url)
+		}
+		rt.ProbeAll(context.Background()) // a answers: Suspect → Healthy, placing sessions again
+		if _, err := rt.Start(ids[1], s.Features, s.StartUnix); err != nil {
+			t.Fatal(err)
+		}
+		if home, _ := rt.SessionHome(ids[1]); home != a.url || a.streams() != 1 {
+			t.Errorf("next start homed on %s over %v streams upgraded there, want %s over 1 fresh one", home, a.streams(), a.url)
+		}
+	})
 }
 
 // TestStreamMetricsCountCallsNotStreams: over the stream, the router still
-// counts one request per upstream call, and the replica counts every frame
-// on its wire-request and batch families under route /v2/stream — while the
-// open stream is no request in flight and one 101 in the latency histogram,
-// not a lifetime-long sample.
+// counts one request per upstream call, and the replica counts every frame —
+// a start, 7 observes and a log — under route /v2/stream on its wire-request
+// family, each batch on the batch family, and the start and the log as the
+// requests they are, on their own routes. Every byte is counted once: the
+// byte counters read what the same session over plain HTTP has another
+// replica count. The open stream is no request in flight and one 101 in the
+// latency histogram, not a lifetime-long sample. A frame is counted before
+// its reply is written, so the scrape that follows misses none.
 func TestStreamMetricsCountCallsNotStreams(t *testing.T) {
 	if testing.Short() {
-		t.Skip("boots a trained replica; slow for -short")
+		t.Skip("boots trained replicas; slow for -short")
 	}
-	a := startLiveReplica(t)
+	scrape := func(r *liveReplica) []obs.Sample {
+		resp, err := http.Get(r.url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		samples, err := obs.ParseText(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return samples
+	}
+	a, h := startLiveReplica(t), startLiveReplica(t)
 	reg := obs.NewRegistry()
-	rt, err := New(Config{Replicas: []string{a.url}, Metrics: reg, Logf: func(string, ...any) {}})
-	if err != nil {
-		t.Fatal(err)
+	var rt *Router
+	for _, cfg := range []Config{
+		{Replicas: []string{h.url}, NewClient: httpapi.NewClient},
+		{Replicas: []string{a.url}, Metrics: reg},
+	} {
+		cfg.Logf = func(string, ...any) {}
+		var err error
+		if rt, err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+		tw := newTwin(t, rt, "metrics-1")
+		tw.observe(7)
+		rt.EndSession(engine.SessionLog{SessionID: "metrics-1"})
 	}
-	tw := newTwin(t, rt, "metrics-1")
-	tw.observe(7)
-	if got := reg.Counter("cs2p_router_requests_total", "", obs.Labels{"replica": a.url, "outcome": "ok"}).Value(); got != 1+7 {
-		t.Errorf("router counted %d upstream calls, want 8 (a start, 7 observes)", got)
+	if got := reg.Counter("cs2p_router_requests_total", "", obs.Labels{"replica": a.url, "outcome": "ok"}).Value(); got != 1+7+1 {
+		t.Errorf("router counted %d upstream calls, want 9 (a start, 7 observes, a log)", got)
 	}
-	resp, err := http.Get(a.url + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	samples, err := obs.ParseText(strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples, overHTTP := scrape(a), scrape(h)
 	for key, want := range map[string]float64{
-		`cs2p_http_wire_requests_total{format="binary",route="/v2/stream"}`: 7,
+		`cs2p_http_wire_requests_total{format="binary",route="/v2/stream"}`: 9,
 		`cs2p_http_batch_ops_count`:                                         7,
 		`cs2p_http_requests_total{code="101",route="/v2/stream"}`:           1,
 		`cs2p_http_request_seconds_count{route="/v2/stream"}`:               1,
+		`cs2p_http_requests_total{code="200",route="/v1/session/start"}`:    1,
+		`cs2p_http_requests_total{code="204",route="/v1/log"}`:              1,
 		`cs2p_http_in_flight`:                                               1, // the scrape itself
 	} {
 		if got, _ := obs.SampleValue(samples, key); got != want {
 			t.Errorf("%s = %v, want %v", key, got, want)
+		}
+	}
+	for _, key := range []string{`cs2p_http_bytes_in_total`, `cs2p_http_bytes_out_total`} {
+		got, _ := obs.SampleValue(samples, key)
+		if want, _ := obs.SampleValue(overHTTP, key); got != want || got == 0 {
+			t.Errorf("%s = %v over the stream, %v over HTTP", key, got, want)
 		}
 	}
 	if got, _ := obs.SampleValue(samples, `cs2p_http_request_seconds_sum{route="/v2/stream"}`); got > 0.5 {
@@ -348,5 +417,32 @@ func TestRouterServeBatchAllocFloor(t *testing.T) {
 		if got > tc.floor {
 			t.Errorf("%s: %v allocs per batch, want at most %v", tc.name, got, tc.floor)
 		}
+	}
+}
+
+// TestRouterStartAllocFloor pins the allocations of a routed session's two
+// writes — its start and its QoE log — through the production carrier, both
+// replicas in this process. Over HTTP to the replicas the pair read 268; as
+// call frames on the stream, run through the replica's handler stack, it
+// reads 112, and the floor leaves a little room for a GC emptying the pools.
+func TestRouterStartAllocFloor(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("boots a trained cluster (slow for -short); allocation counts are meaningless under -race")
+	}
+	c := newRealCluster(t, 2, func(cfg *Config) { cfg.NewClient = nil })
+	s := chaosPick(t)[0]
+	pair := func() {
+		if _, err := c.rt.Start("floor-start", s.Features, s.StartUnix); err != nil {
+			t.Fatal(err)
+		}
+		c.rt.EndSession(engine.SessionLog{SessionID: "floor-start"})
+	}
+	for i := 0; i < 20; i++ { // warm connections, pools and buffers
+		pair()
+	}
+	got := testing.AllocsPerRun(200, pair)
+	t.Logf("start+log: %v allocs", got)
+	if floor := 120.0; got > floor {
+		t.Errorf("start+log: %v allocs per pair, want at most %v", got, floor)
 	}
 }

@@ -55,6 +55,18 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`{"session_id":"json-at-a-binary-route"}`))
 	long := AppendOp(nil, Op{SessionID: bytes.Repeat([]byte("x"), 300), Horizon: 1})
 	f.Add(long)
+	// Call frames: a start, a body-less DELETE, an empty route, a route
+	// length past the frame, and replies with a body, without, and with a
+	// status out of range.
+	f.Add(AppendCall(nil, "POST /v1/session/start", []byte(`{"session_id":"seed"}`)))
+	f.Add(AppendCall(nil, "DELETE /v1/session/a%2Fb/state", nil))
+	f.Add(AppendCall(nil, "", []byte("{}")))
+	lyingRoute := AppendCall(nil, "POST /v1/log", nil)
+	lyingRoute[HeaderLen] = 0xFF
+	f.Add(lyingRoute)
+	f.Add(AppendCallResult(nil, 200, []byte(`{"initial_prediction_mbps":2.5}`)))
+	f.Add(AppendCallResult(nil, 204, nil))
+	f.Add(AppendCallResult(nil, 600, nil))
 
 	lim := DefaultLimits()
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -149,6 +161,28 @@ func FuzzWireDecode(f *testing.F) {
 			}
 			if !bytes.Equal(AppendError(nil, status, string(msg)), b) {
 				t.Fatalf("error re-encode not canonical for %x", b)
+			}
+		case MsgCall:
+			route, body, err := DecodeCall(frame.Payload)
+			if err != nil {
+				if !typedDecodeErr(err) {
+					t.Fatalf("untyped call error %v", err)
+				}
+				return
+			}
+			if !bytes.Equal(AppendCall(nil, string(route), body), b) {
+				t.Fatalf("call re-encode not canonical for %x", b)
+			}
+		case MsgCallResult:
+			status, body, err := DecodeCallResult(frame.Payload)
+			if err != nil {
+				if !typedDecodeErr(err) {
+					t.Fatalf("untyped call-result error %v", err)
+				}
+				return
+			}
+			if !bytes.Equal(AppendCallResult(nil, status, body), b) {
+				t.Fatalf("call-result re-encode not canonical for %x", b)
 			}
 		}
 	})

@@ -26,6 +26,10 @@
 // types extend the protocol compatibly (decoders reject unknown types with
 // ErrUnknownType, so an old server answers a new client with a clean error
 // rather than misparsing); within a version, payload layouts are frozen.
+//
+// A frame can also carry one HTTP exchange, the routing tier's other calls on
+// its stream to a replica: MsgCall is route length(u16) || "METHOD
+// /escaped/path" || body, MsgCallResult is status(u16, 100–599) || body.
 package wire
 
 import (
@@ -69,6 +73,10 @@ const (
 	// MsgBatchStateResult is MsgBatchResult plus each op's post-op session
 	// State (response to a batch in which some op set WantState).
 	MsgBatchStateResult MsgType = 0x06
+	// MsgCall is one HTTP request: a route "METHOD /escaped/path" and a body.
+	MsgCall MsgType = 0x07
+	// MsgCallResult is a MsgCall's HTTP status and body (response).
+	MsgCallResult MsgType = 0x08
 )
 
 // Typed decode errors. Handlers map them to 400s; fuzzing asserts every
@@ -222,7 +230,7 @@ func PeekHeader(hdr []byte, lim Limits) (MsgType, int, error) {
 	}
 	t := MsgType(hdr[3])
 	switch t {
-	case MsgOp, MsgPrediction, MsgBatch, MsgBatchResult, MsgError, MsgBatchStateResult:
+	case MsgOp, MsgPrediction, MsgBatch, MsgBatchResult, MsgError, MsgBatchStateResult, MsgCall, MsgCallResult:
 	default:
 		return 0, 0, ErrUnknownType
 	}
@@ -518,4 +526,45 @@ func DecodeError(payload []byte) (status int, msg []byte, err error) {
 		return 0, nil, ErrTrailingData
 	}
 	return status, payload[4 : 4+n], nil
+}
+
+// AppendCall encodes a call frame; the caller keeps route within 64 KiB.
+func AppendCall(dst []byte, route string, body []byte) []byte {
+	off := len(dst)
+	dst = binary.LittleEndian.AppendUint16(appendHeader(dst, MsgCall), uint16(len(route)))
+	return patchLen(append(append(dst, route...), body...), off)
+}
+
+// DecodeCall decodes a MsgCall payload: a non-empty route and the body.
+func DecodeCall(payload []byte) (route, body []byte, err error) {
+	if len(payload) < 2 {
+		return nil, nil, ErrTruncated
+	}
+	n := int(binary.LittleEndian.Uint16(payload))
+	if n == 0 {
+		return nil, nil, ErrBadValue
+	}
+	if len(payload)-2 < n {
+		return nil, nil, ErrTruncated
+	}
+	return payload[2 : 2+n], payload[2+n:], nil
+}
+
+// AppendCallResult encodes a call's reply frame. body may be dst's own bytes
+// just past the status, a reply built in place: the copy then moves nothing.
+func AppendCallResult(dst []byte, status int, body []byte) []byte {
+	off := len(dst)
+	dst = binary.LittleEndian.AppendUint16(appendHeader(dst, MsgCallResult), uint16(status))
+	return patchLen(append(dst, body...), off)
+}
+
+// DecodeCallResult decodes a MsgCallResult payload: a status and the body.
+func DecodeCallResult(payload []byte) (status int, body []byte, err error) {
+	if len(payload) < 2 {
+		return 0, nil, ErrTruncated
+	}
+	if status = int(binary.LittleEndian.Uint16(payload)); status < 100 || status > 599 {
+		return 0, nil, ErrBadValue
+	}
+	return status, payload[2:], nil
 }

@@ -253,6 +253,59 @@ func TestErrorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCallFrames round-trips both call frames, holds their decoders to the
+// bounds (a non-empty route within the frame, a status in 100–599), and
+// checks a reply re-encoded over its own body in place is the same frame.
+func TestCallFrames(t *testing.T) {
+	lim := DefaultLimits()
+	cf, err := DecodeFrame(AppendCall(nil, "PUT /v1/session/a%2Fb/state", []byte(`{"schema":1}`)), lim)
+	if err != nil || cf.Type != MsgCall {
+		t.Fatalf("call frame: %v %v", cf.Type, err)
+	}
+	if route, body, err := DecodeCall(cf.Payload); err != nil || string(route) != "PUT /v1/session/a%2Fb/state" || string(body) != `{"schema":1}` {
+		t.Errorf("call decoded to %q %q (%v)", route, body, err)
+	}
+	reply := AppendCallResult(nil, 409, []byte(`{"error":"x"}`))
+	rf, err := DecodeFrame(reply, lim)
+	if err != nil || rf.Type != MsgCallResult {
+		t.Fatalf("call result frame: %v %v", rf.Type, err)
+	}
+	if status, body, err := DecodeCallResult(rf.Payload); err != nil || status != 409 || string(body) != `{"error":"x"}` {
+		t.Errorf("call result decoded to %d %q (%v)", status, body, err)
+	}
+	inPlace := AppendCallResult(nil, 0, []byte(`{"error":"x"}`))
+	if inPlace = AppendCallResult(inPlace[:0], 409, inPlace[HeaderLen+2:]); !bytes.Equal(inPlace, reply) {
+		t.Errorf("re-encoded in place: %x, want %x", inPlace, reply)
+	}
+
+	for _, tc := range []struct {
+		name string
+		p    []byte
+		want error
+	}{
+		{"no route length", []byte{5}, ErrTruncated},
+		{"empty route", []byte{0, 0, '{', '}'}, ErrBadValue},
+		{"lying route length", []byte{9, 0, 'P', 'U', 'T'}, ErrTruncated},
+	} {
+		if _, _, err := DecodeCall(tc.p); !errors.Is(err, tc.want) {
+			t.Errorf("call %s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		p    []byte
+		want error
+	}{
+		{"no status", []byte{200}, ErrTruncated},
+		{"status 99", []byte{99, 0}, ErrBadValue},
+		{"status 600", []byte{0x58, 0x02}, ErrBadValue},
+	} {
+		if _, _, err := DecodeCallResult(tc.p); !errors.Is(err, tc.want) {
+			t.Errorf("call result %s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestDecodeErrors walks the typed-error taxonomy: every hostile shape must
 // land on its named sentinel, never a panic or a silent accept.
 func TestDecodeErrors(t *testing.T) {
