@@ -79,10 +79,12 @@ cover:
 # included), the player routes' hand-written JSON codec against encoding/json,
 # the binary wire decoders, the bytes a peer sends on /v2/stream after the
 # upgrade, the model-artifact loaders, and the HMM filter against its
-# direct-form reference, bit for bit (CI runs this;
+# direct-form reference, bit for bit, and the windowed-median selection
+# against the sorted median (CI runs this;
 # longer local runs: go test -fuzz FuzzLoadArtifact -fuzztime 5m ./internal/registry).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFilterMatchesReference -fuzztime=10s ./internal/hmm
+	$(GO) test -run '^$$' -fuzz FuzzMedianSelect -fuzztime=10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzStartSession -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzObserve -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzIngest -fuzztime=10s ./internal/httpapi

@@ -126,6 +126,9 @@ func main() {
 		if err != nil {
 			fatalf("reading trace: %v", err)
 		}
+		if err := d.Validate(); err != nil {
+			fatalf("invalid trace: %v", err)
+		}
 		logf("training on %d sessions...", d.Len())
 		start := time.Now()
 		eng, err := core.Train(d, cfg)

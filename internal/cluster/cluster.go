@@ -2,9 +2,8 @@ package cluster
 
 import (
 	"context"
-	"fmt"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"cs2p/internal/mathx"
@@ -78,6 +77,9 @@ type Clusterer struct {
 	// index: feature-combination key -> feature-value key -> sessions
 	// sorted by start time.
 	index map[string]map[string][]*trace.Session
+	// samples mirrors index: the same groups, in the same order, as the
+	// (start, initial throughput) pairs WindowMedian reads.
+	samples map[string]map[string][]Sample
 	// chosen: full-cell value key -> selected rule.
 	chosen map[string]FeatureSet
 	// global fallback rule.
@@ -93,12 +95,13 @@ type Clusterer struct {
 func New(cfg Config, train *trace.Dataset) *Clusterer {
 	cfg = cfg.withDefaults()
 	c := &Clusterer{
-		cfg:    cfg,
-		train:  train,
-		index:  make(map[string]map[string][]*trace.Session),
-		chosen: make(map[string]FeatureSet),
-		global: NewFeatureSet(nil, TimeWindow{Kind: WindowAll}),
-		cands:  Candidates(cfg.CandidateFeatures, cfg.MaxSubsetSize, cfg.Windows),
+		cfg:     cfg,
+		train:   train,
+		index:   make(map[string]map[string][]*trace.Session),
+		samples: make(map[string]map[string][]Sample),
+		chosen:  make(map[string]FeatureSet),
+		global:  NewFeatureSet(nil, TimeWindow{Kind: WindowAll}),
+		cands:   Candidates(cfg.CandidateFeatures, cfg.MaxSubsetSize, cfg.Windows),
 	}
 	// Pre-group the training sessions for every distinct feature
 	// combination appearing among the candidates.
@@ -117,10 +120,17 @@ func New(cfg Config, train *trace.Dataset) *Clusterer {
 			vk := s.Features.Key(feats)
 			groups[vk] = append(groups[vk], s)
 		}
-		for _, g := range groups {
+		samples := make(map[string][]Sample, len(groups))
+		for vk, g := range groups {
 			sort.SliceStable(g, func(i, j int) bool { return g[i].StartUnix < g[j].StartUnix })
+			ss := make([]Sample, len(g))
+			for i, s := range g {
+				ss[i] = Sample{StartUnix: s.StartUnix, InitialMbps: s.InitialThroughput()}
+			}
+			samples[vk] = ss
 		}
 		c.index[key] = groups
+		c.samples[key] = samples
 	}
 	return c
 }
@@ -128,8 +138,16 @@ func New(cfg Config, train *trace.Dataset) *Clusterer {
 // Candidates returns the candidate rule list (for diagnostics and tests).
 func (c *Clusterer) Candidates() []FeatureSet { return c.cands }
 
+// SampleGroups returns the training samples for one candidate feature
+// combination (keyed by FeatureSet.Key), grouped by feature value and sorted
+// by start time — WindowMedian's input. The slices are shared: read-only.
+func (c *Clusterer) SampleGroups(comboKey string) map[string][]Sample {
+	return c.samples[comboKey]
+}
+
 // Aggregate returns Agg(M, s): the training sessions matching s on M's
-// features and falling inside M's window relative to s's start time.
+// features and falling inside M's window relative to s's start time. With
+// MedianInitial it is the reference that WindowMedian is tested against.
 func (c *Clusterer) Aggregate(m FeatureSet, s *trace.Session) []*trace.Session {
 	groups, ok := c.index[m.Key()]
 	if !ok {
@@ -184,13 +202,12 @@ func (c *Clusterer) SelectCtx(ctx context.Context) error {
 		cellKeys = append(cellKeys, k)
 	}
 	sort.Strings(cellKeys)
-	cache := &medianCache{m: make(map[string]float64)}
 
 	cellSeconds := c.cfg.Metrics.Histogram("cs2p_cluster_cell_search_seconds",
 		"Rule-search time per full-feature cell (§5.1).", obs.LatencyBuckets, nil)
 	winners, err := parallel.Map(ctx, c.cfg.Parallelism, cellKeys, func(_ context.Context, _ int, cellKey string) (FeatureSet, error) {
 		start := time.Now()
-		w := c.selectCell(cells[cellKey], cache)
+		w := c.selectCell(cells[cellKey])
 		cellSeconds.Observe(time.Since(start).Seconds())
 		return w, nil
 	})
@@ -212,26 +229,25 @@ func (c *Clusterer) SelectCtx(ctx context.Context) error {
 }
 
 // selectCell scores every candidate rule for one cell and returns the
-// winner. It only reads the clusterer's index, so concurrent calls for
+// winner. It only reads the clusterer's groups, so concurrent calls for
 // different cells are safe.
-func (c *Clusterer) selectCell(sessions []*trace.Session, cache *medianCache) FeatureSet {
+func (c *Clusterer) selectCell(sessions []*trace.Session) FeatureSet {
 	refs := sampleRefs(sessions, c.cfg.SamplePerCell)
 	best := c.global
 	bestErr := nan()
-	for _, cand := range c.cands {
-		var errs []float64
-		for _, ref := range refs {
-			ck := cand.String() + "\x00" + ref.Features.Key(cand.Features) + fmt.Sprintf("\x00%d", ref.StartUnix)
-			med, found := cache.get(ck)
-			if !found {
-				agg := c.Aggregate(cand, ref)
-				if len(agg) < c.cfg.MinGroupSize {
-					med = nan()
-				} else {
-					med = MedianInitial(agg)
-				}
-				cache.put(ck, med)
+	groups := make([][]Sample, len(refs)) // each ref's group under cand's features
+	var buf, errs []float64
+	for i, cand := range c.cands {
+		// A combination's windows are adjacent: one group lookup per ref.
+		if i == 0 || !slices.Equal(cand.Features, c.cands[i-1].Features) {
+			byValue := c.samples[cand.Key()]
+			for j, ref := range refs {
+				groups[j] = byValue[ref.Features.Key(cand.Features)]
 			}
+		}
+		errs = errs[:0]
+		for j, ref := range refs {
+			med := WindowMedian(groups[j], cand.Window, ref.StartUnix, c.cfg.MinGroupSize, &buf)
 			if isNaN(med) {
 				continue // rule unreliable for this ref (Agg too small)
 			}
@@ -251,31 +267,6 @@ func (c *Clusterer) selectCell(sessions []*trace.Session, cache *medianCache) Fe
 		}
 	}
 	return best
-}
-
-// medianCache memoizes Agg-median lookups across cells under concurrent
-// access. Medians repeat across cells exactly when rule, matched feature
-// values and reference time coincide, so the cache key is exact — approximate
-// keys (e.g. bucketing time) would let a "too small" verdict from one
-// reference leak to another. Two workers may race to compute the same entry;
-// both compute the identical deterministic value, so the duplicate work is
-// harmless.
-type medianCache struct {
-	mu sync.Mutex
-	m  map[string]float64
-}
-
-func (mc *medianCache) get(k string) (float64, bool) {
-	mc.mu.Lock()
-	v, ok := mc.m[k]
-	mc.mu.Unlock()
-	return v, ok
-}
-
-func (mc *medianCache) put(k string, v float64) {
-	mc.mu.Lock()
-	mc.m[k] = v
-	mc.mu.Unlock()
 }
 
 // ClusterFor returns the selected rule for session s (falling back to the

@@ -21,8 +21,8 @@ func TestTimeWindowMatch(t *testing.T) {
 	if !hist.Match(ref-3599, ref) {
 		t.Error("59m59s ago should match a 1h window")
 	}
-	if hist.Match(ref-3601, ref) {
-		t.Error("just over 1h ago should not match")
+	if !hist.Match(ref-3600, ref) || hist.Match(ref-3601, ref) {
+		t.Error("a 1h window should reach exactly 1h back, no further")
 	}
 	sh := TimeWindow{Kind: WindowSameHour, Days: 2}
 	if !sh.Match(ref-86400, ref) {
@@ -30,6 +30,9 @@ func TestTimeWindowMatch(t *testing.T) {
 	}
 	if sh.Match(ref-86400-7200, ref) {
 		t.Error("two hours earlier yesterday should not match")
+	}
+	if !sh.Match(ref-2*86400, ref) || sh.Match(ref-2*86400-1, ref) {
+		t.Error("a 2-day same-hour window should reach exactly 2 days back, no further")
 	}
 	if sh.Match(ref-3*86400, ref) {
 		t.Error("three days back exceeds the 2-day span")

@@ -3,6 +3,7 @@ package cluster
 import (
 	"container/heap"
 	"math"
+	"sort"
 )
 
 // RunningMedian maintains the exact median of a stream of observations with
@@ -83,4 +84,93 @@ func (h *minHeap) Pop() interface{} {
 	v := h.vals[n-1]
 	h.vals = h.vals[:n-1]
 	return v
+}
+
+// Sample is one training session's (start, initial throughput) pair: all
+// Eq. 6 needs of it, for the rule search and for a server booted from a
+// shipped index alike.
+type Sample struct {
+	StartUnix   int64   `json:"t"`
+	InitialMbps float64 `json:"w"`
+}
+
+// WindowMedian is Eq. 6's median over Agg(M, s), given g, the group of s's
+// feature values under M's features, sorted by start: the median initial
+// throughput of the samples M's window w admits for a target starting at
+// ref, or NaN when fewer than minCount (or none) are admitted. g must hold
+// no NaN (trace.Session.Validate rejects non-finite epochs); the result then
+// equals mathx.Median of the admitted values. The window is cut by binary
+// search and counted before any copy, the values go into *buf (grown as
+// needed), and the median is selected, not sorted: with a reused buffer
+// nothing allocates.
+func WindowMedian(g []Sample, w TimeWindow, ref int64, minCount int, buf *[]float64) float64 {
+	hi := sort.Search(len(g), func(i int) bool { return g[i].StartUnix >= ref })
+	from := w.earliest(ref)
+	lo := sort.Search(hi, func(i int) bool { return g[i].StartUnix >= from })
+	if hi-lo < minCount || hi == lo {
+		return math.NaN()
+	}
+	vals, hour := (*buf)[:0], hourOfDay(ref)
+	for _, s := range g[lo:hi] {
+		if w.Kind != WindowSameHour || hourOfDay(s.StartUnix) == hour {
+			vals = append(vals, s.InitialMbps)
+		}
+	}
+	*buf = vals
+	if len(vals) < minCount || len(vals) == 0 {
+		return math.NaN()
+	}
+	return medianSelect(vals)
+}
+
+// medianSelect returns mathx.Median(x) of a non-empty, NaN-free x without
+// sorting it: quickselect places the lower middle order statistic, for an
+// even count the upper one is the least value above it, and the two combine
+// through mathx.QuantileSorted's own expression. x is reordered.
+func medianSelect(x []float64) float64 {
+	k := (len(x) - 1) / 2
+	selectK(x, k)
+	pos := 0.5 * float64(len(x)-1)
+	if pos == float64(k) {
+		return x[k]
+	}
+	hi := x[k+1]
+	for _, v := range x[k+2:] {
+		hi = min(hi, v)
+	}
+	frac := pos - float64(k)
+	return x[k]*(1-frac) + hi*frac
+}
+
+// selectK reorders x so that x[k] is its k-th smallest value, with nothing
+// greater before it and nothing smaller after it. The three-way partition
+// keeps runs of equal throughputs linear.
+func selectK(x []float64, k int) {
+	lo, hi := 0, len(x)-1
+	for lo < hi {
+		p := x[lo+(hi-lo)/2]
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch v := x[i]; {
+			case v < p:
+				x[lt], x[i] = v, x[lt]
+				lt++
+				i++
+			case v > p:
+				x[i], x[gt] = x[gt], v
+				gt--
+			default:
+				i++
+			}
+		}
+		// Now x[lo:lt] < p, x[lt:gt+1] == p and x[gt+1:hi+1] > p.
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return
+		}
+	}
 }

@@ -2,11 +2,14 @@
 // for each group of similar sessions it searches the lattice of feature
 // combinations and time windows for the aggregation rule Agg(M, s) whose
 // median-throughput predictor best predicts initial throughput, with a
-// minimum-group-size threshold and a global-model fallback.
+// minimum-group-size threshold and a global-model fallback. WindowMedian,
+// Eq. 6's median over a time window of a start-sorted sample group, is the
+// one implementation the search and every serving session start share.
 package cluster
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -36,20 +39,28 @@ type TimeWindow struct {
 // Sessions starting at or after ref never match: prediction may only use the
 // past.
 func (w TimeWindow) Match(candidate, ref int64) bool {
-	if candidate >= ref {
+	if candidate >= ref || candidate < w.earliest(ref) {
 		return false
 	}
+	return w.Kind != WindowSameHour || hourOfDay(candidate) == hourOfDay(ref)
+}
+
+// earliest is the first start time w admits for a target starting at ref
+// (a same-hour window then keeps only ref's hour of day).
+func (w TimeWindow) earliest(ref int64) int64 {
+	var back int64
 	switch w.Kind {
 	case WindowHistory:
-		return ref-candidate <= int64(w.Span/time.Second)
+		back = int64(w.Span / time.Second)
 	case WindowSameHour:
-		if ref-candidate > int64(w.Days)*86400 {
-			return false
-		}
-		return hourOfDay(candidate) == hourOfDay(ref)
+		back = int64(w.Days) * 86400
 	default:
-		return true
+		return math.MinInt64
 	}
+	if from := ref - back; from <= ref || back < 0 {
+		return from
+	}
+	return math.MinInt64 // ref - back wrapped
 }
 
 func hourOfDay(unix int64) int {

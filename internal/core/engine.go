@@ -223,7 +223,7 @@ func TrainContext(ctx context.Context, train *trace.Dataset, cfg Config) (*Engin
 	ms := &ModelStore{
 		FullFeatures: NewFullFeatureList(cfg.Cluster.CandidateFeatures),
 		Models:       make(map[string]StoredModel),
-		Initial:      newInitialIndex(clusterer, train, cfg.MinClusterSessions),
+		Initial:      newInitialIndex(clusterer, cfg.MinClusterSessions),
 	}
 	var warnings []string
 	for i, id := range ids {

@@ -6,11 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"sync"
 
 	"cs2p/internal/cluster"
 	"cs2p/internal/hmm"
-	"cs2p/internal/mathx"
 	"cs2p/internal/trace"
 )
 
@@ -34,14 +33,9 @@ func (sm StoredModel) SizeBytes() (int, error) {
 	return len(b), nil
 }
 
-// InitialSample is one training session's contribution to the
-// initial-throughput aggregation: its start time and first-epoch throughput.
-// Two numbers per session keep the index compact while letting a server
-// booted from the artifact replay Eq. 6 exactly.
-type InitialSample struct {
-	StartUnix   int64   `json:"t"`
-	InitialMbps float64 `json:"w"`
-}
+// InitialSample is one training session's (start, initial throughput) pair
+// in the index; the rule search reads the same type.
+type InitialSample = cluster.Sample
 
 // InitialIndex is the trained clustering as the serving path consumes it: the
 // winning rule per full-feature cell, and — for every rule feature combination
@@ -80,29 +74,17 @@ type ModelStore struct {
 // them.
 var ErrNoIndex = errors.New("core: model store has cluster models but no initial index")
 
-// newInitialIndex snapshots the clusterer's per-cell rule choices and the
-// training sessions' (start, initial) samples for every rule combination in
-// use — the global rule always included, since unseen cells fall back to it.
-func newInitialIndex(c *cluster.Clusterer, train *trace.Dataset, minSessions int) *InitialIndex {
+// newInitialIndex snapshots the clusterer's per-cell rule choices and, for
+// every rule combination in use, the sample groups its search ran on — the
+// global rule always included, since unseen cells fall back to it.
+func newInitialIndex(c *cluster.Clusterer, minSessions int) *InitialIndex {
 	idx := &InitialIndex{
 		MinSessions: minSessions,
 		Rules:       c.Chosen(),
-		Groups:      make(map[string]map[string][]InitialSample),
+		Groups:      map[string]map[string][]InitialSample{"": c.SampleGroups("")},
 	}
-	combos := map[string][]string{"": nil} // global rule: empty combination
 	for _, rule := range idx.Rules {
-		combos[rule.Key()] = rule.Features
-	}
-	for comboKey, feats := range combos {
-		groups := make(map[string][]InitialSample)
-		for _, s := range train.Sessions {
-			vk := s.Features.Key(feats)
-			groups[vk] = append(groups[vk], InitialSample{StartUnix: s.StartUnix, InitialMbps: s.InitialThroughput()})
-		}
-		for _, g := range groups {
-			sort.SliceStable(g, func(i, j int) bool { return g[i].StartUnix < g[j].StartUnix })
-		}
-		idx.Groups[comboKey] = groups
+		idx.Groups[rule.Key()] = c.SampleGroups(rule.Key())
 	}
 	return idx
 }
@@ -242,36 +224,21 @@ func (ms *ModelStore) Lookup(f trace.Features) (StoredModel, string) {
 	return sm, id
 }
 
-// aggregate is Agg(M, s) of §5.1 over the stored samples: sessions matching
-// the rule's features, strictly before s, filtered by the rule's window.
-func (idx *InitialIndex) aggregate(rule cluster.FeatureSet, s *trace.Session) []InitialSample {
-	g := idx.Groups[rule.Key()][s.Features.Key(rule.Features)]
-	hi := sort.Search(len(g), func(i int) bool { return g[i].StartUnix >= s.StartUnix })
-	if rule.Window.Kind == cluster.WindowAll {
-		return g[:hi]
-	}
-	var out []InitialSample
-	for _, cand := range g[:hi] {
-		if rule.Window.Match(cand.StartUnix, s.StartUnix) {
-			out = append(out, cand)
-		}
-	}
-	return out
-}
+// medianBufs holds WindowMedian's scratch, so a start allocates no
+// aggregation.
+var medianBufs = sync.Pool{New: func() any { return new([]float64) }}
 
 // predictInitial is Eq. 6 for a routed session: the median initial
 // throughput of Agg(M*, s) when the aggregation is large enough, else the
 // serving artifact's static median, else the global one.
 func (ms *ModelStore) predictInitial(rule cluster.FeatureSet, sm StoredModel, s *trace.Session) float64 {
 	idx := ms.index()
-	if agg := idx.aggregate(rule, s); len(agg) >= idx.MinSessions {
-		vals := make([]float64, 0, len(agg))
-		for _, a := range agg {
-			vals = append(vals, a.InitialMbps)
-		}
-		if med := mathx.Median(vals); !math.IsNaN(med) {
-			return med
-		}
+	g := idx.Groups[rule.Key()][s.Features.Key(rule.Features)]
+	buf := medianBufs.Get().(*[]float64)
+	med := cluster.WindowMedian(g, rule.Window, s.StartUnix, idx.MinSessions, buf)
+	medianBufs.Put(buf)
+	if !math.IsNaN(med) {
+		return med
 	}
 	if !math.IsNaN(sm.InitialMedian) {
 		return sm.InitialMedian

@@ -102,3 +102,25 @@ func TestCSVRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestValidateRejectsNonFiniteEpochs: ReadCSV parses NaN and ±Inf, and
+// Validate is the gate that must stop them — a non-finite first epoch would
+// otherwise poison every median and EM fit it reaches.
+func TestValidateRejectsNonFiniteEpochs(t *testing.T) {
+	for _, w := range []string{"NaN", "Inf", "-Inf"} {
+		csv := "id,start_unix,client_ip,isp,as,province,city,server,throughput_mbps\n" +
+			"ok,1700000000,1.2.3.4,i,a,p,c,s,1;2\n" +
+			"bad,1700000060,1.2.3.4,i,a,p,c,s,1.5;" + w + ";2\n"
+		d, err := ReadCSV(strings.NewReader(csv))
+		if err != nil {
+			t.Fatalf("%s: ReadCSV: %v", w, err)
+		}
+		err = d.Validate()
+		if err == nil {
+			t.Fatalf("%s epoch passed Validate", w)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "session bad epoch 1") {
+			t.Errorf("%s: error %q does not name the session and epoch", w, msg)
+		}
+	}
+}

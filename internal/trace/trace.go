@@ -10,6 +10,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -145,8 +146,8 @@ func (s *Session) Validate() error {
 		return fmt.Errorf("trace: session %s has no epochs", s.ID)
 	}
 	for i, w := range s.Throughput {
-		if w < 0 {
-			return fmt.Errorf("trace: session %s epoch %d has negative throughput %v", s.ID, i, w)
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("trace: session %s epoch %d has invalid throughput %v", s.ID, i, w)
 		}
 	}
 	return nil
