@@ -79,8 +79,9 @@ cover:
 # included), the player routes' hand-written JSON codec against encoding/json,
 # the binary wire decoders, the bytes a peer sends on /v2/stream after the
 # upgrade, the model-artifact loaders, and the HMM filter against its
-# direct-form reference, bit for bit, and the windowed-median selection
-# against the sorted median (CI runs this;
+# direct-form reference, bit for bit, the windowed-median selection
+# against the sorted median, and the trace CSV reader and feature lookup
+# (CI runs this;
 # longer local runs: go test -fuzz FuzzLoadArtifact -fuzztime 5m ./internal/registry).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFilterMatchesReference -fuzztime=10s ./internal/hmm
@@ -97,6 +98,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzLoadModelStore -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLoadArtifact -fuzztime=10s ./internal/registry
+	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime=10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzFeaturesGet -fuzztime=10s ./internal/trace
 
 # End-to-end registry demo: generate a synthetic trace, train twice, and
 # publish v1 and v2 into a temporary registry — the directory a

@@ -46,6 +46,7 @@ import (
 )
 
 func main() {
+	defaults := httpapi.DefaultServerConfig()
 	var (
 		tracePath   = flag.String("trace", "", "training trace (CSV); trains in-process at startup")
 		modelDir    = flag.String("model-dir", "", "boot from the latest artifact in this registry directory and watch it for new versions")
@@ -57,13 +58,13 @@ func main() {
 		gcEvery     = flag.Duration("session-gc", 10*time.Minute, "drop sessions idle longer than this")
 		par         = flag.Int("parallelism", 0, "training workers (0 = one per CPU, 1 = sequential)")
 		grace       = flag.Duration("shutdown-grace", 10*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
-		reqTimeout  = flag.Duration("request-timeout", 15*time.Second, "how long any request body may take to arrive")
-		maxBody     = flag.Int64("max-body", 1<<20, "request body size cap in bytes")
+		reqTimeout  = flag.Duration("request-timeout", defaults.RequestTimeout, "how long any request body may take to arrive")
+		maxBody     = flag.Int64("max-body", defaults.MaxBodyBytes, "request body size cap in bytes")
 		maxLogs     = flag.Int("max-logs", engine.DefaultMaxLogs, "session QoE logs retained (ring buffer)")
 		shards      = flag.Int("shards", 0, "session-store shards, rounded up to a power of two (0 = scale with GOMAXPROCS)")
 		debugAddr   = flag.String("debug-addr", "", "serve /debug/pprof, /metrics and /healthz on this private address (empty disables)")
 		traceReqs   = flag.Bool("trace-requests", false, "log a per-request stage-timing line with the request id")
-		maxBatch    = flag.Int("max-batch-ops", 1024, "maximum ops accepted in one /v2/batch frame")
+		maxBatch    = flag.Int("max-batch-ops", defaults.MaxBatchOps, "maximum ops accepted in one /v2/batch frame")
 		ingest      = flag.Bool("ingest", false, "enable the online-learning plane: POST /v1/ingest trace intake and drift detection (DESIGN.md §15)")
 		intakeCap   = flag.Int("intake-capacity", 4096, "trace-intake ring capacity in sessions (with -ingest)")
 		driftBand   = flag.Float64("drift-band", 0.5, "relative midstream-APE regression that counts as drift (with -ingest; 0.5 = +50%)")
@@ -263,11 +264,7 @@ func main() {
 	if modelReg != nil {
 		srv.SetAdmin(&engine.RegistryAdmin{Svc: svc, Reg: modelReg})
 	}
-	scfg := httpapi.DefaultServerConfig()
-	scfg.RequestTimeout = *reqTimeout
-	scfg.MaxBodyBytes = *maxBody
-	scfg.MaxBatchOps = *maxBatch
-	srv.SetConfig(scfg)
+	srv.SetConfig(httpapi.ServerConfig{MaxBodyBytes: *maxBody, RequestTimeout: *reqTimeout, MaxBatchOps: *maxBatch})
 
 	// The debug listener carries pprof and is meant for a private interface;
 	// it is separate from the public API port on purpose.

@@ -19,6 +19,13 @@ import (
 // dataset is returned too, so tests can Retrain concurrently with load.
 func freshService(t testing.TB, shards int) (*Service, *trace.Dataset) {
 	t.Helper()
+	return freshServiceLogs(t, shards, 0)
+}
+
+// freshServiceLogs is freshService with a log ring of maxLogs entries
+// (0: DefaultMaxLogs).
+func freshServiceLogs(t testing.TB, shards, maxLogs int) (*Service, *trace.Dataset) {
+	t.Helper()
 	cfg := tracegen.SmallConfig()
 	cfg.Sessions = 120
 	d, _ := tracegen.Generate(cfg)
@@ -34,7 +41,7 @@ func freshService(t testing.TB, shards int) (*Service, *trace.Dataset) {
 	// cheap; these tests start hundreds of sessions under -race.
 	spec := video.Default()
 	spec.LengthSeconds = 2 * spec.ChunkSeconds
-	svc := NewServiceWithOptions(eng, ecfg, spec, ServiceOptions{Shards: shards})
+	svc := NewServiceWithOptions(eng, ecfg, spec, ServiceOptions{Shards: shards, MaxLogs: maxLogs})
 	svc.SetLogf(func(string, ...any) {})
 	svc.SetMetrics(obs.NewRegistry())
 	return svc, d
@@ -57,9 +64,8 @@ func hotRetrain(svc *Service, data *trace.Dataset) error {
 // cs2p_engine_log_evictions_total. The ring is one per store, so the order
 // is the same at any shard count (covered by sessionstore's own tests).
 func TestLogRingEvictionOrderAndCounter(t *testing.T) {
-	svc, _ := freshService(t, 1)
 	const cap, pushed = 50, 120
-	svc.SetMaxLogs(cap)
+	svc, _ := freshServiceLogs(t, 1, cap)
 	for i := 0; i < pushed; i++ {
 		svc.EndSession(SessionLog{SessionID: fmt.Sprintf("seq-%03d", i), QoE: float64(i)})
 	}
@@ -75,14 +81,6 @@ func TestLogRingEvictionOrderAndCounter(t *testing.T) {
 	if got := svc.m.logEvictions.Value(); got != pushed-cap {
 		t.Errorf("log eviction counter = %d, want %d", got, pushed-cap)
 	}
-	// Shrinking the ring evicts the oldest survivors and counts them too.
-	svc.SetMaxLogs(20)
-	if got := svc.m.logEvictions.Value(); got != pushed-cap+30 {
-		t.Errorf("after shrink, eviction counter = %d, want %d", got, pushed-cap+30)
-	}
-	if logs = svc.Logs(); logs[0].SessionID != fmt.Sprintf("seq-%03d", pushed-20) {
-		t.Errorf("shrink kept %s first, want seq-%03d", logs[0].SessionID, pushed-20)
-	}
 }
 
 // TestConcurrentEvictionRace hammers the session table and log rings from
@@ -94,9 +92,8 @@ func TestLogRingEvictionOrderAndCounter(t *testing.T) {
 func TestConcurrentEvictionRace(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			svc, data := freshService(t, shards)
 			const workers, perWorker, logCap = 8, 40, 25
-			svc.SetMaxLogs(logCap)
+			svc, data := freshServiceLogs(t, shards, logCap)
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)

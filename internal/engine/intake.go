@@ -31,20 +31,15 @@ type TraceSink struct {
 	epochs    int              // buffered observation epochs
 	evictions uint64           // lifetime evictions
 	churn     int              // evictions since the last Snapshot
-	epochSecs float64          // stamped on snapshots
 }
 
 // NewTraceSink builds an intake ring holding up to capacity sessions.
-// epochSeconds is stamped on every Snapshot dataset (<=0 uses the trace
-// package default).
-func NewTraceSink(capacity int, epochSeconds float64) (*TraceSink, error) {
+// Snapshot datasets carry trace.DefaultEpochSeconds.
+func NewTraceSink(capacity int) (*TraceSink, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("engine: trace sink capacity must be positive, got %d", capacity)
 	}
-	if epochSeconds <= 0 {
-		epochSeconds = trace.DefaultEpochSeconds
-	}
-	return &TraceSink{buf: make([]*trace.Session, capacity), epochSecs: epochSeconds}, nil
+	return &TraceSink{buf: make([]*trace.Session, capacity)}, nil
 }
 
 // Push appends one completed session, evicting the oldest when full.
@@ -107,7 +102,7 @@ func (ts *TraceSink) Snapshot() *trace.Dataset {
 	if ts.n == 0 {
 		return nil
 	}
-	d := &trace.Dataset{EpochSeconds: ts.epochSecs, Sessions: make([]*trace.Session, 0, ts.n)}
+	d := &trace.Dataset{EpochSeconds: trace.DefaultEpochSeconds, Sessions: make([]*trace.Session, 0, ts.n)}
 	for i := 0; i < ts.n; i++ {
 		idx := (ts.head + i) % len(ts.buf)
 		d.Sessions = append(d.Sessions, ts.buf[idx])

@@ -21,6 +21,20 @@ var (
 	ErrNotEnoughTraces = errors.New("engine: not enough buffered traces to retrain")
 )
 
+// Fixed parameters of the serving→training loop (DESIGN.md §15).
+const (
+	// minWindowEpochs is the minimum APE samples a drift window needs
+	// before it is classified (smaller windows keep accumulating).
+	minWindowEpochs = 200
+	// holdoutFrac is the fraction of the drained intake batch (most recent,
+	// by push order) reserved as the promotion gate's holdout instead of
+	// being trained on.
+	holdoutFrac = 0.25
+	// maxCapturedEpochs bounds the per-session observation capture that
+	// feeds served sessions into the intake ring.
+	maxCapturedEpochs = 512
+)
+
 // OnlineOptions configures the serving→training loop: intake sizing, drift
 // sensitivity, retrain thresholds, and where candidates are published.
 type OnlineOptions struct {
@@ -30,17 +44,9 @@ type OnlineOptions struct {
 	// drift: a window fires when its median APE exceeds the armed
 	// reference by more than this fraction. Default 0.5 (i.e. +50%).
 	DriftBand float64
-	// MinWindowEpochs is the minimum APE samples a drift window needs
-	// before it is classified (smaller windows keep accumulating).
-	// Default 200.
-	MinWindowEpochs int
 	// MinRetrainSessions is the minimum buffered sessions OnlineRetrain
 	// needs; below it the buffer keeps accumulating. Default 50.
 	MinRetrainSessions int
-	// HoldoutFrac is the fraction of the drained intake batch (most recent,
-	// by push order) reserved as the promotion gate's holdout instead of
-	// being trained on. Default 0.25.
-	HoldoutFrac float64
 	// Interval is RunOnlineLoop's drift-check cadence. Default 30s.
 	Interval time.Duration
 	// Registry, when non-nil, receives every accepted candidate as a
@@ -50,11 +56,6 @@ type OnlineOptions struct {
 	Registry *registry.Registry
 	// Online configures the incremental learner (decay, passes, minimums).
 	Online core.OnlineConfig
-	// MaxCapturedEpochs bounds the per-session observation capture that
-	// feeds served sessions into the intake ring. Default 512.
-	MaxCapturedEpochs int
-	// EpochSeconds is stamped on intake snapshots (<=0: trace default).
-	EpochSeconds float64
 }
 
 func (o OnlineOptions) withDefaults() OnlineOptions {
@@ -64,20 +65,11 @@ func (o OnlineOptions) withDefaults() OnlineOptions {
 	if o.DriftBand <= 0 {
 		o.DriftBand = 0.5
 	}
-	if o.MinWindowEpochs <= 0 {
-		o.MinWindowEpochs = 200
-	}
 	if o.MinRetrainSessions <= 0 {
 		o.MinRetrainSessions = 50
 	}
-	if o.HoldoutFrac <= 0 || o.HoldoutFrac >= 1 {
-		o.HoldoutFrac = 0.25
-	}
 	if o.Interval <= 0 {
 		o.Interval = 30 * time.Second
-	}
-	if o.MaxCapturedEpochs <= 0 {
-		o.MaxCapturedEpochs = 512
 	}
 	return o
 }
@@ -109,14 +101,14 @@ func (s *Service) EnableOnline(opts OnlineOptions) error {
 		return fmt.Errorf("engine: min retrain sessions %d exceed intake capacity %d: the ring could never hold enough to retrain",
 			opts.MinRetrainSessions, opts.IntakeCapacity)
 	}
-	sink, err := NewTraceSink(opts.IntakeCapacity, opts.EpochSeconds)
+	sink, err := NewTraceSink(opts.IntakeCapacity)
 	if err != nil {
 		return err
 	}
 	o := &onlineState{
 		opts:        opts,
 		sink:        sink,
-		drift:       newDriftDetector(s.m.apeMidstream, opts.DriftBand, uint64(opts.MinWindowEpochs)),
+		drift:       newDriftDetector(s.m.apeMidstream, opts.DriftBand, minWindowEpochs),
 		retrainOnce: make(chan struct{}, 1),
 	}
 	o.retrainOnce <- struct{}{}
@@ -157,31 +149,42 @@ func (s *Service) Ingest(sessions []*trace.Session) (IngestResult, error) {
 		return IngestResult{}, ErrOnlineDisabled
 	}
 	var res IngestResult
+	var err error
 	for _, sess := range sessions {
-		evicted, err := o.sink.Push(sess)
-		if err != nil {
-			s.m.ingestRejected.Inc()
-			res.Buffered = o.sink.Len()
-			s.m.intakeBuffered.Set(float64(res.Buffered))
-			return res, err
+		var evicted bool
+		if evicted, err = s.pushIntake(o, sess); err != nil {
+			break
 		}
 		res.Accepted++
-		s.m.ingestAccepted.Inc()
 		if evicted {
 			res.Evicted++
-			s.m.ingestEvicted.Inc()
 		}
 	}
 	res.Buffered = o.sink.Len()
-	s.m.intakeBuffered.Set(float64(res.Buffered))
-	return res, nil
+	return res, err
+}
+
+// pushIntake is the one door into the intake ring, for ingested and served
+// sessions alike: it pushes sess, counts the outcome (accepted, evicted or
+// rejected) and updates the buffered-sessions gauge.
+func (s *Service) pushIntake(o *onlineState, sess *trace.Session) (evicted bool, err error) {
+	if evicted, err = o.sink.Push(sess); err != nil {
+		s.m.ingestRejected.Inc()
+	} else {
+		s.m.ingestAccepted.Inc()
+		if evicted {
+			s.m.ingestEvicted.Inc()
+		}
+	}
+	s.m.intakeBuffered.Set(float64(o.sink.Len()))
+	return evicted, err
 }
 
 // captureEpoch records one served observation for the intake pipeline.
 // Caller holds st.mu.
 func (s *Service) captureEpoch(st *sessionState, observedMbps float64) {
 	o := s.online.Load()
-	if o == nil || len(st.captured) >= o.opts.MaxCapturedEpochs {
+	if o == nil || len(st.captured) >= maxCapturedEpochs {
 		return
 	}
 	st.captured = append(st.captured, observedMbps)
@@ -234,7 +237,7 @@ func (s *Service) OnlineRetrain() error {
 	// Push-order split: train on the older slice, hold out the newest —
 	// the gate judges the candidate on traffic it has not absorbed.
 	n := data.Len()
-	h := int(float64(n) * o.opts.HoldoutFrac)
+	h := int(float64(n) * holdoutFrac)
 	if h < 1 {
 		h = 1
 	}

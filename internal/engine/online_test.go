@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"cs2p/internal/core"
 	"cs2p/internal/hmm"
@@ -15,11 +17,11 @@ import (
 )
 
 func TestTraceSinkEvictionAndBackpressure(t *testing.T) {
-	ts, err := NewTraceSink(3, 0)
+	ts, err := NewTraceSink(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewTraceSink(0, 0); err == nil {
+	if _, err := NewTraceSink(0); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
 	if _, err := ts.Push(&trace.Session{ID: "empty"}); err == nil {
@@ -150,7 +152,6 @@ func onlineEnv(t *testing.T, reg *registry.Registry) (*Service, *trace.Dataset, 
 	if err := svc.EnableOnline(OnlineOptions{
 		IntakeCapacity:     2000,
 		DriftBand:          0.5,
-		MinWindowEpochs:    200,
 		MinRetrainSessions: 30,
 		Registry:           reg,
 		// Update even sparsely hit clusters — the synthetic population
@@ -385,5 +386,113 @@ func TestIngestAccountingAndRetrainThreshold(t *testing.T) {
 	}
 	if svc.IntakeBuffered() != 0 {
 		t.Fatalf("retrain left %d sessions buffered", svc.IntakeBuffered())
+	}
+}
+
+// TestServedSessionRefusedByBackpressureIsCounted: a served session whose
+// capture the intake ring refuses at EndSession is counted as rejected, like
+// a refused ingest — not dropped silently.
+func TestServedSessionRefusedByBackpressureIsCounted(t *testing.T) {
+	svc, data := freshService(t, 1)
+	if err := svc.EnableOnline(OnlineOptions{IntakeCapacity: 2, MinRetrainSessions: 2}); err != nil {
+		t.Fatal(err)
+	}
+	// Four pushes into a ring of two evict a whole capacity: the next push
+	// is refused until a retrain drains the ring.
+	res, err := svc.Ingest(data.Sessions[:4])
+	if err != nil || res.Accepted != 4 || res.Evicted != 2 {
+		t.Fatalf("ingest: %+v, %v", res, err)
+	}
+	rejected := svc.m.ingestRejected.Value()
+
+	s := data.Sessions[4]
+	svc.StartSession("served", s.Features, s.StartUnix)
+	for _, w := range s.Throughput[:3] {
+		if _, err := svc.ObserveAndPredict("served", w, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.EndSession(SessionLog{SessionID: "served"})
+	if got := svc.m.ingestRejected.Value(); got != rejected+1 {
+		t.Errorf("rejected count = %d after a refused served session, want %d", got, rejected+1)
+	}
+	if got := svc.m.ingestAccepted.Value(); got != 4 {
+		t.Errorf("accepted count = %d, want 4", got)
+	}
+	if got := svc.m.intakeBuffered.Value(); got != 2 {
+		t.Errorf("buffered gauge = %v, want 2", got)
+	}
+}
+
+// runLoop runs RunOnlineLoop in the background and returns a channel closed
+// when it returns.
+func runLoop(ctx context.Context, svc *Service) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		svc.RunOnlineLoop(ctx)
+	}()
+	return done
+}
+
+// waitDone fails the test unless done closes within d.
+func waitDone(t *testing.T, done <-chan struct{}, d time.Duration, what string) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("RunOnlineLoop did not return %s", what)
+	}
+}
+
+func TestRunOnlineLoopReturnsWhenOffline(t *testing.T) {
+	svc, _ := freshService(t, 1)
+	waitDone(t, runLoop(context.Background(), svc), 5*time.Second, "with online learning off")
+}
+
+func TestRunOnlineLoopReturnsWhenCtxEnds(t *testing.T) {
+	svc, _ := freshService(t, 1)
+	if err := svc.EnableOnline(OnlineOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := runLoop(ctx, svc)
+	cancel()
+	waitDone(t, done, 5*time.Second, "after its ctx ended")
+}
+
+// TestRunOnlineLoopPromotesOnDrift: the controller alone turns a fired drift
+// check into a promoted candidate. Stable traffic arms the detector (as in
+// TestOnlineDriftRetrainPromoteRecover), a 4x shift follows, and the loop's
+// own check fires and retrains: the generation advances with no direct
+// OnlineRetrain call.
+func TestRunOnlineLoopPromotesOnDrift(t *testing.T) {
+	reg, err := registry.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, _, test := onlineEnv(t, reg)
+	drive(t, svc, test.Sessions[:40], "base")
+	if st := svc.DriftCheck(); !st.Armed || st.Fired {
+		t.Fatalf("base traffic: want armed+quiet, got %+v", st)
+	}
+	drive(t, svc, scaleSessions(test.Sessions, 4, "shift")[40:120], "drift")
+
+	genBefore := svc.ModelGeneration()
+	svc.online.Load().opts.Interval = 10 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	done := runLoop(ctx, svc)
+	deadline := time.Now().Add(time.Minute)
+	for svc.ModelGeneration() == genBefore && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	cancel()
+	waitDone(t, done, 10*time.Second, "after its ctx ended")
+	if got := svc.ModelGeneration(); got != genBefore+1 {
+		t.Fatalf("generation %d, want %d: the loop did not promote", got, genBefore+1)
+	}
+	if svc.m.driftFired.Value() != 1 || svc.m.onlineRetrainAccepted.Value() != 1 {
+		t.Fatalf("drift fired %d times, %d retrains accepted; want 1 and 1",
+			svc.m.driftFired.Value(), svc.m.onlineRetrainAccepted.Value())
 	}
 }

@@ -51,9 +51,9 @@ func TestConcurrentSameSessionPredicts(t *testing.T) {
 
 func TestLogRingBounded(t *testing.T) {
 	// The ring's eviction shape is pinned by sessionstore's own tests; here
-	// the service wiring: SetMaxLogs bounds Logs(). A dedicated shards=1
-	// service (reusing the shared trained engine, no retrain) makes the
-	// global eviction order exact.
+	// the service wiring: ServiceOptions.MaxLogs bounds Logs(). A dedicated
+	// shards=1 service (reusing the shared trained engine, no retrain) makes
+	// the global eviction order exact.
 	shared, _ := service(t)
 	svc := NewServiceWithOptions(shared.Engine(), core.DefaultConfig(), video.Default(),
 		ServiceOptions{Shards: 1, MaxLogs: 2})

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -275,15 +276,6 @@ func (s *Service) logfSafe(format string, args ...any) {
 	}
 }
 
-// SetMaxLogs resizes the completed-session log ring (keeping the most
-// recent entries). n <= 0 resets to DefaultMaxLogs.
-func (s *Service) SetMaxLogs(n int) {
-	if n <= 0 {
-		n = DefaultMaxLogs
-	}
-	s.m.logEvictions.Add(s.store.SetMaxLogs(n))
-}
-
 // InstallEngine atomically publishes a new trained engine as the next model
 // generation, bypassing the promotion gate (tests and callers that already
 // vetted the engine), and returns that generation.
@@ -498,25 +490,13 @@ func (s *Service) EndSession(log SessionLog) {
 	if o := s.online.Load(); o != nil {
 		if st, ok := s.store.Get(log.SessionID, time.Now()); ok {
 			st.mu.Lock()
-			var captured []float64
-			if len(st.captured) > 0 {
-				captured = append([]float64(nil), st.captured...)
-			}
-			features, startUnix := st.features, st.startUnix
+			sess := &trace.Session{ID: log.SessionID, StartUnix: st.startUnix, Features: st.features,
+				Throughput: slices.Clone(st.captured)}
 			st.mu.Unlock()
-			if len(captured) > 0 {
-				if evicted, err := o.sink.Push(&trace.Session{
-					ID:         log.SessionID,
-					StartUnix:  startUnix,
-					Features:   features,
-					Throughput: captured,
-				}); err == nil {
-					s.m.ingestAccepted.Inc()
-					if evicted {
-						s.m.ingestEvicted.Inc()
-					}
-					s.m.intakeBuffered.Set(float64(o.sink.Len()))
-				}
+			if len(sess.Throughput) > 0 {
+				// A refused push (backpressure) is counted, not an error:
+				// the playback ended either way.
+				_, _ = s.pushIntake(o, sess)
 			}
 		}
 	}
@@ -548,7 +528,7 @@ func (s *Service) ForgetSession(id string) bool {
 }
 
 // Logs returns a copy of the retained session logs, oldest first. Only the
-// most recent SetMaxLogs entries are kept.
+// most recent ServiceOptions.MaxLogs entries are kept.
 func (s *Service) Logs() []SessionLog { return s.store.Logs() }
 
 // ActiveSessions returns the number of registered sessions.

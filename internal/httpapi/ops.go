@@ -38,16 +38,20 @@ type opScratch struct {
 
 var opScratchPool = sync.Pool{New: func() any { return &opScratch{} }}
 
-// validOp is the pipeline's one range check: a NaN/Inf/negative observation
+// badMbps is the one throughput range check, for the per-chunk op and for
+// the series /v1/ingest and a session-state import carry: a value must be
+// finite and in [0, MaxObservedMbps]. Written as a negated conjunction so
+// NaN (for which every comparison is false) is rejected too.
+func badMbps(v float64) bool { return !(v >= 0 && v <= MaxObservedMbps) }
+
+// validOp is the pipeline's one op check: a NaN/Inf/negative observation
 // would permanently corrupt the session's HMM posterior, an implausible one
 // distorts it, and a huge horizon burns CPU in the k-step transition loop.
-func (s *Server) validOp(op *wire.Op) bool {
-	if op.Horizon < 0 || op.Horizon > s.cfg.MaxHorizon {
+func validOp(op *wire.Op) bool {
+	if op.Horizon < 0 || op.Horizon > MaxHorizon {
 		return false
 	}
-	// Written as a negated conjunction so NaN (for which every comparison
-	// is false) is rejected too.
-	return !op.HasObserve || (op.ObservedMbps >= 0 && op.ObservedMbps <= s.cfg.MaxObservedMbps)
+	return !op.HasObserve || !badMbps(op.ObservedMbps)
 }
 
 // serveOps runs sc.ops through the range check and the backend, leaving the
@@ -57,7 +61,7 @@ func (s *Server) validOp(op *wire.Op) bool {
 // OpInvalid for exactly that index with no session side effects.
 func (s *Server) serveOps(sc *opScratch) uint64 {
 	for i := range sc.ops {
-		if !s.validOp(&sc.ops[i]) {
+		if !validOp(&sc.ops[i]) {
 			sc.ops[i] = wire.Op{SessionID: sc.ops[i].SessionID, ObservedMbps: math.NaN(), HasObserve: true}
 		}
 	}
@@ -80,7 +84,7 @@ func (s *Server) serveOne(sc *opScratch, op wire.Op) (pred float64, status int, 
 	case wire.OpUnknownSession:
 		return 0, http.StatusNotFound, "unknown session"
 	case wire.OpInvalid:
-		return 0, http.StatusBadRequest, fmt.Sprintf("observed_mbps must be finite and in [0, %g], horizon in [0, %d]", s.cfg.MaxObservedMbps, s.cfg.MaxHorizon)
+		return 0, http.StatusBadRequest, fmt.Sprintf("observed_mbps must be finite and in [0, %g], horizon in [0, %d]", MaxObservedMbps, MaxHorizon)
 	case wire.OpUnavailable:
 		return 0, http.StatusBadGateway, "no usable replica"
 	default:

@@ -9,10 +9,21 @@ import (
 	"cs2p/internal/health"
 )
 
-// RetryPolicy is a capped exponential backoff with proportional jitter.
-// Only idempotent calls (session start, stateless horizon queries, model
-// fetch) go through it — ObserveAndPredict mutates the session filter, so
-// a blind retry would double-count the observation.
+// Fixed shape of the retry backoff.
+const (
+	// backoffMultiplier scales the delay between consecutive attempts.
+	backoffMultiplier = 2
+	// jitterFrac perturbs each delay by ±jitterFrac·delay so a fleet of
+	// players recovering from the same outage doesn't retry in lockstep.
+	jitterFrac = 0.2
+)
+
+// RetryPolicy is a capped exponential backoff (the delay doubles per
+// attempt) with ±20% proportional jitter; cs2p-player's -retries,
+// -retry-base and -retry-max set its fields. Only idempotent calls (session
+// start, stateless horizon queries, model fetch) go through it —
+// ObserveAndPredict mutates the session filter, so a blind retry would
+// double-count the observation.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries including the first.
 	// Values <= 1 disable retries.
@@ -21,12 +32,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff growth.
 	MaxDelay time.Duration
-	// Multiplier scales the delay between consecutive attempts
-	// (default 2).
-	Multiplier float64
-	// JitterFrac perturbs each delay by ±JitterFrac·delay so a fleet of
-	// players recovering from the same outage doesn't retry in lockstep.
-	JitterFrac float64
 }
 
 // DefaultRetryPolicy matches a per-chunk control loop: a few fast retries
@@ -36,8 +41,6 @@ func DefaultRetryPolicy() RetryPolicy {
 		MaxAttempts: 4,
 		BaseDelay:   50 * time.Millisecond,
 		MaxDelay:    2 * time.Second,
-		Multiplier:  2,
-		JitterFrac:  0.2,
 	}
 }
 
@@ -47,13 +50,9 @@ func (p RetryPolicy) BackoffAt(attempt int) time.Duration {
 	if p.BaseDelay <= 0 {
 		return 0
 	}
-	mult := p.Multiplier
-	if mult <= 1 {
-		mult = 2
-	}
 	d := float64(p.BaseDelay)
 	for i := 0; i < attempt; i++ {
-		d *= mult
+		d *= backoffMultiplier
 		if p.MaxDelay > 0 && d >= float64(p.MaxDelay) {
 			return p.MaxDelay
 		}
@@ -65,13 +64,13 @@ func (p RetryPolicy) BackoffAt(attempt int) time.Duration {
 }
 
 // delay applies jitter to BackoffAt using the caller's RNG (seeded by the
-// resilient predictor for deterministic tests).
+// resilient predictor for deterministic tests); a nil RNG means no jitter.
 func (p RetryPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 	d := p.BackoffAt(attempt)
-	if d <= 0 || p.JitterFrac <= 0 || rng == nil {
+	if d <= 0 || rng == nil {
 		return d
 	}
-	j := 1 + p.JitterFrac*(2*rng.Float64()-1)
+	j := 1 + jitterFrac*(2*rng.Float64()-1)
 	return time.Duration(float64(d) * j)
 }
 

@@ -19,13 +19,11 @@ func TestBackoffSchedule(t *testing.T) {
 		attempt int
 		want    time.Duration
 	}{
-		{"first", RetryPolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Multiplier: 2}, 0, 50 * time.Millisecond},
-		{"second doubles", RetryPolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Multiplier: 2}, 1, 100 * time.Millisecond},
-		{"fourth", RetryPolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Multiplier: 2}, 3, 400 * time.Millisecond},
-		{"capped", RetryPolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 300 * time.Millisecond, Multiplier: 2}, 5, 300 * time.Millisecond},
-		{"triple multiplier", RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second, Multiplier: 3}, 2, 90 * time.Millisecond},
-		{"zero base", RetryPolicy{MaxDelay: time.Second, Multiplier: 2}, 4, 0},
-		{"default multiplier", RetryPolicy{BaseDelay: 20 * time.Millisecond, MaxDelay: time.Second}, 1, 40 * time.Millisecond},
+		{"first", RetryPolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}, 0, 50 * time.Millisecond},
+		{"second doubles", RetryPolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}, 1, 100 * time.Millisecond},
+		{"fourth", RetryPolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}, 3, 400 * time.Millisecond},
+		{"capped", RetryPolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 300 * time.Millisecond}, 5, 300 * time.Millisecond},
+		{"zero base", RetryPolicy{MaxDelay: time.Second}, 4, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -37,7 +35,7 @@ func TestBackoffSchedule(t *testing.T) {
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 10 * time.Second, Multiplier: 2, JitterFrac: 0.2}
+	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 10 * time.Second}
 	rng := rand.New(rand.NewSource(7))
 	for attempt := 0; attempt < 5; attempt++ {
 		base := p.BackoffAt(attempt)
@@ -61,7 +59,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 }
 
 func TestWithRetrySemantics(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: time.Second, Multiplier: 2}
+	p := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: time.Second}
 	noSleep := func(time.Duration) {}
 
 	t.Run("succeeds after transient failures", func(t *testing.T) {

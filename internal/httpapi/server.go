@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"slices"
@@ -128,48 +127,50 @@ type HealthReporter interface {
 	Health() engine.HealthStatus
 }
 
-// ServerConfig tunes the hardening middleware and input validation.
+// Input bounds of the wire contract: properties of the paper's per-chunk
+// protocol, not deployment choices. Session ids are bounded by
+// wire.DefaultLimits().MaxSessionIDLen, shared with the binary decoders.
+const (
+	// MaxHorizon rejects absurd prediction horizons with 400. The paper
+	// evaluates horizons up to 10; anything beyond a full video is a bug
+	// or an attack on the k-step transition loop.
+	MaxHorizon = 512
+	// MaxObservedMbps rejects physically implausible throughput reports
+	// that would otherwise distort the session's HMM posterior.
+	MaxObservedMbps = 1e5 // 100 Gbps
+	// MaxFeatureLen bounds each session feature string. Features key the
+	// cluster lookup and are stored for the session's lifetime; fuzzing
+	// found that start requests accepted megabyte feature values up to the
+	// body cap.
+	MaxFeatureLen = 256
+	// MaxIngestSessions caps the session count in one /v1/ingest request.
+	MaxIngestSessions = 256
+	// MaxIngestEpochs caps one ingested session's throughput series length.
+	MaxIngestEpochs = 2048
+)
+
+// ServerConfig holds the hardening limits a deployment sets (cs2p-server's
+// -max-body, -request-timeout and -max-batch-ops); the input bounds above
+// are fixed.
 type ServerConfig struct {
 	// MaxBodyBytes caps request bodies (413 beyond it).
 	MaxBodyBytes int64
 	// RequestTimeout bounds how long any request's body may take to arrive
 	// (the connection is dropped beyond it). 0 disables it.
 	RequestTimeout time.Duration
-	// MaxHorizon rejects absurd prediction horizons with 400. The paper
-	// evaluates horizons up to 10; anything beyond a full video is a bug
-	// or an attack on the k-step transition loop.
-	MaxHorizon int
-	// MaxSessionIDLen bounds session identifiers (they key a map held for
-	// the session's lifetime).
-	MaxSessionIDLen int
-	// MaxObservedMbps rejects physically implausible throughput reports
-	// that would otherwise distort the session's HMM posterior.
-	MaxObservedMbps float64
-	// MaxFeatureLen bounds each session feature string. Features key the
-	// cluster lookup and are stored for the session's lifetime; fuzzing
-	// found that start requests accepted megabyte feature values up to the
-	// body cap.
-	MaxFeatureLen int
 	// MaxBatchOps caps the op count in one /v2/batch frame.
 	MaxBatchOps int
-	// MaxIngestSessions caps the session count in one /v1/ingest request.
-	MaxIngestSessions int
-	// MaxIngestEpochs caps one ingested session's throughput series length.
-	MaxIngestEpochs int
 }
 
-// DefaultServerConfig returns production-shaped limits.
+// DefaultServerConfig returns production-shaped limits. The body and batch
+// caps are the binary decoders' own (wire.DefaultLimits), so both protocols
+// start from one set.
 func DefaultServerConfig() ServerConfig {
+	lim := wire.DefaultLimits()
 	return ServerConfig{
-		MaxBodyBytes:      1 << 20, // 1 MiB; requests are a few hundred bytes
-		RequestTimeout:    15 * time.Second,
-		MaxHorizon:        512,
-		MaxSessionIDLen:   256,
-		MaxObservedMbps:   1e5, // 100 Gbps
-		MaxFeatureLen:     256,
-		MaxBatchOps:       1024,
-		MaxIngestSessions: 256,
-		MaxIngestEpochs:   2048,
+		MaxBodyBytes:   int64(lim.MaxFrameBytes), // 1 MiB; requests are a few hundred bytes
+		RequestTimeout: 15 * time.Second,
+		MaxBatchOps:    lim.MaxBatchOps,
 	}
 }
 
@@ -380,31 +381,14 @@ func (s *Server) SetMetrics(reg *obs.Registry) {
 // goes through the server's logger on completion.
 func (s *Server) SetTraceRequests(on bool) { s.traceRequests = on }
 
-// SetConfig replaces the hardening limits (call before Handler).
+// SetConfig replaces the hardening limits (call before Handler). A zero
+// body or batch cap takes the default.
 func (s *Server) SetConfig(cfg ServerConfig) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultServerConfig().MaxBodyBytes
 	}
-	if cfg.MaxHorizon <= 0 {
-		cfg.MaxHorizon = DefaultServerConfig().MaxHorizon
-	}
-	if cfg.MaxSessionIDLen <= 0 {
-		cfg.MaxSessionIDLen = DefaultServerConfig().MaxSessionIDLen
-	}
-	if cfg.MaxObservedMbps <= 0 {
-		cfg.MaxObservedMbps = DefaultServerConfig().MaxObservedMbps
-	}
-	if cfg.MaxFeatureLen <= 0 {
-		cfg.MaxFeatureLen = DefaultServerConfig().MaxFeatureLen
-	}
 	if cfg.MaxBatchOps <= 0 {
 		cfg.MaxBatchOps = DefaultServerConfig().MaxBatchOps
-	}
-	if cfg.MaxIngestSessions <= 0 {
-		cfg.MaxIngestSessions = DefaultServerConfig().MaxIngestSessions
-	}
-	if cfg.MaxIngestEpochs <= 0 {
-		cfg.MaxIngestEpochs = DefaultServerConfig().MaxIngestEpochs
 	}
 	s.cfg = cfg
 }
@@ -530,8 +514,8 @@ func (s *Server) validSessionID(w http.ResponseWriter, idLen int) bool {
 		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "session_id required"})
 		return false
 	}
-	if idLen > s.cfg.MaxSessionIDLen {
-		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("session_id exceeds %d bytes", s.cfg.MaxSessionIDLen)})
+	if limit := wire.DefaultLimits().MaxSessionIDLen; idLen > limit {
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("session_id exceeds %d bytes", limit)})
 		return false
 	}
 	return true
@@ -541,8 +525,8 @@ func (s *Server) validSessionID(w http.ResponseWriter, idLen int) bool {
 // live as long as the session, so an attacker-sized value is held memory.
 func (s *Server) validFeatures(w http.ResponseWriter, f trace.Features) bool {
 	for _, v := range []string{f.ClientIP, f.ISP, f.AS, f.Province, f.City, f.Server} {
-		if len(v) > s.cfg.MaxFeatureLen {
-			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("feature value exceeds %d bytes", s.cfg.MaxFeatureLen)})
+		if len(v) > MaxFeatureLen {
+			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("feature value exceeds %d bytes", MaxFeatureLen)})
 			return false
 		}
 	}
@@ -666,8 +650,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "sessions required"})
 		return
 	}
-	if len(req.Sessions) > s.cfg.MaxIngestSessions {
-		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("at most %d sessions per request", s.cfg.MaxIngestSessions)})
+	if len(req.Sessions) > MaxIngestSessions {
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("at most %d sessions per request", MaxIngestSessions)})
 		return
 	}
 	batch := make([]*trace.Session, 0, len(req.Sessions))
@@ -679,15 +663,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("session %d: throughput_mbps required", i)})
 			return
 		}
-		if len(in.ThroughputMbps) > s.cfg.MaxIngestEpochs {
-			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("session %d: throughput_mbps exceeds %d epochs", i, s.cfg.MaxIngestEpochs)})
+		if len(in.ThroughputMbps) > MaxIngestEpochs {
+			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("session %d: throughput_mbps exceeds %d epochs", i, MaxIngestEpochs)})
 			return
 		}
-		for _, v := range in.ThroughputMbps {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > s.cfg.MaxObservedMbps {
-				WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("session %d: throughput values must be finite and in [0, %g]", i, s.cfg.MaxObservedMbps)})
-				return
-			}
+		if slices.ContainsFunc(in.ThroughputMbps, badMbps) {
+			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("session %d: throughput values must be finite and in [0, %g]", i, MaxObservedMbps)})
+			return
 		}
 		batch = append(batch, &trace.Session{
 			ID:         in.SessionID,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 
 	"cs2p/internal/engine"
 )
@@ -81,15 +82,13 @@ func (s *Server) handleSessionStatePut(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "last_one_step must be finite"})
 		return
 	}
-	if len(st.Captured) > s.cfg.MaxIngestEpochs {
-		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("captured exceeds %d epochs", s.cfg.MaxIngestEpochs)})
+	if len(st.Captured) > MaxIngestEpochs {
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("captured exceeds %d epochs", MaxIngestEpochs)})
 		return
 	}
-	for _, v := range st.Captured {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > s.cfg.MaxObservedMbps {
-			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("captured values must be finite and in [0, %g]", s.cfg.MaxObservedMbps)})
-			return
-		}
+	if slices.ContainsFunc(st.Captured, badMbps) {
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf("captured values must be finite and in [0, %g]", MaxObservedMbps)})
+		return
 	}
 	if err := importer.ImportSession(st); err != nil {
 		switch {

@@ -19,14 +19,13 @@ import (
 	"cs2p/internal/wire"
 )
 
-// wireLimits derives the decoder bounds from the server's hardening config,
-// so one knob set governs both protocols.
+// wireLimits is wire.DefaultLimits with the server's body and batch caps, so
+// one knob set governs both protocols.
 func (s *Server) wireLimits() wire.Limits {
-	return wire.Limits{
-		MaxFrameBytes:   int(s.cfg.MaxBodyBytes),
-		MaxSessionIDLen: s.cfg.MaxSessionIDLen,
-		MaxBatchOps:     s.cfg.MaxBatchOps,
-	}
+	lim := wire.DefaultLimits()
+	lim.MaxFrameBytes = int(s.cfg.MaxBodyBytes)
+	lim.MaxBatchOps = s.cfg.MaxBatchOps
+	return lim
 }
 
 // readWireFrame is the one frame reader — of a request body, a stream, and a

@@ -124,15 +124,14 @@ func parityPost(t *testing.T, url, ct string, body []byte) (int, []byte) {
 // it. The last row is the one only a routing tier can produce — every
 // replica out — and pins 502 / result code 3 under all three codecs.
 func TestOpPipelineParity(t *testing.T) {
-	limits := httpapi.DefaultServerConfig()
 	ops := []parityOp{
 		{name: "ok observe", observed: 2.5, observe: true, horizon: 1, want: http.StatusOK},
 		{name: "ok predict", horizon: 3, want: http.StatusOK},
 		{name: "unknown session", id: "nobody", observed: 2.5, observe: true, horizon: 1, want: http.StatusNotFound},
 		{name: "NaN observation", observed: math.NaN(), observe: true, horizon: 1, want: http.StatusBadRequest},
 		{name: "negative observation", observed: -1, observe: true, horizon: 1, want: http.StatusBadRequest},
-		{name: "observation over MaxObservedMbps", observed: limits.MaxObservedMbps * 2, observe: true, horizon: 1, want: http.StatusBadRequest},
-		{name: "horizon over MaxHorizon", horizon: limits.MaxHorizon + 1, want: http.StatusBadRequest},
+		{name: "observation over MaxObservedMbps", observed: httpapi.MaxObservedMbps * 2, observe: true, horizon: 1, want: http.StatusBadRequest},
+		{name: "horizon over MaxHorizon", horizon: httpapi.MaxHorizon + 1, want: http.StatusBadRequest},
 		// An accepted op after the rejected ones: none of them touched
 		// filter state, on any backend.
 		{name: "ok observe after rejects", observed: 3.5, observe: true, horizon: 2, want: http.StatusOK},

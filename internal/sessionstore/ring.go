@@ -6,8 +6,7 @@ package sessionstore
 // Callers hold the store's log mutex.
 type ring[L any] struct {
 	buf  []L
-	next int // index the next push writes
-	full bool
+	next int // index the next push overwrites once full
 	max  int
 }
 
@@ -18,54 +17,22 @@ func (r *ring[L]) push(lg L) (evicted bool) {
 	if r.max <= 0 {
 		return true
 	}
-	if r.buf == nil {
-		// Grow lazily: most test services never approach the cap.
-		r.buf = make([]L, 0, min(r.max, 64))
-	}
 	if len(r.buf) < r.max {
+		if r.buf == nil {
+			// Grow lazily: most test services never approach the cap.
+			r.buf = make([]L, 0, min(r.max, 64))
+		}
 		r.buf = append(r.buf, lg)
-		r.next = len(r.buf) % r.max
-		r.full = len(r.buf) == r.max
 		return false
 	}
 	r.buf[r.next] = lg
 	r.next = (r.next + 1) % r.max
-	r.full = true
 	return true
 }
 
 // snapshot returns the retained logs oldest-first.
 func (r *ring[L]) snapshot() []L {
-	if !r.full {
-		return append([]L(nil), r.buf...)
-	}
 	out := make([]L, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// resize changes the capacity, keeping the newest entries. It returns how
-// many entries a shrink evicted.
-func (r *ring[L]) resize(max int) (evicted int) {
-	if max < 0 {
-		max = 0
-	}
-	if max == r.max {
-		return 0
-	}
-	cur := r.snapshot()
-	if len(cur) > max {
-		evicted = len(cur) - max
-		cur = cur[len(cur)-max:]
-	}
-	r.max = max
-	if max == 0 {
-		r.buf, r.next, r.full = nil, 0, false
-		return evicted
-	}
-	r.buf = cur
-	r.next = len(cur) % max
-	r.full = len(cur) == max
-	return evicted
+	return append(out, r.buf[:r.next]...)
 }

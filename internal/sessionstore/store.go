@@ -69,11 +69,11 @@ func New[S, L any](shards, maxLogs int) *Sharded[S, L] {
 	s := &Sharded[S, L]{
 		shards: make([]shard[S], n),
 		mask:   uint32(n - 1),
+		logs:   ring[L]{max: max(maxLogs, 0)},
 	}
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]*entry[S])
 	}
-	s.SetMaxLogs(maxLogs)
 	return s
 }
 
@@ -204,14 +204,6 @@ func (s *Sharded[S, L]) Logs() []L {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
 	return s.logs.snapshot()
-}
-
-// SetMaxLogs re-bounds the log ring, keeping the newest entries, and returns
-// how many a shrink evicted.
-func (s *Sharded[S, L]) SetMaxLogs(max int) (evicted int) {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	return s.logs.resize(max)
 }
 
 // GC drops sessions idle since before cut and returns how many were removed:

@@ -142,7 +142,7 @@ func TestLogsMergeInPushOrder(t *testing.T) {
 
 // TestSingleShardEvictionMatchesLegacyRing: at one shard the store must
 // reproduce the old global logRing exactly — oldest-first eviction, newest
-// retained, resize keeps the tail.
+// retained.
 func TestSingleShardEvictionMatchesLegacyRing(t *testing.T) {
 	s := New[sess, lg](1, 3)
 	evictions := 0
@@ -157,20 +157,6 @@ func TestSingleShardEvictionMatchesLegacyRing(t *testing.T) {
 	logs := s.Logs()
 	if len(logs) != 3 || logs[0].seq != 2 || logs[2].seq != 4 {
 		t.Errorf("retained %v, want seqs 2..4", logs)
-	}
-	// Shrink keeps the newest, grow preserves order.
-	if ev := s.SetMaxLogs(2); ev != 1 {
-		t.Errorf("shrink evicted %d, want 1", ev)
-	}
-	if logs = s.Logs(); len(logs) != 2 || logs[0].seq != 3 {
-		t.Errorf("after shrink: %v", logs)
-	}
-	if ev := s.SetMaxLogs(4); ev != 0 {
-		t.Errorf("grow evicted %d", ev)
-	}
-	s.PushLog(lg{seq: 5})
-	if logs = s.Logs(); len(logs) != 3 || logs[2].seq != 5 {
-		t.Errorf("after grow: %v", logs)
 	}
 }
 

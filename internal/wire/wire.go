@@ -102,7 +102,9 @@ type Limits struct {
 	MaxBatchOps int
 }
 
-// DefaultLimits mirrors the HTTP layer's hardening defaults.
+// DefaultLimits is the one source of these bounds: the HTTP layer's
+// DefaultServerConfig takes its body and batch caps from here, and its
+// session-id bound is MaxSessionIDLen as is.
 func DefaultLimits() Limits {
 	return Limits{
 		MaxFrameBytes:   1 << 20,
