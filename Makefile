@@ -78,7 +78,8 @@ cover:
 # Short fuzz pass over the HTTP JSON decoders (session-state import
 # included), the player routes' hand-written JSON codec against encoding/json,
 # the binary wire decoders, the bytes a peer sends on /v2/stream after the
-# upgrade, the model-artifact loaders, and the HMM filter against its
+# upgrade, Run's lane against net/http on raw request bytes, the
+# model-artifact loaders, and the HMM filter against its
 # direct-form reference, bit for bit, the windowed-median selection
 # against the sorted median, and the trace CSV reader and feature lookup
 # (CI runs this;
@@ -95,6 +96,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPredictDecode -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzStartDecode -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzAppendJSONFloat -fuzztime=10s ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz FuzzLaneRequests -fuzztime=10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzLoadModelStore -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLoadArtifact -fuzztime=10s ./internal/registry

@@ -126,7 +126,7 @@ func TestGoldenReplayClusterParity(t *testing.T) {
 		t.Errorf("cluster binary v2 replay diverged from the golden file\ngot:\n%s\nwant:\n%s",
 			binGot, string(want))
 	}
-	batGot := driveReplayBatched(t, front, header, test, nil)
+	batGot := driveReplayBatched(t, httpapi.NewClient(front.URL), header, test, nil)
 	if batGot != string(want) {
 		t.Errorf("cluster batched v2 replay diverged from the golden file\ngot:\n%s\nwant:\n%s",
 			batGot, string(want))
@@ -220,7 +220,7 @@ func TestGoldenReplayKillParity(t *testing.T) {
 		"json-v1":   single(false),
 		"binary-v2": single(true),
 		"batched-v2": func(t *testing.T, front *httptest.Server, header string, test *trace.Dataset, kill func()) string {
-			return driveReplayBatched(t, front, header, test, func(j int) {
+			return driveReplayBatched(t, httpapi.NewClient(front.URL), header, test, func(j int) {
 				if j == 6 {
 					kill()
 				}

@@ -137,9 +137,8 @@ func driveReplayWithHook(t *testing.T, client *httpapi.Client, header string, te
 // other sessions, so the lockstep interleaving must render bit-identically
 // to the sequential single-op drives. hook, when non-nil, fires before epoch
 // j's batch — the trigger point for mid-session cluster surgery.
-func driveReplayBatched(t *testing.T, ts *httptest.Server, header string, test *trace.Dataset, hook func(j int)) string {
+func driveReplayBatched(t *testing.T, client *httpapi.Client, header string, test *trace.Dataset, hook func(j int)) string {
 	t.Helper()
-	client := httpapi.NewClient(ts.URL)
 	sessions := test.Sessions[:4]
 	type replayState struct {
 		id    string
@@ -259,7 +258,7 @@ func TestGoldenReplayWireParity(t *testing.T) {
 	if binGot != string(want) {
 		t.Errorf("binary v2 replay diverged from golden file\ngot:\n%s\nwant:\n%s", binGot, string(want))
 	}
-	batGot := driveReplayBatched(t, ts, header, test, nil)
+	batGot := driveReplayBatched(t, httpapi.NewClient(ts.URL), header, test, nil)
 	if batGot != string(want) {
 		t.Errorf("batched v2 replay diverged from golden file\ngot:\n%s\nwant:\n%s", batGot, string(want))
 	}

@@ -58,13 +58,6 @@ func (s *suffStats) add(o *suffStats) {
 	addSlice(s.gammaObs2, o.gammaObs2)
 }
 
-// clone returns an independent copy.
-func (s *suffStats) clone() *suffStats {
-	c := newSuffStats(len(s.pi))
-	c.add(s)
-	return c
-}
-
 // applyTo is the M-step: re-estimate m's parameters from the accumulated
 // statistics. States with no posterior mass keep their previous parameters
 // (a starved state must not collapse to NaN), and emission variances are

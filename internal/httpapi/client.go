@@ -213,11 +213,11 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 // is not empty, and returns the reply as it came — what a proxy relays. Any
 // status but 200 and 304 comes with a *StatusError beside it, so a caller
 // classifies it like every other call's; its Path leaves the query out (a
-// model fetch's carries the player's address).
-func (c *Client) Get(ctx context.Context, path, ifNoneMatch string) (status int, h http.Header, reply []byte, err error) {
-	var headers []hdr
+// model fetch's carries the player's address). headers, which only this
+// package can pass, go on the request too.
+func (c *Client) Get(ctx context.Context, path, ifNoneMatch string, headers ...hdr) (status int, h http.Header, reply []byte, err error) {
 	if ifNoneMatch != "" {
-		headers = []hdr{{"If-None-Match", []string{ifNoneMatch}}}
+		headers = append(headers, hdr{"If-None-Match", []string{ifNoneMatch}})
 	}
 	status, h, reply, err = c.roundTrip(ctx, http.MethodGet, path, nil, headers...)
 	if err == nil && status != http.StatusOK && status != http.StatusNotModified {
@@ -388,9 +388,14 @@ func (c *Client) Log(lg engine.SessionLog) error {
 // connections, never answering) is exactly the failure a probe must detect.
 const healthzTimeout = 3 * time.Second
 
+// closeAfter asks the server to close the connection after its reply: kept,
+// a one-off GET's connection (Healthz, a model fetch) would carry the client's
+// later POSTs to net/http rather than to the server's lane (DESIGN §10.3).
+var closeAfter = hdr{"Connection", []string{"close"}}
+
 // Healthz checks server liveness and readiness, with a bounded deadline.
 func (c *Client) Healthz() error {
-	_, err := c.Readiness(context.Background())
+	_, err := c.Readiness(context.Background(), closeAfter)
 	return err
 }
 
@@ -399,10 +404,11 @@ func (c *Client) Healthz() error {
 // but no model installed) returns the payload alongside a *StatusError, so
 // callers can distinguish "not ready" from "not answering". Legacy servers
 // answering a bare 200 parse to a zero-valued payload with Status "ok".
-func (c *Client) Readiness(ctx context.Context) (HealthzResponse, error) {
+// headers, which only this package can pass, go on the request.
+func (c *Client) Readiness(ctx context.Context, headers ...hdr) (HealthzResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, healthzTimeout)
 	defer cancel()
-	status, _, reply, err := c.roundTrip(ctx, http.MethodGet, "/v1/healthz", nil)
+	status, _, reply, err := c.roundTrip(ctx, http.MethodGet, "/v1/healthz", nil, headers...)
 	if err != nil {
 		return HealthzResponse{}, err
 	}

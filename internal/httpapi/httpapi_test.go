@@ -185,10 +185,3 @@ func TestModelEndpointDisabled(t *testing.T) {
 		t.Errorf("disabled export status = %d, want 501", resp.StatusCode)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

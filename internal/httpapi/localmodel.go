@@ -49,7 +49,7 @@ func (c *Client) FetchLocalPredictor(f trace.Features) (*LocalPredictor, error) 
 	c.modelMu.Lock()
 	cached, haveCached := c.modelCache[key]
 	c.modelMu.Unlock()
-	status, h, reply, err := c.Get(context.Background(), "/v1/model?"+key, cached.etag)
+	status, h, reply, err := c.Get(context.Background(), "/v1/model?"+key, cached.etag, closeAfter)
 	if status == http.StatusNotModified && haveCached {
 		c.notMod.Add(1)
 		return localPredictorFrom(cached.resp), nil

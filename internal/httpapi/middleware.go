@@ -41,7 +41,7 @@ func (s *Server) panicked(what string, v any) {
 // net/http's background read cannot cancel a slow upstream call or a long
 // drain; the server resets it between requests either way. This is
 // http.ResponseController.SetReadDeadline minus its error, a fmt.Errorf, for
-// writers with no connection (tests, the benchmark's handler loops).
+// writers with no connection (lanes, MsgCalls, tests, the benchmark's loops).
 func (s *Server) boundBodyRead(w http.ResponseWriter, arm bool) {
 	for s.cfg.RequestTimeout > 0 {
 		switch v := w.(type) {

@@ -1,5 +1,5 @@
 // Package httpapi implements the wire protocol of the paper's prototype
-// (§6): a Node.js-style HTTP prediction service, here built on net/http.
+// (§6): a Node.js-style HTTP prediction service, on net/http and lane.go.
 // Before each chunk request the player POSTs the previous epoch's measured
 // throughput and receives the next prediction in-band; when playback ends it
 // POSTs a QoE log. Clients that prefer the decentralized deployment fetch
@@ -21,6 +21,7 @@
 package httpapi
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -285,29 +286,29 @@ type Server struct {
 	// pattern: the built-ins from NewServer, plus whatever Handle and
 	// SetMetrics add. Handler builds both of its lookups from it.
 	routes map[string]http.Handler
-	// stack is the http.Handler that Handler built last, which a stream's
-	// MsgCall frames run through.
+	// stack is the http.Handler that Handler built last, which Run's lanes
+	// and a stream's MsgCall frames run through.
 	stack atomic.Value
-	// streams are the open /v2/stream connections, which Run ends itself
-	// (streamsShut) and waits for (streamWG) on shutdown.
-	streamMu    sync.Mutex
-	streams     map[net.Conn]struct{}
-	streamsShut atomic.Bool
-	streamWG    sync.WaitGroup
+	// conns are the connections Run owns, lanes and streams, which it ends
+	// itself (connsShut) and waits for (connWG) on shutdown.
+	connMu    sync.Mutex
+	conns     map[net.Conn]struct{}
+	connsShut atomic.Bool
+	connWG    sync.WaitGroup
 }
 
 // NewServer builds the HTTP facade. A non-nil exporter enables GET /v1/model,
 // which answers from the store of the snapshot being served; pass
 // (*core.Engine).Store, or nil for a backend with no model to hand out (the
 // router). Leftover: an engine has exactly one store, so the parameter is an
-// on/off switch spelled as a function and is only tested against nil;
-// benchmark/ is frozen for this PR and calls NewServer(svc, nil), so the
-// signature stays until the next benchmark PR. When svc also implements
+// on/off switch spelled as a function and is only tested against nil; the
+// benchmark calls NewServer(svc, nil), so the signature changes only together
+// with the benchmark. When svc also implements
 // ModelProvider (as *engine.Service does), it feeds those snapshots;
 // otherwise the endpoint answers 501.
 func NewServer(svc SessionService, exporter func(*core.Engine) *core.ModelStore) *Server {
 	s := &Server{svc: svc, cfg: DefaultServerConfig(), serveModel: exporter != nil, logf: log.Printf, sm: newServerMetrics(nil), start: time.Now(),
-		streams: make(map[net.Conn]struct{})}
+		conns: make(map[net.Conn]struct{})}
 	s.routes = map[string]http.Handler{
 		"POST /v1/session/start":        http.HandlerFunc(s.handleStart),
 		"POST /v1/predict":              http.HandlerFunc(s.handlePredict),
@@ -862,33 +863,47 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // Run serves until ctx is cancelled, then shuts down gracefully: the
 // listener closes immediately (new connections refused) while in-flight
 // predict/start/log requests get up to grace to finish, so a deploy or
-// SIGTERM never truncates a player's round trip mid-write. Open streams are
-// closed last, each after the reply to any frame it is serving.
+// SIGTERM never truncates a player's round trip mid-write. Every connection
+// starts in a lane (lane.go). Lanes and streams are closed last, each after
+// the reply to any request or frame it is serving.
 func (s *Server) Run(ctx context.Context, addr string, grace time.Duration) error {
-	srv := &http.Server{Addr: addr, Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	s.logf("cs2p prediction engine listening on %s", addr)
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return fmt.Errorf("httpapi: %w", err)
-		}
-		return nil
-	case <-ctx.Done():
+	ln, err := net.Listen("tcp", cmp.Or(addr, ":http"))
+	if err != nil {
+		return fmt.Errorf("httpapi: %w", err)
 	}
+	handoff := &handoffListener{ln, make(chan net.Conn), make(chan struct{})}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: s.cfg.RequestTimeout}
+	served, accepting := make(chan error, 1), make(chan struct{})
+	go func() { served <- srv.Serve(handoff) }()
+	go func() { // start a lane on every connection, until ln closes
+		defer close(accepting)
+		for conn, err := ln.Accept(); !errors.Is(err, net.ErrClosed); conn, err = ln.Accept() {
+			if err != nil { // out of file descriptors, say
+				s.logf("httpapi: accept: %v", err)
+				time.Sleep(50 * time.Millisecond)
+			} else if s.track(conn, true) {
+				go s.serveLane(conn, handoff)
+			} else {
+				_ = conn.Close() // Run has ended the connections
+			}
+		}
+	}()
+	s.logf("cs2p prediction engine listening on %s", addr)
+	<-ctx.Done()
 	if grace <= 0 {
 		grace = 10 * time.Second
 	}
 	s.logf("shutting down: draining in-flight requests (grace %v)", grace)
+	_ = ln.Close()
+	<-accepting // every lane is tracked now
 	sctx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
-	err := srv.Shutdown(sctx)
+	err = srv.Shutdown(sctx)
 	deadline, _ := sctx.Deadline()
-	s.closeStreams(deadline)
+	s.closeConns(deadline)
 	if err != nil {
 		return fmt.Errorf("httpapi: shutdown: %w", err)
 	}
-	<-errc // reap the serve goroutine (returns ErrServerClosed)
+	<-served // reap the serve goroutine (returns ErrServerClosed)
 	return nil
 }

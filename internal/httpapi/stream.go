@@ -40,7 +40,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Connection", "Upgrade")
 	w.WriteHeader(http.StatusSwitchingProtocols) // Hijack flushes it
-	if conn, brw, err := http.NewResponseController(w).Hijack(); err == nil && s.trackStream(conn, true) {
+	if conn, brw, err := http.NewResponseController(w).Hijack(); err == nil && s.track(conn, true) {
 		go s.serveStream(conn, brw.Reader)
 	} else if err == nil {
 		_ = conn.Close() // Run has ended the streams
@@ -58,9 +58,9 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader) {
 			_, _ = conn.Write(wire.AppendError(nil, http.StatusInternalServerError, "internal server error"))
 		}
 		_ = conn.Close()
-		s.trackStream(conn, false)
+		s.track(conn, false)
 	}()
-	for lim := s.wireLimits(); !s.streamsShut.Load() && s.serveFrame(conn, br, lim); {
+	for lim := s.wireLimits(); !s.connsShut.Load() && s.serveFrame(conn, br, lim); {
 	}
 }
 
@@ -75,8 +75,8 @@ func (s *Server) serveFrame(conn net.Conn, br *bufio.Reader, lim wire.Limits) bo
 	sc := opScratchPool.Get().(*opScratch)
 	defer opScratchPool.Put(sc)
 	b, _ := br.Peek(br.Buffered())
-	if _, n, err := wire.PeekHeader(b, wire.Limits{}); s.cfg.RequestTimeout > 0 && (err != nil || len(b) < wire.HeaderLen+n) {
-		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
+	if _, n, err := wire.PeekHeader(b, wire.Limits{}); err != nil || len(b) < wire.HeaderLen+n {
+		s.armRead(conn)
 		defer func() { _ = conn.SetReadDeadline(time.Time{}) }()
 	}
 	f, err := readWireFrame(br, &sc.body, wire.Limits{MaxFrameBytes: lim.MaxFrameBytes + callFraming})
@@ -112,66 +112,101 @@ func (s *Server) serveCall(sc *opScratch, f wire.Frame) int {
 		return wireDecodeError(sc, err)
 	}
 	method, target, _ := strings.Cut(string(route), " ")
-	req, err := http.NewRequest(method, target, bytes.NewReader(body))
+	req, err := http.NewRequest(method, target, nil) // what it refuses is no request
 	if err != nil {
 		return wireError(sc, http.StatusBadRequest, "malformed call route: "+err.Error())
 	}
-	w := callWriterPool.Get().(*callWriter)
-	defer callWriterPool.Put(w)
-	clear(w.hdr)
-	w.status, w.out = 0, wire.AppendCallResult(sc.out[:0], 0, nil)
-	s.stack.Load().(http.Handler).ServeHTTP(w, req)
-	sc.out, w.out = wire.AppendCallResult(w.out[:0], cmp.Or(w.status, http.StatusOK), w.out[wire.HeaderLen+2:]), nil
+	c := memCallPool.Get().(*memCall)
+	defer memCallPool.Put(c)
+	clear(c.reqHdr)
+	c.out = wire.AppendCallResult(sc.out[:0], 0, nil)
+	s.stack.Load().(http.Handler).ServeHTTP(c, c.request(req.Method, *req.URL, body))
+	sc.out, c.out = wire.AppendCallResult(c.out[:0], cmp.Or(c.status, http.StatusOK), c.out[wire.HeaderLen+2:]), nil
 	return http.StatusOK
 }
 
-// callWriter is a MsgCall's http.ResponseWriter: the body goes into out behind
-// room for the MsgCallResult's header, and the headers are dropped.
-type callWriter struct {
-	hdr    http.Header
-	out    []byte
-	status int
+// memCall is a request served from memory, a MsgCall's or a lane's: its own
+// body and the http.ResponseWriter it answers through, the reply's body going
+// into out after whatever the caller put there, its headers into hdr.
+type memCall struct {
+	bytes.Reader // the request body
+	req          http.Request
+	url          url.URL
+	reqHdr       http.Header
+	vals         []string // backs reqHdr's values on a lane
+	buf          []byte   // a lane's request as read
+	reply        byteSink // and its reply as written, with
+	date         []byte   // the Date value, formatted at most once a second
+	dateSec      int64
+	hdr          http.Header
+	out          []byte
+	status       int
 }
 
-var callWriterPool = sync.Pool{New: func() any { return &callWriter{hdr: http.Header{}} }}
+var memCallPool = sync.Pool{New: func() any { return &memCall{reqHdr: http.Header{}, hdr: http.Header{}} }}
 
-func (w *callWriter) Header() http.Header  { return w.hdr }
-func (w *callWriter) WriteHeader(code int) { w.status = cmp.Or(w.status, code) }
-func (w *callWriter) Write(b []byte) (int, error) {
-	w.status, w.out = cmp.Or(w.status, http.StatusOK), append(w.out, b...)
+// request readies c for a new reply to method u with body, reqHdr, no context.
+func (c *memCall) request(method string, u url.URL, body []byte) *http.Request {
+	c.Reset(body)
+	c.url, c.req = u, http.Request{Method: method, URL: &c.url, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: c.reqHdr, Body: c, ContentLength: int64(len(body)), Host: u.Host}
+	if len(body) == 0 {
+		c.req.Body = http.NoBody
+	}
+	clear(c.hdr)
+	c.status = 0
+	return &c.req
+}
+
+func (c *memCall) Close() error         { return nil }
+func (c *memCall) Header() http.Header  { return c.hdr }
+func (c *memCall) WriteHeader(code int) { c.status = cmp.Or(c.status, code) }
+func (c *memCall) Write(b []byte) (int, error) {
+	c.status, c.out = cmp.Or(c.status, http.StatusOK), append(c.out, b...)
 	return len(b), nil
 }
 
-// trackStream registers (open) or forgets a stream for Run; registering fails
-// once Run has ended the streams.
-func (s *Server) trackStream(conn net.Conn, open bool) bool {
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
+// track registers (open) or forgets a connection Run owns, a lane's or a
+// stream's; registering fails once Run has ended them.
+func (s *Server) track(conn net.Conn, open bool) bool {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
 	switch {
 	case !open:
-		delete(s.streams, conn)
-		s.streamWG.Done()
-	case !s.streamsShut.Load():
-		s.streams[conn] = struct{}{}
-		s.streamWG.Add(1)
+		delete(s.conns, conn)
+		s.connWG.Done()
+	case !s.connsShut.Load():
+		s.conns[conn] = struct{}{}
+		s.connWG.Add(1)
 		return true
 	}
 	return false
 }
 
-// closeStreams ends every open stream for Run — hijacked connections are
+// armRead bounds conn's reads by RequestTimeout from now, unless Run has ended
+// its connections and set their deadline, and reports true.
+func (s *Server) armRead(conn net.Conn) bool {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	if s.cfg.RequestTimeout > 0 && !s.connsShut.Load() {
+		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
+	}
+	return true
+}
+
+// closeConns ends every connection Run owns — lanes, and streams, which are
 // beyond http.Server.Shutdown — and waits for them: an idle one wakes now, one
-// serving a frame ends once its reply is written, or at deadline if that
-// write is stuck.
-func (s *Server) closeStreams(deadline time.Time) {
-	s.streamMu.Lock()
-	s.streamsShut.Store(true)
-	for conn := range s.streams {
+// serving a request or frame ends once its reply is written, or at deadline
+// if that write is stuck.
+func (s *Server) closeConns(deadline time.Time) {
+	s.connMu.Lock()
+	s.connsShut.Store(true)
+	for conn := range s.conns {
 		_ = conn.SetReadDeadline(time.Now())
 		_ = conn.SetWriteDeadline(deadline)
 	}
-	s.streamMu.Unlock()
-	s.streamWG.Wait()
+	s.connMu.Unlock()
+	s.connWG.Wait()
 }
 
 // NewStreamTransport is the routing tier's carrier to its replicas. A POST

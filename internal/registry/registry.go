@@ -62,9 +62,6 @@ func Open(dir string) (*Registry, error) {
 	return &Registry{dir: dir}, nil
 }
 
-// Dir returns the registry's root directory.
-func (r *Registry) Dir() string { return r.dir }
-
 // Versions returns all published version numbers, ascending.
 func (r *Registry) Versions() ([]uint64, error) {
 	entries, err := os.ReadDir(r.dir)
